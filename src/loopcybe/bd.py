@@ -745,28 +745,9 @@ def manin_identity_sides(L: TwistedLoopAlgebra, t: Laurent2, w_triple: tuple,
     left  = script-B(w1 (x) w2 (x) w3, CYB(t) - Alt((delta (x) 1) t))
     right = -script-B([T w1 - w1, T w2 - w2], T w3 - w3)
     """
-    from .tensors import alt_cyclic, cobracket, cyb_of_laurent, tensor_to_slots
+    from .tensors import twist_defect
 
-    r_base = base if base is not None else r0(L)
-    cyb_t = cyb_of_laurent(L.alg, t)
-    d1: dict = {}
-    for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-        f = LoopElement(L, {(s1, dx): Q(1)})
-        for (a, b, p, q_), cf in cobracket(f, r_base).items():
-            for j, cj in L.slots[s2].vec.items():
-                key = (a, b, dy, p, q_, j)
-                s = d1.get(key, 0) + c * cf * cj
-                if s:
-                    d1[key] = s
-                else:
-                    d1.pop(key, None)
-    resid = dict(cyb_t)
-    for k, c in alt_cyclic(d1).items():
-        s = resid.get(k, 0) - c
-        if s:
-            resid[k] = s
-        else:
-            resid.pop(k, None)
+    resid = twist_defect(L, t, base)
 
     w1, w2, w3 = w_triple
 

@@ -49,6 +49,8 @@ def _sigma_from_args(args) -> SigmaType:
     s = [int(x) for x in args.s.split(",")] if args.s else None
     nu = [int(x) for x in args.nu.split(",")] if args.nu else None
     ct = CartanType.parse(args.type)
+    if nu and sorted(nu) != list(range(ct.rank)):
+        raise UsageError("--nu must be a permutation of 0..%d" % (ct.rank - 1))
     if s is None:
         # default to the grading with s = (1, 0, ..., 0): one entry per node
         if nu and list(nu) != list(range(ct.rank)):
@@ -104,7 +106,7 @@ def cmd_verify_cybe(args) -> int:
     L = q.algebra()
     t = bd.build_twist(q)
     r = r0(L) + from_loop_tensor(L, t)
-    verdict = verify_cybe(r, random_points=args.random_points or 20, seed=args.seed)
+    verdict = verify_cybe(r)
     # operator agreement at the requested degree bound
     rq = bd.build_rq(q)
     rt = residue_operator(L, t)
@@ -184,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-cybe", help="verify CYBE and skew-symmetry")
     sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("--random-points", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify_cybe)
 
     sp = sub.add_parser("census", help="quasi-trigonometric reachability census")

@@ -154,7 +154,12 @@ class LoopElement:
 
 
 class TwistedLoopAlgebra:
-    """The loop algebra of an automorphism of type (s; |nu|)."""
+    """The loop algebra of an automorphism of type (s; |nu|).
+
+    `affine_cartan[i][j]` is 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), the
+    transpose of Kac's a_ij = <alpha_i^vee, alpha_j>: compare it with a
+    published table (Kac, Table Aff) only after transposing.
+    """
 
     def __init__(self, sigma: SigmaType):
         self.sigma = sigma
@@ -744,7 +749,8 @@ class AffineDiagramData:
     Killing form restricted to the Cartan is the root-sum
     kappa(h, h') = sum_beta beta(h) beta(h'), so everything here derives
     from the bare root system.  Field names mirror TwistedLoopAlgebra so
-    the quadruple-condition code runs on either.
+    the quadruple-condition code runs on either; `affine_cartan` is stored
+    transposed against Kac's a_ij there as here.
     """
     sigma: SigmaType
     nh: int

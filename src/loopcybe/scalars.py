@@ -11,6 +11,7 @@ extension.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -262,5 +263,14 @@ def frac_str(q: Q) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_frac(s: str) -> Q:
+# An exact rational as the package writes it: "p/q" or "p", nonzero q.
+_FRAC_RE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def parse_frac(s) -> Q:
+    """Read a JSON int or a "p/q" string exactly; floats are rejected."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Q(s)
+    if not isinstance(s, str) or not _FRAC_RE.fullmatch(s):
+        raise ValueError("expected an integer or a 'p/q' string, got %r" % (s,))
     return Q(s)

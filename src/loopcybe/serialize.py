@@ -8,6 +8,7 @@ so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .bd import BDQuadruple, D_INDEX
@@ -52,8 +53,31 @@ def sigma_json(sigma: SigmaType) -> dict:
             "s": list(sigma.s)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _expect(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _int_list(x, what: str) -> list:
+    _expect(isinstance(x, list) and all(_is_int(v) for v in x),
+            "%s must be a JSON list of integers" % what)
+    return x
+
+
 def sigma_from_json(data: dict) -> SigmaType:
-    return SigmaType.make(data["type"], data["s"], data.get("nu_perm"))
+    _expect(isinstance(data, dict), "diagram must be a JSON object")
+    _expect(isinstance(data["type"], str), "diagram type must be a string")
+    nu = data.get("nu_perm")
+    sigma = SigmaType.make(data["type"], _int_list(data["s"], "s"),
+                           None if nu is None else _int_list(nu, "nu_perm"))
+    rank = sigma.cartan_type.rank
+    _expect(nu is None or sorted(nu) == list(range(rank)),
+            "nu_perm must be a permutation of 0..%d" % (rank - 1))
+    return sigma
 
 
 def loop_element_json(f: LoopElement) -> list:
@@ -100,10 +124,20 @@ def _th_key_json(a: int):
     return "d" if a == D_INDEX else a + 1
 
 
-def _th_key_parse(x) -> int:
+def _th_key_parse(x, nh: int) -> int:
     if x == "d":
         return D_INDEX
-    return int(x) - 1
+    _expect(_is_int(x) and 1 <= x <= nh,
+            "t_h index %r is not \"d\" or in 1..%d" % (x, nh))
+    return x - 1
+
+
+def _node(x, what: str, nodes: int) -> int:
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        x = int(x)          # a gamma key: JSON object keys are strings
+    _expect(_is_int(x) and 0 <= x < nodes,
+            "%s node %r is not in 0..%d" % (what, x, nodes - 1))
+    return x
 
 
 def quadruple_json(q: BDQuadruple) -> dict:
@@ -118,13 +152,21 @@ def quadruple_json(q: BDQuadruple) -> dict:
 
 
 def quadruple_from_json(data: dict) -> BDQuadruple:
+    """Read a quadruple; a wrong shape, type or index raises ValueError."""
+    _expect(isinstance(data, dict), "a quadruple must be a JSON object")
     sigma = sigma_from_json(data["diagram"])
-    t_h = {}
-    for item in data.get("t_h", []):
-        t_h[(_th_key_parse(item["i"]), _th_key_parse(item["j"]))] = parse_frac(item["val"])
-    gamma = {int(a): int(b) for a, b in data.get("gamma", {}).items()}
-    return BDQuadruple.make(sigma, data.get("gamma1", []), data.get("gamma2", []),
-                            gamma, t_h)
+    nodes = len(sigma.s)            # affine nodes; t_h indices run over nodes - 1
+    g1 = [_node(x, "gamma1", nodes) for x in _int_list(data.get("gamma1", []), "gamma1")]
+    g2 = [_node(x, "gamma2", nodes) for x in _int_list(data.get("gamma2", []), "gamma2")]
+    gamma = data.get("gamma", {})
+    _expect(isinstance(gamma, dict), "gamma must be a JSON object")
+    gamma = {_node(a, "gamma", nodes): _node(b, "gamma", nodes) for a, b in gamma.items()}
+    items = data.get("t_h", [])
+    _expect(isinstance(items, list) and all(isinstance(it, dict) for it in items),
+            "t_h must be a JSON list of objects")
+    t_h = {(_th_key_parse(it["i"], nodes - 1), _th_key_parse(it["j"], nodes - 1)):
+           parse_frac(it["val"]) for it in items}
+    return BDQuadruple.make(sigma, g1, g2, gamma, t_h)
 
 
 def validation_json(report: dict) -> dict:

@@ -18,11 +18,13 @@ tensors; `cybe` output is CYB(r) multiplied by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional
 
-from .loop import LoopElement, TwistedLoopAlgebra
+from .loop import LoopElement, TwistedLoopAlgebra, _as_int
 
 Q = Fraction
 
@@ -32,14 +34,19 @@ Laurent2 = dict       # (dx, dy, i, j) -> coeff
 Laurent3 = dict       # (d1, d2, d3, i, j, k) -> coeff
 
 
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in a sparse tensor, dropping the key if the sum is 0."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def t2_add(a: dict, b: dict, scale=1) -> dict:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, 0) + scale * c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        add_term(out, k, scale * c)
     return out
 
 
@@ -62,12 +69,8 @@ def wedge(alg, a: LoopElement, b: LoopElement) -> Laurent2:
             for i, ci in va.items():
                 for j, cj in vb.items():
                     c = ci * cj
-                    for key, sgn in (((ka, kb, i, j), 1), ((kb, ka, j, i), -1)):
-                        s = out.get(key, 0) + sgn * c
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                    add_term(out, (ka, kb, i, j), c)
+                    add_term(out, (kb, ka, j, i), -c)
     return out
 
 
@@ -82,12 +85,7 @@ def tensor_to_slots(L: TwistedLoopAlgebra, t: Laurent2) -> dict:
     for (dx, dy, i, j), c in t.items():
         for s1, c1 in L.chev_index_slots(i):
             for s2, c2 in L.chev_index_slots(j):
-                key = ((s1, dx), (s2, dy))
-                v = out.get(key, 0) + c * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                add_term(out, ((s1, dx), (s2, dy)), c * c1 * c2)
     # grading-violating components must cancel across terms
     for ((s1, dx), (s2, dy)) in out:
         if (dx - L.slots[s1].sigma_class) % L.m != 0 \
@@ -102,12 +100,7 @@ def tensor_from_slots(L: TwistedLoopAlgebra, st: dict) -> Laurent2:
     for ((s1, dx), (s2, dy)), c in st.items():
         for i, ci in L.slots[s1].vec.items():
             for j, cj in L.slots[s2].vec.items():
-                key = (dx, dy, i, j)
-                v = out.get(key, 0) + c * ci * cj
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                add_term(out, (dx, dy, i, j), c * ci * cj)
     return out
 
 
@@ -117,12 +110,7 @@ def tensor_of_elements(a: LoopElement, b: LoopElement) -> Laurent2:
         for kb, vb in b.chev_parts().items():
             for i, ci in va.items():
                 for j, cj in vb.items():
-                    key = (ka, kb, i, j)
-                    s = out.get(key, 0) + ci * cj
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (ka, kb, i, j), ci * cj)
     return out
 
 
@@ -161,20 +149,11 @@ class TwoPointTensor:
         m = self.m
         out: Laurent2 = {}
         for (dx, dy, i, j), c in self.poly.items():
-            for key, sgn in (((dx + m, dy - m, i, j), 1), ((dx, dy, i, j), -1)):
-                s = out.get(key, 0) + sgn * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            add_term(out, (dx + m, dy - m, i, j), c)
+            add_term(out, (dx, dy, i, j), -c)
         for k, pk in enumerate(self.pole_num):
             for (i, j), c in pk.items():
-                key = (k, -k, i, j)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, (k, -k, i, j), c)
         return out
 
     def tau_swapped(self) -> "TwoPointTensor":
@@ -274,20 +253,67 @@ def _bracket_into(alg, acc: Laurent3, d: tuple, i: int, j: int, pos: int, rest: 
             acc.pop(key, None)
 
 
+def _cyb_parts(alg, t: Laurent2):
+    """Yield the partial sums [t12, t13], [t12, t23], [t13, t23] of CYB(t).
+
+    Each term x^a y^b (u (x) v) of t is bucketed by its first leg u and by
+    its second leg v.  A partial sum brackets one bucket against another,
+    so it visits a pair of terms only when the bracket of their legs is
+    nonzero, and looks each bracket up once per call.
+    """
+    first: dict = {}        # u -> [(degree of u, degree of v, v, c)]
+    second: dict = {}       # v -> [(degree of v, degree of u, u, c)]
+    for (a, b, i, j), c in t.items():
+        first.setdefault(i, []).append((a, b, j, c))
+        second.setdefault(j, []).append((b, a, i, c))
+    brackets: dict = {}
+    for part, (left, right) in enumerate(((first, first), (second, first), (second, second))):
+        # keyed (bracket degree, left other degree, right other degree,
+        #        bracket leg, left other leg, right other leg)
+        acc: dict = {}
+        for u, lterms in left.items():
+            for v, rterms in right.items():
+                br = brackets.get((u, v))
+                if br is None:
+                    br = brackets[(u, v)] = [(w, _as_int(cw)) for w, cw
+                                             in alg.bracket_basis(u, v).items()]
+                if not br:
+                    continue
+                for d1, e1, p, c1 in lterms:
+                    for d2, e2, q, c2 in rterms:
+                        c = c1 * c2
+                        for w, cw in br:
+                            key = (d1 + d2, e1, e2, w, p, q)
+                            acc[key] = acc.get(key, 0) + c * cw
+        if part == 0:       # [t12, t13]: bracket on leg 1, degree in x1
+            yield {k: c for k, c in acc.items() if c}
+        elif part == 1:     # [t12, t23]: bracket on leg 2, degree in x2
+            yield {(e1, d, e2, p, w, q): c for (d, e1, e2, w, p, q), c in acc.items() if c}
+        else:               # [t13, t23]: bracket on leg 3, degree in x3
+            yield {(e1, e2, d, p, q, w): c for (d, e1, e2, w, p, q), c in acc.items() if c}
+
+
+def _integral(t: Laurent2) -> tuple:
+    """(den * t, den) with integer coefficients, or (t, None) if t is not rational.
+
+    The bracket loop then runs on ints, many times faster than on Fractions;
+    cyclotomic coefficients (order-3 twists) are left as they are.
+    """
+    if not all(isinstance(c, (int, Q)) for c in t.values()):
+        return t, None
+    den = math.lcm(*(c.denominator for c in t.values()))
+    return {k: int(c * den) for k, c in t.items()}, den
+
+
+def _unscaled(t: Laurent3, den) -> Laurent3:
+    """Divide a bilinear result over `_integral` coefficients by den^2."""
+    return t if den is None else {k: Q(c, den * den) for k, c in t.items()}
+
+
 def cyb_of_laurent(alg, t: Laurent2) -> Laurent3:
     """CYB(t) for a finite two-leg Laurent tensor (no poles)."""
-    acc: Laurent3 = {}
-    items = list(t.items())
-    for (a, b, i, j), c1 in items:
-        for (a2, b2, i2, j2), c2 in items:
-            c = c1 * c2
-            # [t12, t13]: legs (i,i2 bracket | j | j2), vars (a+a2, b, b2)
-            _bracket_into(alg, acc, (a + a2, b, b2), i, i2, 0, (j, j2), c)
-            # [t12, t23]: legs (i | j,i2 bracket | j2), vars (a, b+a2, b2)
-            _bracket_into(alg, acc, (a, b + a2, b2), j, i2, 1, (i, j2), c)
-            # [t13, t23]: legs (i | i2 | j,j2 bracket), vars (a, a2, b+b2)
-            _bracket_into(alg, acc, (a, a2, b + b2), j, j2, 2, (i, i2), c)
-    return acc
+    n, den = _integral(t)
+    return _unscaled(reduce(t2_add, _cyb_parts(alg, n), {}), den)
 
 
 def alt_cyclic(t: Laurent3) -> Laurent3:
@@ -295,11 +321,7 @@ def alt_cyclic(t: Laurent3) -> Laurent3:
     out: Laurent3 = {}
     for (d1, d2, d3, i, j, k), c in t.items():
         for key in ((d1, d2, d3, i, j, k), (d2, d3, d1, j, k, i), (d3, d1, d2, k, i, j)):
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, key, c)
     return out
 
 
@@ -310,60 +332,42 @@ def laurent3_mul_clear(t: Laurent3, m: int, pairs: Iterable[tuple]) -> Laurent3:
         out: Laurent3 = {}
         for key, c in cur.items():
             d = list(key[:3])
-            d2 = list(key[:3])
-            d2[p] += m
-            d2[q] -= m
-            for kk, sgn in ((tuple(d2) + key[3:], 1), (tuple(d) + key[3:], -1)):
-                s = out.get(kk, 0) + sgn * c
-                if s:
-                    out[kk] = s
-                else:
-                    out.pop(kk, None)
+            d[p] += m
+            d[q] -= m
+            add_term(out, tuple(d) + key[3:], c)
+            add_term(out, key, -c)
         cur = out
     return cur
 
 
 def cybe(r: TwoPointTensor) -> Laurent3:
-    """CYB(r) times ((x1/x2)^m-1)((x1/x3)^m-1)((x2/x3)^m-1); zero iff r solves CYBE."""
-    alg = r.L.alg
-    m = r.m
-    n12 = r.cleared()          # N(x,y) with variables (x1, x2)
-    acc: Laurent3 = {}
-    items = list(n12.items())
-    for (a, b, i, j), c1 in items:
-        for (a2, b2, i2, j2), c2 in items:
-            c = c1 * c2
-            # [N12(x1,x2), N13(x1,x3)] * D23
-            _bracket_into(alg, acc, (a + a2, b, b2), i, i2, 0, (j, j2), c)
-    acc = laurent3_mul_clear(acc, m, [(1, 2)])
-    acc2: Laurent3 = {}
-    for (a, b, i, j), c1 in items:
-        for (a2, b2, i2, j2), c2 in items:
-            c = c1 * c2
-            # [N12(x1,x2), N23(x2,x3)] * D13
-            _bracket_into(alg, acc2, (a, b + a2, b2), j, i2, 1, (i, j2), c)
-    acc2 = laurent3_mul_clear(acc2, m, [(0, 2)])
-    acc3: Laurent3 = {}
-    for (a, b, i, j), c1 in items:
-        for (a2, b2, i2, j2), c2 in items:
-            c = c1 * c2
-            # [N13(x1,x3), N23(x2,x3)] * D12
-            _bracket_into(alg, acc3, (a, a2, b + b2), j, j2, 2, (i, i2), c)
-    acc3 = laurent3_mul_clear(acc3, m, [(0, 1)])
-    out = dict(acc)
-    for src in (acc2, acc3):
-        for k, c in src.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+    """CYB(r) times ((x1/x2)^m-1)((x1/x3)^m-1)((x2/x3)^m-1); zero iff r solves CYBE.
+
+    With N = r(x, y) ((x/y)^m - 1) this is [N12, N13] D23 + [N12, N23] D13
+    + [N13, N23] D12, where D_pq = (x_p/x_q)^m - 1.
+    """
+    n, den = _integral(r.cleared())
+    cleared = (laurent3_mul_clear(part, r.m, [pair]) for part, pair
+               in zip(_cyb_parts(r.L.alg, n), ((1, 2), (0, 2), (0, 1))))
+    return _unscaled(reduce(t2_add, cleared, {}), den)
 
 
 def skew(r: TwoPointTensor) -> TwoPointTensor:
     """r(x,y) + tau r(y,x); identically zero iff r is skew-symmetric."""
     return r + r.tau_swapped()
+
+
+# Read only by the benchmark's traced run (perfbench/trace_op.py), to name spans.
+SYMBOLIC_DIM_LIMIT = 24
+
+
+def verify_cybe(r: TwoPointTensor) -> dict:
+    """CYBE and skew verdicts, both symbolic and exact at every dim g.
+
+    `evaluate_cybe_at` is kept apart from this check as a point oracle.
+    """
+    return {"cybe": "zero" if not cybe(r) else "nonzero",
+            "skew": "zero" if skew(r).is_zero() else "nonzero", "mode": "symbolic"}
 
 
 # ------------------------------------------------------------------ cobracket
@@ -386,12 +390,7 @@ def _exact_div_clear(L, num: Laurent2) -> Laurent2:
         qkey = (dx - m, dy, i, j)
         out[qkey] = out.get(qkey, 0) + c
         # subtract c * x^(dx-m) y^dy (x^m - y^m) leaving the lower term
-        lkey = (dx - m, dy + m, i, j)
-        s = work.get(lkey, 0) + c
-        if s:
-            work[lkey] = s
-        else:
-            work.pop(lkey, None)
+        add_term(work, (dx - m, dy + m, i, j), c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -409,22 +408,10 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
         for kf, vf in f.chev_parts().items():
             for (dx, dy, i, j), c in tensor.items():
                 for fi, fc in vf.items():
-                    br = alg.bracket_basis(fi, i)
-                    for t, ct in br.items():
-                        key = (dx + kf, dy, t, j)
-                        s = target.get(key, 0) + c * fc * ct
-                        if s:
-                            target[key] = s
-                        else:
-                            target.pop(key, None)
-                    br = alg.bracket_basis(fi, j)
-                    for t, ct in br.items():
-                        key = (dx, dy + kf, i, t)
-                        s = target.get(key, 0) + c * fc * ct
-                        if s:
-                            target[key] = s
-                        else:
-                            target.pop(key, None)
+                    for t, ct in alg.bracket_basis(fi, i).items():
+                        add_term(target, (dx + kf, dy, t, j), c * fc * ct)
+                    for t, ct in alg.bracket_basis(fi, j).items():
+                        add_term(target, (dx, dy + kf, i, t), c * fc * ct)
 
     add_action(out, r.poly)
     pole_part: Laurent2 = {}
@@ -436,12 +423,8 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
     check: Laurent2 = {}
     m = L.m
     for (dx, dy, i, j), c in quotient.items():
-        for key, sgn in (((dx + m, dy - m, i, j), 1), ((dx, dy, i, j), -1)):
-            s = check.get(key, 0) + sgn * c
-            if s:
-                check[key] = s
-            else:
-                check.pop(key, None)
+        add_term(check, (dx + m, dy - m, i, j), c)
+        add_term(check, (dx, dy, i, j), -c)
     if check != pole_part:
         raise ValueError("pole failed to cancel; input is not sigma-equivariant")
     return t2_add(out, quotient)
@@ -453,32 +436,23 @@ def twist_residual(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTe
     Zero iff t is a classical twist of the standard cobracket.  `base`
     defaults to r0(L).
     """
-    r_base = base if base is not None else r0(L)
     skw = t2_add(t, {(dy, dx, j, i): c for (dx, dy, i, j), c in t.items()})
     if skw:
         raise ValueError("twist candidate must be skew-symmetric")
-    cyb_t = cyb_of_laurent(L.alg, t)
+    return laurent3_mul_clear(twist_defect(L, t, base), L.m, [(0, 1), (0, 2), (1, 2)])
+
+
+def twist_defect(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTensor] = None) -> Laurent3:
+    """CYB(t) - Alt((delta_0 (x) 1) t) for a finite Laurent tensor t, uncleared."""
+    r_base = base if base is not None else r0(L)
     # (delta (x) 1) t: apply the cobracket slot-wise to the first leg
     d1: Laurent3 = {}
     for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-        f = LoopElement(L, {(s1, dx): Q(1)})
-        delta_f = cobracket(f, r_base)
+        delta_f = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r_base)
         for (a, b, p, q_), cf in delta_f.items():
             for j, cj in L.slots[s2].vec.items():
-                key = (a, b, dy, p, q_, j)
-                s = d1.get(key, 0) + c * cf * cj
-                if s:
-                    d1[key] = s
-                else:
-                    d1.pop(key, None)
-    resid = dict(cyb_t)
-    for k, c in alt_cyclic(d1).items():
-        s = resid.get(k, 0) - c
-        if s:
-            resid[k] = s
-        else:
-            resid.pop(k, None)
-    return laurent3_mul_clear(resid, L.m, [(0, 1), (0, 2), (1, 2)])
+                add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
+    return t2_add(cyb_of_laurent(L.alg, t), alt_cyclic(d1), scale=-1)
 
 
 # ------------------------------------------------------------- residue action
@@ -581,43 +555,6 @@ def taylor(r: TwoPointTensor, order: int) -> list:
 
 
 # ------------------------------------------------------ point-wise evaluation
-
-# Largest dim g the fully symbolic Yang-Baxter verifier handles; beyond it
-# the check samples random rational points (exact per point).
-SYMBOLIC_DIM_LIMIT = 24
-
-
-def verify_cybe(r: TwoPointTensor, random_points: int = 20, seed: int = 0) -> dict:
-    """CYBE + skew verdicts, symbolic for dim g <= SYMBOLIC_DIM_LIMIT.
-
-    Above the limit the equation is evaluated at `random_points` exact
-    rational points avoiding x_i^m = x_j^m; polynomial identity testing
-    at random rational points is sound with overwhelming probability and
-    exact per point.
-    """
-    import random as _random
-
-    skew_zero = skew(r).is_zero()
-    if r.L.alg.dim <= SYMBOLIC_DIM_LIMIT:
-        return {"cybe": "zero" if not cybe(r) else "nonzero",
-                "skew": "zero" if skew_zero else "nonzero", "mode": "symbolic"}
-    rng = _random.Random(seed)
-    done = 0
-    cybe_zero = True
-    while done < random_points:
-        pts = tuple(Q(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3))
-        try:
-            val = evaluate_cybe_at(r, pts)
-        except ValueError:
-            continue
-        done += 1
-        if val:
-            cybe_zero = False
-            break
-    return {"cybe": "zero" if cybe_zero else "nonzero",
-            "skew": "zero" if skew_zero else "nonzero",
-            "mode": "random-points:%d" % random_points}
-
 
 def evaluate_cybe_at(r: TwoPointTensor, pts: tuple) -> dict:
     """CYB(r)(x1,x2,x3) evaluated exactly at rational points.

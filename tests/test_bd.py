@@ -400,13 +400,16 @@ def test_all_c2_quadruples_solve_cybe():
         assert skew(r).is_zero()
 
 
-def test_verify_cybe_random_point_path():
-    """dim g > 24 routes through exact random-point evaluation (B4 case)."""
-    from loopcybe.tensors import verify_cybe
+def test_verify_cybe_symbolic_on_b4_witness():
+    """dim g = 36 is checked symbolically: the B4 census witness solves CYBE,
+    and doubling its twist does not."""
+    from loopcybe.tensors import t2_scale, verify_cybe
     sigma = SigmaType.make("B4", [1, 0, 0, 0, 0])
     g1, g2, gm = {0, 1}, {1, 3}, {0: 1, 1: 3}
     q = BDQuadruple.make(sigma, g1, g2, gm, canonical_t_h(sigma, g1, g2, gm))
     L = loop_algebra(sigma)
-    r = r0(L) + from_loop_tensor(L, build_twist(q))
-    verdict = verify_cybe(r, random_points=8, seed=3)
-    assert verdict == {"cybe": "zero", "skew": "zero", "mode": "random-points:8"}
+    t = build_twist(q)
+    verdict = verify_cybe(r0(L) + from_loop_tensor(L, t))
+    assert verdict == {"cybe": "zero", "skew": "zero", "mode": "symbolic"}
+    doubled = verify_cybe(r0(L) + from_loop_tensor(L, t2_scale(t, 2)))
+    assert doubled == {"cybe": "nonzero", "skew": "zero", "mode": "symbolic"}

@@ -1,14 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import loopcybe
+
 CLI = [sys.executable, "-m", "loopcybe.cli"]
+# The CLI runs the package these tests imported, installed or not.
+SRC = os.path.dirname(os.path.dirname(loopcybe.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args, inputs=None):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV,
+                          timeout=300)
 
 
 def write_quad(tmp_path, name, payload):
@@ -72,6 +80,56 @@ def test_malformed_json_exits_2(tmp_path):
     out = run("validate", "-i", str(p))
     assert out.returncode == 2
     assert "error" in json.loads(out.stdout)
+
+
+def _usage_error(out):
+    """Exit 2 with a JSON error object and no traceback."""
+    return (out.returncode == 2 and "error" in json.loads(out.stdout)
+            and "Traceback" not in out.stderr)
+
+
+def test_top_level_array_exits_2(tmp_path):
+    path = write_quad(tmp_path, "q.json", [VALID_A2])
+    for cmd in ("validate", "twist", "verify-cybe"):
+        assert _usage_error(run(cmd, "-i", path))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("gamma1", [1, 7]), ("gamma2", [-1]), ("gamma", {"1": 3}), ("gamma", {"5": 2}),
+    ("t_h", [{"i": 9, "j": 1, "val": "1/2"}]), ("t_h", [{"i": 1, "j": 0, "val": "1/2"}]),
+])
+def test_node_index_out_of_range_exits_2(tmp_path, field, value):
+    """A2 has affine nodes 0..2 and t_h indices 1..2 (or "d")."""
+    path = write_quad(tmp_path, "q.json", dict(VALID_A2, **{field: value}))
+    assert _usage_error(run("validate", "-i", path))
+
+
+@pytest.mark.parametrize("diagram", [
+    {"type": "A2", "s": "100", "nu_perm": None},
+    {"type": "A2", "s": [True, 0, 0], "nu_perm": None},
+    {"type": "A2", "s": [1.0, 0, 0], "nu_perm": None},
+    {"type": "A3", "s": [1, 0, 0], "nu_perm": "210"},
+    {"type": "A2", "s": [1, 0], "nu_perm": [0, 0]},
+    {"type": "A2", "s": [1, 0], "nu_perm": [0, 5]},
+])
+def test_s_and_nu_perm_checked(tmp_path, diagram):
+    """s and nu_perm are JSON lists of ints, and nu_perm permutes the finite nodes."""
+    quad = {"diagram": diagram, "gamma1": [], "gamma2": [], "gamma": {}, "t_h": []}
+    path = write_quad(tmp_path, "q.json", quad)
+    assert _usage_error(run("verify-cybe", "-i", path))
+
+
+@pytest.mark.parametrize("nu", ["0,0", "0,5"])
+def test_nu_flag_not_a_permutation_exits_2(nu):
+    """--nu 0,0 used to loop forever when --s was left to its default."""
+    assert _usage_error(run("r0", "--type", "A2", "--nu", nu))
+
+
+def test_t_h_float_val_exits_2(tmp_path):
+    quad = dict(VALID_A2, t_h=[{"i": 1, "j": 2, "val": 0.1}])
+    path = write_quad(tmp_path, "q.json", quad)
+    for cmd in ("validate", "twist", "verify-cybe"):
+        assert _usage_error(run(cmd, "-i", path))
 
 
 def test_verify_cybe(tmp_path):

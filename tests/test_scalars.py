@@ -54,3 +54,11 @@ def test_frac_strings():
     assert frac_str(Q(3, 4)) == "3/4"
     assert frac_str(Q(-2)) == "-2"
     assert parse_frac("7/3") == Q(7, 3)
+    assert parse_frac("-1/32") == Q(-1, 32)
+    assert parse_frac(-4) == Q(-4)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.5, True, None, "0.5", "1e3", "1/0", " 1/2", "1/-2", [1]])
+def test_parse_frac_rejects_inexact_and_malformed(bad):
+    with pytest.raises(ValueError):
+        parse_frac(bad)

@@ -89,6 +89,101 @@ def test_evaluate_detects_nonzero(sl2_loop):
     assert sym
 
 
+# ------------------------------------------- pair-pruned kernel vs n^2 loops
+
+
+def _reference_bracket_into(alg, acc, d, i, j, pos, rest, c):
+    for t, ct in alg.bracket_basis(i, j).items():
+        legs = list(rest)
+        legs.insert(pos, t)
+        key = d + tuple(legs)
+        s = acc.get(key, 0) + c * ct
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _reference_cyb_of_laurent(alg, t):
+    """CYB(t) by visiting every pair of terms (the original loop)."""
+    acc = {}
+    items = list(t.items())
+    for (a, b, i, j), c1 in items:
+        for (a2, b2, i2, j2), c2 in items:
+            c = c1 * c2
+            _reference_bracket_into(alg, acc, (a + a2, b, b2), i, i2, 0, (j, j2), c)
+            _reference_bracket_into(alg, acc, (a, b + a2, b2), j, i2, 1, (i, j2), c)
+            _reference_bracket_into(alg, acc, (a, a2, b + b2), j, j2, 2, (i, i2), c)
+    return acc
+
+
+def _reference_cybe(r):
+    """cybe(r) by visiting every pair of cleared terms (the original loop)."""
+    from loopcybe.tensors import laurent3_mul_clear
+    alg, m = r.L.alg, r.m
+    items = list(r.cleared().items())
+    parts = []
+    for pos, pairs in ((0, [(1, 2)]), (1, [(0, 2)]), (2, [(0, 1)])):
+        acc = {}
+        for (a, b, i, j), c1 in items:
+            for (a2, b2, i2, j2), c2 in items:
+                c = c1 * c2
+                if pos == 0:      # [N12, N13] D23
+                    _reference_bracket_into(alg, acc, (a + a2, b, b2), i, i2, 0, (j, j2), c)
+                elif pos == 1:    # [N12, N23] D13
+                    _reference_bracket_into(alg, acc, (a, b + a2, b2), j, i2, 1, (i, j2), c)
+                else:             # [N13, N23] D12
+                    _reference_bracket_into(alg, acc, (a, a2, b + b2), j, j2, 2, (i, i2), c)
+        parts.append(laurent3_mul_clear(acc, m, pairs))
+    return t2_add(t2_add(parts[0], parts[1]), parts[2])
+
+
+# (label, s, nu, gamma); gamma None takes the first triple with the largest Gamma_1.
+KERNEL_CASES = [
+    ("A2", [1, 0, 0], None, None),
+    ("A2", [1, 1, 1], None, None),              # principal grading, m = 3
+    ("A3", [1, 0, 0], [2, 1, 0], None),         # A3^(2)
+    ("D4", [1, 0, 0, 0, 0], None, None),
+    ("B4", [1, 0, 0, 0, 0], None, {0: 1, 1: 3}),  # the census witness
+]
+
+
+def _kernel_twist(label, s, nu, gamma):
+    from loopcybe.bd import BDQuadruple, build_twist, canonical_t_h
+    from loopcybe.classify import enumerate_triples
+    from loopcybe.loop import affine_diagram_data
+    sigma = SigmaType.make(label, s, nu)
+    if gamma is None:
+        triples = enumerate_triples(affine_diagram_data(sigma))
+        top = max(len(g1) for g1, _, _ in triples)
+        gamma = dict(next(gm for g1, _, gm in triples if len(g1) == top))
+    g1, g2 = set(gamma), set(gamma.values())
+    q = BDQuadruple.make(sigma, g1, g2, gamma, canonical_t_h(sigma, g1, g2, gamma))
+    return loop_algebra(sigma), build_twist(q)
+
+
+@pytest.mark.parametrize("label,s,nu,gamma", KERNEL_CASES,
+                         ids=["A2", "A2-principal", "A3^(2)", "D4", "B4-witness"])
+def test_cybe_kernel_matches_reference(label, s, nu, gamma):
+    """Zero on r0 + t_Q, nonzero on r0 + 2 t_Q, and dict-for-dict the n^2 loop."""
+    L, t = _kernel_twist(label, s, nu, gamma)
+    assert t
+    for scale, solves in ((1, True), (2, False)):
+        r = r0(L) + from_loop_tensor(L, t2_scale(t, scale))
+        got = cybe(r)
+        assert (not got) == solves
+        assert got == _reference_cybe(r)
+    assert cyb_of_laurent(L.alg, t) == _reference_cyb_of_laurent(L.alg, t)
+
+
+def test_kernel_b4_witness_twist_residual_and_point_oracle():
+    """B4 witness: zero twist residual; the point oracle sees r0 + 2 t_Q fail."""
+    L, t = _kernel_twist(*KERNEL_CASES[-1])
+    assert twist_residual(L, t) == {}
+    doubled = r0(L) + from_loop_tensor(L, t2_scale(t, 2))
+    assert evaluate_cybe_at(doubled, (Q(2), Q(3), Q(5, 7)))
+
+
 # ----------------------------------------------------------------- cobracket
 
 
