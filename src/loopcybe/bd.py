@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .chevalley import add_term
 from .linalg import kernel_basis, solve, span_equal
-from .loop import LoopElement, SigmaType, TwistedLoopAlgebra, Weight, loop_algebra
+from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
+                   loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components,
                       from_loop_tensor, r0, residue_operator, t2_add,
                       t2_scale, wedge)
@@ -33,11 +35,6 @@ Q = Fraction
 # t_h keys: 0..nh-1 are the fixed Cartan basis directions, D_INDEX is the
 # scaling direction d with alpha_i(d) = s_i.
 D_INDEX = -1
-
-# Normalization of the wedge sum in the twist: t_Q = t_h + sum of
-# TWIST_WEDGE_SCALE * (b_{-a} (x) theta^j b_a - theta^j b_a (x) b_{-a}).
-# Pinned by the requirement twist_residual(t_Q) = 0 (see tests).
-TWIST_WEDGE_SCALE = Q(1)
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,16 @@ def _node_functional(L, i: int) -> tuple:
     return tuple(L.node_weights[i]) + (Q(L.sigma.s[i]),)
 
 
-def _coroot_ext(L, i: int) -> tuple:
-    """kappa-coroot of node i in extended coordinates (d-component 0)."""
-    return tuple(L.node_coroots[i]) + (Q(0),)
+def _condition3_terms(L, gmap: dict, gamma1: frozenset):
+    """Per i in Gamma_1: (i, f, g, (f (x) 1 + 1 (x) g)(C_h/2)) in extended
+    coordinates, f = alpha_{gamma(i)} and g = alpha_i.
+
+    The last entry is (f^vee + g^vee)/2 over the kappa-coroots (d-component
+    0), so the Casimir itself is never materialized.
+    """
+    for i in sorted(gamma1):
+        const = [(a + b) / 2 for a, b in zip(L.node_coroots[gmap[i]], L.node_coroots[i])]
+        yield i, _node_functional(L, gmap[i]), _node_functional(L, i), const + [Q(0)]
 
 
 def _pairs(n: int) -> list:
@@ -162,28 +166,16 @@ def _contract_pair(f: tuple, g: tuple, a: int, b: int, n: int) -> list:
 def _condition3_matrix(L, gmap: dict, gamma1: frozenset):
     """(rows, rhs) of the condition-3 system over the extended skew square.
 
-    `L` may be a TwistedLoopAlgebra or light AffineDiagramData; the
-    inhomogeneity (f (x) 1 + 1 (x) g)(C_h/2) is (f-coroot + g-coroot)/2,
-    so the Casimir itself is never materialized.
+    `L` may be a TwistedLoopAlgebra or light AffineDiagramData.
     """
-    nh = L.nh
-    next_ = nh + 1
+    next_ = L.nh + 1
     pairs = _pairs(next_)
     rows: list = []
     rhs: list = []
-    for i in sorted(gamma1):
-        f = _node_functional(L, gmap[i])
-        g = _node_functional(L, i)
-        # inhomogeneity: (f (x) 1 + 1 (x) g)(C_h/2) = (f^vee + g^vee)/2
-        fv = _coroot_ext(L, gmap[i])
-        gv = _coroot_ext(L, i)
-        const = [(a + b) / 2 for a, b in zip(fv, gv)]
-        for comp in range(next_):
-            row = []
-            for (a, b) in pairs:
-                row.append(_contract_pair(f, g, a, b, next_)[comp])
-            rows.append(row)
-            rhs.append(-const[comp])
+    for _, f, g, const in _condition3_terms(L, gmap, gamma1):
+        cols = [_contract_pair(f, g, a, b, next_) for (a, b) in pairs]
+        rows.extend([col[comp] for col in cols] for comp in range(next_))
+        rhs.extend(-c for c in const)
     return pairs, rows, rhs
 
 
@@ -193,12 +185,7 @@ def _condition3_residual(L, gmap: dict, gamma1: frozenset,
     nh = L.nh
     next_ = nh + 1
     out = {}
-    for i in sorted(gamma1):
-        f = _node_functional(L, gmap[i])
-        g = _node_functional(L, i)
-        fv = _coroot_ext(L, gmap[i])
-        gv = _coroot_ext(L, i)
-        val = [(a + b) / 2 for a, b in zip(fv, gv)]
+    for i, f, g, val in _condition3_terms(L, gmap, gamma1):
         for (a, b), c in t_h.items():
             a = nh if a == D_INDEX else a
             b = nh if b == D_INDEX else b
@@ -285,42 +272,21 @@ class ThetaMap:
     def _build(self) -> None:
         L = self.L
         gens = L.generators()
-        # seed with the simple generators of S^Gamma_1
-        frontier = []
+        # seed with the simple generators of S^Gamma_1 and their images
         for i in sorted(self.gamma1):
-            gi = self.gamma[i]
-            for sign, key in ((1, "plus"), (-1, "minus")):
+            for key in ("plus", "minus"):
                 src = gens[i][key]
-                dst = gens[gi][key]
-                w, k = _root_key(L, src)
-                self._root_images[(w, k)] = (src, dst)
-                frontier.append((w, k))
-        roots = set(self._root_images)
-        simple_keys = list(frontier)
-        # close the root set of S^Gamma_1 under addition of simple roots
-        changed = True
-        while changed:
-            changed = False
-            for (w, k) in list(roots):
-                for (sw, sk) in simple_keys:
-                    nw = tuple(a + b for a, b in zip(w, sw))
-                    nk = k + sk
-                    if (nw, nk) in roots or all(v == 0 for v in nw):
-                        continue
-                    sid = _find_root_slot(L, nw, nk)
-                    if sid is None:
-                        continue
-                    src_s, img_s = self._root_images[(sw, sk)]
-                    src_r, img_r = self._root_images[(w, k)]
-                    br = L.bracket(src_s, src_r)
-                    if br.is_zero():
-                        continue
-                    img = L.bracket(img_s, img_r)
-                    base = LoopElement(L, {(sid, nk): Q(1)})
-                    ratio = _proportion(br, base)
-                    self._root_images[(nw, nk)] = (base, img.scale(1 / ratio))
-                    roots.add((nw, nk))
-                    changed = True
+                self._root_images[_root_key(L, src)] = (src, gens[self.gamma[i]][key])
+        # a root r = r' + s gets the image [theta(e_s), theta(e_r')] / N,
+        # where [e_s, e_r'] = N e_r
+        for (w, k), path in _root_closure(L, list(self._root_images)).items():
+            if path is None:
+                continue
+            src_r, img_r = self._root_images[path[0]]
+            src_s, img_s = self._root_images[path[1]]
+            base = LoopElement(L, {(_find_root_slot(L, w, k), k): Q(1)})
+            ratio = _element_ratio(L.bracket(src_s, src_r), base)
+            self._root_images[(w, k)] = (base, L.bracket(img_s, img_r).scale(1 / ratio))
         # Cartan action: t_i -> t_{gamma(i)}, zero on the orthocomplement
         self._build_cartan()
 
@@ -330,8 +296,8 @@ class ThetaMap:
         imgs = [L.node_coroots[self.gamma[i]] for i in sorted(self.gamma1)]
         # complement: kernel of the pairing against span under the h-Gram
         if span:
-            rows = [[L._coords_form(s, [Q(1) if t == c else Q(0) for t in range(L.nh)])
-                     for c in range(L.nh)] for s in span]
+            rows = [[sum(x * g for x, g in zip(s, L.h_gram[c])) for c in range(L.nh)]
+                    for s in span]
             comp = kernel_basis(rows, Q(0), Q(1))
         else:
             comp = [[Q(1) if t == c else Q(0) for t in range(L.nh)] for c in range(L.nh)]
@@ -343,6 +309,13 @@ class ThetaMap:
         minv = mat_inverse(m)
         imat = [[img_cols[c][r] for c in range(len(img_cols))] for r in range(L.nh)]
         self._cartan_matrix = mat_mul(imat, minv)
+
+    def series(self, f: LoopElement):
+        """Yield theta^j(f) for j = 1, 2, ... while it is nonzero (theta is nilpotent)."""
+        img = self.apply(f)
+        while not img.is_zero():
+            yield img
+            img = self.apply(img)
 
     def apply(self, f: LoopElement) -> LoopElement:
         L = self.L
@@ -396,19 +369,29 @@ def _find_root_slot(L: TwistedLoopAlgebra, w: Weight, k: int) -> Optional[int]:
     return None
 
 
-def _proportion(x: LoopElement, y: LoopElement) -> Q:
-    if x.terms.keys() != y.terms.keys():
-        raise ValueError("elements not proportional")
-    vals = {x.terms[k] / y.terms[k] for k in x.terms}
-    if len(vals) != 1:
-        raise ValueError("elements not proportional")
-    return vals.pop()
+def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
+    """The roots spanned by the given simple roots, as (weight, degree) keys.
+
+    Closes `simple` under adding a simple root while the sum stays a real
+    root.  Maps each simple root to None and every other root r to the pair
+    (r', s) it was reached from, r = r' + s; r' comes before r in the dict.
+    """
+    roots = dict.fromkeys(simple)
+    changed = True
+    while changed:
+        changed = False
+        for (w, k) in list(roots):
+            for (sw, sk) in simple:
+                new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
+                if new not in roots and _find_root_slot(L, *new) is not None:
+                    roots[new] = ((w, k), (sw, sk))
+                    changed = True
+    return roots
 
 
 def _cartan_coords(L: TwistedLoopAlgebra, vec) -> list:
-    mat = [[L.h_basis[c].get(r, Q(0)) for c in range(L.nh)]
-           for r in sorted({i for hv in L.h_basis for i in hv})]
     rows = sorted({i for hv in L.h_basis for i in hv})
+    mat = [[L.h_basis[c].get(r, Q(0)) for c in range(L.nh)] for r in rows]
     rhs = [vec.get(r, Q(0)) for r in rows]
     sol = solve(mat, rhs)
     if sol is None:
@@ -422,24 +405,7 @@ def _cartan_coords(L: TwistedLoopAlgebra, vec) -> list:
 def phi1_positive_roots(L: TwistedLoopAlgebra, gamma1: frozenset) -> list:
     """Positive roots of the span of Gamma_1, as (weight, degree) pairs."""
     gens = L.generators()
-    simple = []
-    for i in sorted(gamma1):
-        w, k = _root_key(L, gens[i]["plus"])
-        simple.append((w, k))
-    roots = set(simple)
-    changed = True
-    while changed:
-        changed = False
-        for (w, k) in list(roots):
-            for (sw, sk) in simple:
-                nw = tuple(a + b for a, b in zip(w, sw))
-                nk = k + sk
-                if (nw, nk) in roots:
-                    continue
-                if _find_root_slot(L, nw, nk) is not None:
-                    roots.add((nw, nk))
-                    changed = True
-    return sorted(roots)
+    return sorted(_root_closure(L, [_root_key(L, gens[i]["plus"]) for i in sorted(gamma1)]))
 
 
 def embed_t_h(L: TwistedLoopAlgebra, t_h: dict) -> Laurent2:
@@ -449,16 +415,10 @@ def embed_t_h(L: TwistedLoopAlgebra, t_h: dict) -> Laurent2:
         if a == D_INDEX or b == D_INDEX:
             raise ValueError("t_h has a scaling-direction component; "
                              "twists require a d-free representative")
-        va = L.cartan_vec([Q(1) if t == a else Q(0) for t in range(L.nh)])
-        vb = L.cartan_vec([Q(1) if t == b else Q(0) for t in range(L.nh)])
-        for i, ci in va.items():
-            for j, cj in vb.items():
-                for key, sgn in (((0, 0, i, j), 1), ((0, 0, j, i), -1)):
-                    s = out.get(key, 0) + sgn * c * ci * cj
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        for i, ci in L.h_basis[a].items():
+            for j, cj in L.h_basis[b].items():
+                add_term(out, (0, 0, i, j), c * ci * cj)
+                add_term(out, (0, 0, j, i), -c * ci * cj)
     return out
 
 
@@ -473,10 +433,8 @@ def build_twist(q: BDQuadruple) -> Laurent2:
     for (w, k) in phi1_positive_roots(L, q.gamma1):
         sid = _find_root_slot(L, w, k)
         b, bminus = L.root_vector_pair(sid, k)
-        img = theta.apply(b)
-        while not img.is_zero():
-            out = t2_add(out, t2_scale(wedge(L, bminus, img), TWIST_WEDGE_SCALE))
-            img = theta.apply(img)
+        for img in theta.series(b):
+            out = t2_add(out, wedge(L, bminus, img))
     return out
 
 
@@ -492,32 +450,20 @@ def build_rq(q: BDQuadruple):
     theta_bwd = ThetaMap(L, q.gamma2, inv_gamma)
     t_h = q.t_h_dict
 
-    def psi_th(f: LoopElement) -> LoopElement:
-        acc = L.zero()
-        for (a, b), c in t_h.items():
-            va = L.from_chev(0, L.cartan_vec([Q(1) if t == a else Q(0) for t in range(L.nh)]))
-            vb = L.from_chev(0, L.cartan_vec([Q(1) if t == b else Q(0) for t in range(L.nh)]))
-            acc = acc + va.scale(c * L.form(vb, f)) - vb.scale(c * L.form(va, f))
-        return acc
-
     def act(f: LoopElement) -> LoopElement:
         out = L.zero()
         for (sid, k), c in f.terms.items():
             slot = L.slots[sid]
             elem = LoopElement(L, {(sid, k): c})
             if slot.positive is None and k == 0:
-                out = out + psi_th(elem) + elem.scale(Q(1, 2))
+                out = out + psi_th(L, t_h, elem) + elem.scale(Q(1, 2))
             elif L.root_positive(sid, k):
-                img = theta_fwd.apply(elem)
-                while not img.is_zero():
+                for img in theta_fwd.series(elem):
                     out = out - img
-                    img = theta_fwd.apply(img)
             else:
                 out = out + elem
-                img = theta_bwd.apply(elem)
-                while not img.is_zero():
+                for img in theta_bwd.series(elem):
                     out = out + img
-                    img = theta_bwd.apply(img)
         return out
 
     return act
@@ -548,14 +494,9 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
     def psi_pm(sign: int) -> list:
         # image of psi(t_h) +/- id/2 inside the Cartan, as loop elements
         out = []
-        for c in range(L.nh):
-            h = L.from_chev(0, L.cartan_vec([Q(1) if t == c else Q(0) for t in range(L.nh)]))
-            acc = h.scale(Q(sign, 2))
-            for (a, b), cc in t_h.items():
-                va = L.from_chev(0, L.cartan_vec([Q(1) if t == a else Q(0) for t in range(L.nh)]))
-                vb = L.from_chev(0, L.cartan_vec([Q(1) if t == b else Q(0) for t in range(L.nh)]))
-                acc = acc + va.scale(cc * L.form(vb, h)) - vb.scale(cc * L.form(va, h))
-            out.append(coords(acc))
+        for hv in L.h_basis:
+            h = L.from_chev(0, hv)
+            out.append(coords(h.scale(Q(sign, 2)) + psi_th(L, t_h, h)))
         return out
 
     pred_c1, pred_c2 = [], []
@@ -566,11 +507,11 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
             continue
         if L.root_positive(sid, k):
             pred_c1.append(coords(e))                      # N_+
-            if _in_span_set(L, q.gamma2, sid, k):
+            if L.root_in_span(sid, k, q.gamma2):
                 pred_c2.append(coords(e))                  # N_+^Gamma_2
         else:
             pred_c2.append(coords(e))                      # N_-
-            if _in_span_set(L, q.gamma1, sid, k):
+            if L.root_in_span(sid, k, q.gamma1):
                 pred_c1.append(coords(e))                  # N_-^Gamma_1
     pred_c1.extend(psi_pm(-1))                             # h_1
     pred_c2.extend(psi_pm(+1))                             # h_2
@@ -581,21 +522,22 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
             "h_gluing": cartan_gluing_matrix(L, t_h)}
 
 
-def psi_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
-    """psi(t_h) as a matrix over fixed-Cartan coordinates.
+def psi_th(L: TwistedLoopAlgebra, t_h: dict, f: LoopElement) -> LoopElement:
+    """psi(t_h)(f) for a d-free skew t_h, where psi(a (x) b) = B(b, -) a.
 
-    psi(a (x) b) = B(b, -) a; the tensor is the d-free skew t_h.
+    An entry ((a, b), c) of t_h stands for c (h_a (x) h_b - h_b (x) h_a).
     """
-    cols = []
-    for c in range(L.nh):
-        h = L.from_chev(0, L.cartan_vec([Q(1) if t == c else Q(0) for t in range(L.nh)]))
-        acc = [Q(0)] * L.nh
-        for (a, b), cc in t_h.items():
-            vb = L.from_chev(0, L.cartan_vec([Q(1) if t == b else Q(0) for t in range(L.nh)]))
-            va = L.from_chev(0, L.cartan_vec([Q(1) if t == a else Q(0) for t in range(L.nh)]))
-            acc[a] += cc * L.form(vb, h)
-            acc[b] -= cc * L.form(va, h)
-        cols.append(acc)
+    acc = L.zero()
+    for (a, b), c in t_h.items():
+        va, vb = L.from_chev(0, L.h_basis[a]), L.from_chev(0, L.h_basis[b])
+        acc = acc + va.scale(c * L.form(vb, f)) - vb.scale(c * L.form(va, f))
+    return acc
+
+
+def psi_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
+    """psi(t_h) as a matrix over fixed-Cartan coordinates."""
+    cols = [_cartan_coords(L, psi_th(L, t_h, L.from_chev(0, hv)).chev_parts().get(0, {}))
+            for hv in L.h_basis]
     return [[cols[c][r] for c in range(L.nh)] for r in range(L.nh)]
 
 
@@ -611,14 +553,6 @@ def cartan_gluing_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
     plus = [[p[i][j] + (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
     minus = [[p[i][j] - (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
     return mat_mul(plus, mat_inverse(minus))
-
-
-def _in_span_set(L: TwistedLoopAlgebra, nodes: frozenset, sid: int, k: int) -> bool:
-    slot = L.slots[sid]
-    if slot.positive is None:
-        return False
-    cs = L.decompose_pair(slot.weight, L.nu_root_degree(sid, k))
-    return all(c == 0 for i, c in enumerate(cs) if i not in nodes)
 
 
 def w_isotropy(q: BDQuadruple, d: int = 3) -> dict:
@@ -662,7 +596,6 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
     rq = build_rq(q)
     theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
     theta_bwd = ThetaMap(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
-    t_h = q.t_h_dict
 
     def split(e: LoopElement):
         plus, minus, cart = L.zero(), L.zero(), L.zero()
@@ -677,34 +610,22 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
                 minus = minus + piece
         return plus, minus, cart
 
-    def theta_series(theta, v):
-        out = L.zero()
-        img = theta.apply(v)
-        while not img.is_zero():
-            out = out + img
-            img = theta.apply(img)
-        return out
-
     for f in L.basis_up_to(d):
         x = rq(f) - f
         y = rq(f)
         xp, xm, xc = split(x)
         yp, ym, yc = split(y)
-        # N_+ block: y_+ = -theta_series(-x_+) resolved through x_+ = -(1+K)n_+
-        # directly: y_+ - x_+ = n_+ and y_+ = K(n_+) with K the forward series
+        # N_+ block: y_+ = -sum_{j>=1} theta^j(n_+) for n_+ = y_+ - x_+;
+        # N_- block: x_- = sum_{j>=1} theta'^j(n_-) for n_- = y_- - x_-
         n_plus = yp - xp
-        if not (theta_series(theta_fwd, n_plus).scale(-1) - yp).is_zero():
+        if not sum(theta_fwd.series(n_plus), yp).is_zero():
             return False
         n_minus = ym - xm
-        if not (theta_series(theta_bwd, n_minus) - xm).is_zero():
+        if not sum(theta_bwd.series(n_minus), xm.scale(-1)).is_zero():
             return False
         # Cartan block: x_c = (psi - 1/2) h and y_c = (psi + 1/2) h for h = y-x
         hc = (yc - xc)
-        psi_h = L.zero()
-        for (a, b), cc in t_h.items():
-            va = L.from_chev(0, L.cartan_vec([Q(1) if t == a else Q(0) for t in range(L.nh)]))
-            vb = L.from_chev(0, L.cartan_vec([Q(1) if t == b else Q(0) for t in range(L.nh)]))
-            psi_h = psi_h + va.scale(cc * L.form(vb, hc)) - vb.scale(cc * L.form(va, hc))
+        psi_h = psi_th(L, q.t_h_dict, hc)
         if not (psi_h - hc.scale(Q(1, 2)) - xc).is_zero():
             return False
         if not (psi_h + hc.scale(Q(1, 2)) - yc).is_zero():
@@ -844,9 +765,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
     for (w, k) in phi1_positive_roots(L, q.gamma1):
         sid = _find_root_slot(L, w, k)
         b, bminus = L.root_vector_pair(sid, k)
-        img = theta.apply(b)
-        while not img.is_zero():
-            tw = t2_add(tw, t2_scale(wedge(L, img, bminus), 2 * TWIST_WEDGE_SCALE))
-            img = theta.apply(img)
+        for img in theta.series(b):
+            tw = t2_add(tw, t2_scale(wedge(L, img, bminus), 2))
     acc = acc + from_loop_tensor(L, tw)
     return acc.scale(Q(-1, 2))

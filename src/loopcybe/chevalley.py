@@ -27,14 +27,20 @@ Q = Fraction
 # Sparse vector in the algebra: basis index -> coefficient (never zero).
 Vec = dict
 
-def vec_add(x: Vec, y: Vec) -> Vec:
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in a sparse vector or tensor, dropping the key if the sum is 0."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def vec_add(x: dict, y: dict, scale=1) -> dict:
+    """x + scale * y for sparse vectors or tensors."""
     out = dict(x)
     for k, c in y.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        add_term(out, k, scale * c)
     return out
 
 
@@ -44,12 +50,8 @@ def vec_scale(x: Vec, c) -> Vec:
     return {k: c * v for k, v in x.items()}
 
 
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return vec_add(x, vec_scale(y, -1))
-
-
 def vec_eq(x: Vec, y: Vec) -> bool:
-    return vec_sub(x, y) == {}
+    return vec_add(x, y, -1) == {}
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,7 @@ class ChevalleyAlgebra:
                 if i == j:
                     continue
                 for k, ck in self.bracket_basis(i, j).items():
-                    s = out.get(k, 0) + ci * cj * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                    add_term(out, k, ci * cj * ck)
         return out
 
     # ---- Killing form and friends ------------------------------------------
@@ -332,12 +330,6 @@ def lift_diagram_automorphism(alg: ChevalleyAlgebra, perm: Iterable[int]) -> lis
     cols: list = [None] * dim
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
-    def root_perm(r: Root) -> Root:
-        out = [0] * n
-        for i, c in enumerate(r):
-            out[perm[i]] = c
-        return tuple(out)
-
     for i in range(n):
         cols[alg.h_index(i)] = {alg.h_index(perm[i]): Q(1)}
         cols[alg.e_index(simple[i])] = {alg.e_index(simple[perm[i]]): Q(1)}
@@ -374,11 +366,7 @@ def apply_power(cols: list, vec: Vec, k: int) -> Vec:
         out: Vec = {}
         for i, c in vec.items():
             for j, cj in cols[i].items():
-                s = out.get(j, 0) + c * cj
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
+                add_term(out, j, c * cj)
         vec = out
     return vec
 

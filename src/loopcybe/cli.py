@@ -98,6 +98,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_verify_cybe(args) -> int:
+    if args.degree_bound < 0:
+        raise UsageError("--degree-bound must be >= 0")
     q = serialize.quadruple_from_json(_load_json(args.input))
     report = bd.validate(q)
     if not report["valid"]:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cartan import CartanType, Root, is_positive, neg
-from .chevalley import (ChevalleyAlgebra, Vec, chevalley_algebra,
-                        lift_diagram_automorphism)
+from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
+                        lift_diagram_automorphism, vec_scale)
 from .linalg import kernel_basis, mat_inverse, solve
 from .scalars import Q, ScalarField
 
@@ -100,20 +100,14 @@ class LoopElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return LoopElement(self.algebra, out)
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LoopElement":
-        if c == 0:
-            return LoopElement(self.algebra)
-        return LoopElement(self.algebra, {k: c * v for k, v in self.terms.items()})
+        return LoopElement(self.algebra, vec_scale(self.terms, c))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LoopElement) and self.algebra is other.algebra \
@@ -139,11 +133,7 @@ class LoopElement:
             vec = self.algebra.slots[sid].vec
             acc = out.setdefault(k, {})
             for i, ci in vec.items():
-                s = acc.get(i, 0) + c * ci
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+                add_term(acc, i, c * ci)
         return {k: v for k, v in out.items() if v}
 
     def __repr__(self) -> str:
@@ -288,8 +278,6 @@ class TwistedLoopAlgebra:
         for (w, j), ids in self._by_weight.items():
             if any(v != 0 for v in w) and len(ids) != 1:
                 raise AssertionError("root space (%s, %d) not one-dimensional" % (w, j))
-        # decomposition matrices per (weight, class) group
-        self._group_solver: dict = {}
 
     def _build_diagram(self) -> None:
         """Simple root system Pi = {(alpha_0, 1), (alpha_i, 0)} and its data."""
@@ -301,7 +289,6 @@ class TwistedLoopAlgebra:
             if s.nu_class == 0 and s.positive is True and s.weight not in seen:
                 seen.add(s.weight)
                 pos_weights.append(s.weight)
-        pos_set = set(pos_weights)
 
         def wsum(a: Weight, b: Weight) -> Weight:
             return tuple(x + y for x, y in zip(a, b))
@@ -329,42 +316,8 @@ class TwistedLoopAlgebra:
 
         self.node_weights: list[Weight] = [alpha0] + simple
         self.node_nu_degree: list[int] = [1] + [0] * len(simple)
-        # kappa-coroots of the node functionals, as coordinate vectors over h_basis
-        self.node_coroots = [self._coroot_coords(w) for w in self.node_weights]
-        nodes = len(self.node_weights)
-        gram = [[self._coords_form(self.node_coroots[i], self.node_coroots[j])
-                 for j in range(nodes)] for i in range(nodes)]
-        self.coroot_gram = gram
-        self.affine_cartan = [[_as_int(2 * gram[i][j] / gram[j][j]) for j in range(nodes)]
-                              for i in range(nodes)]
-        # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
-        rhs = [-x for x in alpha0]
-        mat = [[simple[j][t] for j in range(len(simple))] for t in range(self.nh)]
-        sol = solve(mat, rhs)
-        if sol is None:
-            raise AssertionError("marks system inconsistent")
-        marks = [Q(1)] + list(sol)
-        self.marks = [_as_int(a) for a in marks]
-        if any(a <= 0 for a in self.marks):
-            raise AssertionError("marks must be positive")
-        self.m = self.nu_order * sum(a * s for a, s in zip(self.marks, self.sigma.s))
-        if self.m <= 0:
-            raise ValueError("derived order m must be positive")
-
-    def _coroot_coords(self, w: Weight) -> list:
-        sol = solve(self.h_gram, list(w))
-        if sol is None:
-            raise ValueError("singular Cartan Gram matrix")
-        return sol
-
-    def _coords_form(self, x: Sequence, y: Sequence):
-        acc = Q(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc += xi * yj * self.h_gram[i][j]
-        return acc
+        (self.node_coroots, self.coroot_gram, self.affine_cartan, self.marks,
+         self.m) = _diagram_tail(self.h_gram, self.node_weights, self.sigma.s, r)
 
     def cartan_vec(self, coords: Sequence) -> Vec:
         """Chevalley vector of a Cartan element given in h_basis coordinates."""
@@ -372,16 +325,12 @@ class TwistedLoopAlgebra:
         for c, hv in zip(coords, self.h_basis):
             if c:
                 for idx, v in hv.items():
-                    s = out.get(idx, 0) + c * v
-                    if s:
-                        out[idx] = s
-                    else:
-                        out.pop(idx, None)
+                    add_term(out, idx, c * v)
         return out
 
     def _grade_slots(self) -> None:
         for s in self.slots:
-            base = self.s_height_pair(s.weight, s.nu_class)
+            base = self.s_height(s.weight, s.nu_class)
             s.nu_base_degree = base
             s.sigma_class = base % self.m
 
@@ -402,13 +351,10 @@ class TwistedLoopAlgebra:
         self._decomp_cache[key] = out
         return out
 
-    def s_height_pair(self, weight: Weight, k: int) -> int:
-        cs = self.decompose_pair(weight, k)
-        return sum(c * s for c, s in zip(cs, self.sigma.s))
-
     def s_height(self, weight: Weight, k: int) -> int:
         """hgt_s of a nu-root; decomposition must be integral."""
-        return self.s_height_pair(weight, k)
+        cs = self.decompose_pair(weight, k)
+        return sum(c * s for c, s in zip(cs, self.sigma.s))
 
     def zero(self) -> LoopElement:
         return LoopElement(self)
@@ -430,15 +376,6 @@ class TwistedLoopAlgebra:
                 raise ValueError("vector has a component outside g^sigma_%d" % k)
             out[(sid, k)] = c
         return LoopElement(self, out)
-
-    def _group_matrix(self, weight: Weight, j: int):
-        key = (weight, j)
-        if key not in self._group_solver:
-            ids = self._by_weight.get(key, [])
-            support: list[int] = sorted({i for sid in ids for i in self.slots[sid].vec})
-            mat = [[self.slots[sid].vec.get(i, Q(0)) for sid in ids] for i in support]
-            self._group_solver[key] = (ids, support, mat)
-        return self._group_solver[key]
 
     def chev_index_slots(self, i: int) -> list:
         """Decomposition of the Chevalley basis vector e_i over slots (cached)."""
@@ -486,12 +423,7 @@ class TwistedLoopAlgebra:
                 if not br:
                     continue
                 for sid, c in self._decompose_gvec(br).items():
-                    key = (sid, kf + kg)
-                    s = acc.get(key, 0) + c
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+                    add_term(acc, (sid, kf + kg), c)
         return LoopElement(self, acc)
 
     def form(self, f: LoopElement, g: LoopElement):
@@ -598,10 +530,6 @@ class TwistedLoopAlgebra:
 
     # ------------------------------------------------------------- generators
 
-    def node_root(self, i: int) -> tuple[Weight, int]:
-        """The simple root (alpha_i, s_i) of the regraded algebra."""
-        return self.node_weights[i], self.sigma.s[i]
-
     def coroot_element(self, i: int) -> LoopElement:
         """H_i = 2 t_i / B(t_i, t_i) where t_i is the kappa-coroot of node i."""
         coords = self.node_coroots[i]
@@ -640,35 +568,23 @@ class TwistedLoopAlgebra:
         S = set(S)
         if S >= set(range(len(self.node_weights))):
             raise ValueError("S must be a proper subset of the affine nodes")
-        out = []
-        for k in range(-d, d + 1):
-            for elem in self.basis_of_degree(k):
-                (sid, _), = elem.terms
-                slot = self.slots[sid]
-                if slot.positive is None and k == 0:
-                    out.append(elem)  # Cartan inside the Borel
-                    continue
-                if self.root_positive(sid, k):
-                    out.append(elem)
-                    continue
-                cs = self.decompose_pair(slot.weight, self.nu_root_degree(sid, k))
-                if all(c == 0 for i, c in enumerate(cs) if i not in S):
-                    out.append(elem)
-        return out
+        return [e for e in self.basis_up_to(d) if self.in_parabolic(e, S, d)]
 
     def in_parabolic(self, f: LoopElement, S: Iterable[int], d: int) -> bool:
         """Membership test for p^S_+ among elements of degree bound d."""
         S = set(S)
         for (sid, k) in f.terms:
-            slot = self.slots[sid]
-            if slot.positive is None and k == 0:
-                continue
-            if self.root_positive(sid, k):
-                continue
-            cs = self.decompose_pair(slot.weight, self.nu_root_degree(sid, k))
-            if not all(c == 0 for i, c in enumerate(cs) if i not in S):
+            if self.slots[sid].positive is None and k == 0:
+                continue  # Cartan inside the Borel
+            if not self.root_positive(sid, k) and not self.root_in_span(sid, k, S):
                 return False
         return True
+
+    def root_in_span(self, sid: int, k: int, S) -> bool:
+        """Whether the root of slot `sid` at degree k is a combination of the
+        nodes in S alone; never for an imaginary root when S is proper."""
+        cs = self.decompose_pair(self.slots[sid].weight, self.nu_root_degree(sid, k))
+        return all(c == 0 for i, c in enumerate(cs) if i not in S)
 
 
 def _element_ratio(x: LoopElement, y: LoopElement):
@@ -731,6 +647,41 @@ def _as_int(q) -> int:
     return int(q)
 
 
+def _diagram_tail(h_gram: list, node_weights: list, s: tuple, nu_order: int) -> tuple:
+    """(node coroots, coroot Gram, affine Cartan, marks, m) from the node weights.
+
+    `node_weights[0]` is alpha_0, of nu-degree 1, and the rest are the simple
+    roots of the fixed subalgebra; both are functionals on the fixed Cartan,
+    whose kappa Gram is `h_gram`.  The coroots are coordinate vectors over
+    that Cartan basis.
+    """
+    nh = len(h_gram)
+    nodes = len(node_weights)
+    coroots = []
+    for w in node_weights:
+        sol = solve(h_gram, list(w))
+        if sol is None:
+            raise ValueError("singular Cartan Gram matrix")
+        coroots.append(sol)
+
+    def form(x, y):
+        return sum((x[a] * y[b] * h_gram[a][b] for a in range(nh) if x[a]
+                    for b in range(nh) if y[b]), Q(0))
+
+    gram = [[form(x, y) for y in coroots] for x in coroots]
+    cartan = [[_as_int(2 * gram[i][j] / gram[j][j]) for j in range(nodes)]
+              for i in range(nodes)]
+    # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
+    mat = [[node_weights[j][t] for j in range(1, nodes)] for t in range(nh)]
+    sol = solve(mat, [-x for x in node_weights[0]])
+    if sol is None:
+        raise AssertionError("marks system inconsistent")
+    marks = [1] + [_as_int(a) for a in sol]
+    if any(a <= 0 for a in marks):
+        raise AssertionError("marks must be positive")
+    return coroots, gram, cartan, marks, nu_order * sum(a * x for a, x in zip(marks, s))
+
+
 _LOOP_CACHE: dict = {}
 
 
@@ -786,27 +737,7 @@ def affine_diagram_data(sigma: SigmaType):
     node_weights = [tuple(Q(-rs.pairing(theta, i)) for i in range(n))]
     for i in range(n):
         node_weights.append(tuple(Q(rs.cartan[i][j]) for j in range(n)))
-    node_coroots = []
-    for w in node_weights:
-        sol = solve(h_gram, list(w))
-        if sol is None:
-            raise AssertionError("singular Cartan Gram matrix")
-        node_coroots.append(sol)
-    nodes = n + 1
-
-    def form(x, y):
-        return sum(x[i] * y[j] * h_gram[i][j] for i in range(n) for j in range(n))
-
-    gram = [[form(node_coroots[i], node_coroots[j]) for j in range(nodes)]
-            for i in range(nodes)]
-    cart = [[_as_int(2 * gram[i][j] / gram[j][j]) for j in range(nodes)]
-            for i in range(nodes)]
-    rhs = [-x for x in node_weights[0]]
-    mat = [[node_weights[j + 1][t] for j in range(n)] for t in range(n)]
-    sol = solve(mat, rhs)
-    marks = [1] + [_as_int(x) for x in sol]
-    m = sum(a * s for a, s in zip(marks, sigma.s))
-    data = AffineDiagramData(sigma, n, h_gram, node_weights, node_coroots,
-                             gram, cart, marks, m)
+    data = AffineDiagramData(sigma, n, h_gram, node_weights,
+                             *_diagram_tail(h_gram, node_weights, sigma.s, 1))
     _DIAGRAM_CACHE[key] = data
     return data

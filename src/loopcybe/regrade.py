@@ -15,9 +15,11 @@ z -> a z, and diagram-automorphism-induced maps.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .chevalley import add_term
 from .linalg import solve
 from .loop import LoopElement, TwistedLoopAlgebra
 from .tensors import Laurent2, TwoPointTensor, _exact_div_clear, t2_add
@@ -47,12 +49,9 @@ def regrade_element(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
     _check_same_family(src, dst)
     out: dict = {}
     for (sid, k), c in f.terms.items():
-        nu_k = src.nu_root_degree(sid, k)
-        slot = src.slots[sid]
-        k2 = dst.s_height_pair(slot.weight, nu_k)
-        key = (sid, k2)
-        out[key] = out.get(key, 0) + c
-    return LoopElement(dst, {k: v for k, v in out.items() if v})
+        k2 = dst.s_height(src.slots[sid].weight, src.nu_root_degree(sid, k))
+        add_term(out, (sid, k2), c)
+    return LoopElement(dst, out)
 
 
 def regrade_loop_tensor(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
@@ -62,11 +61,10 @@ def regrade_loop_tensor(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
     _check_same_family(src, dst)
     moved: dict = {}
     for ((s1, dx), (s2, dy)), c in tensor_to_slots(src, t).items():
-        k1 = dst.s_height_pair(src.slots[s1].weight, src.nu_root_degree(s1, dx))
-        k2 = dst.s_height_pair(src.slots[s2].weight, src.nu_root_degree(s2, dy))
-        key = ((s1, k1), (s2, k2))
-        moved[key] = moved.get(key, 0) + c
-    return tensor_from_slots(dst, {k: v for k, v in moved.items() if v})
+        k1 = dst.s_height(src.slots[s1].weight, src.nu_root_degree(s1, dx))
+        k2 = dst.s_height(src.slots[s2].weight, src.nu_root_degree(s2, dy))
+        add_term(moved, ((s1, k1), (s2, k2)), c)
+    return tensor_from_slots(dst, moved)
 
 
 def solve_mu(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> list:
@@ -107,8 +105,8 @@ def exponent_identity(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
                     for s in src._by_weight.get((dual, j), [])]
         for t in range(-periods, periods + 1):
             nu_k = slot.nu_class + t * src.nu_order
-            lhs = Q(src.s_height_pair(slot.weight, nu_k), src.m) + alpha_mu
-            rhs = Q(dst.s_height_pair(slot.weight, nu_k), dst.m)
+            lhs = Q(src.s_height(slot.weight, nu_k), src.m) + alpha_mu
+            rhs = Q(dst.s_height(slot.weight, nu_k), dst.m)
             match = lhs == rhs
             ok = ok and match
             pair = (dual_ids[0] if dual_ids else slot.index, slot.index)
@@ -166,18 +164,11 @@ def exp_ad_map(L: TwistedLoopAlgebra, n: LoopElement, window: int = 6,
             cur = L.bracket(n, cur)
             if cur.is_zero():
                 break
-            acc = acc + cur.scale(Q(1, _factorial(step)))
+            acc = acc + cur.scale(Q(1, math.factorial(step)))
         else:
             raise ValueError("element does not act nilpotently within %d steps" % max_steps)
         images[key] = acc
     return LoopMap(L, images, "exp_ad")
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def rescale_map(L: TwistedLoopAlgebra, a: Fraction, window: int = 6) -> LoopMap:
@@ -314,12 +305,7 @@ def apply_equivalence(desc: dict, r: TwoPointTensor, window: int = 6) -> TwoPoin
                 for kb, vb in right.chev_parts().items():
                     for p, cp in va.items():
                         for q_, cq in vb.items():
-                            key = (ka, kb, p, q_)
-                            s = out.get(key, 0) + c * cp * cq
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
+                            add_term(out, (ka, kb, p, q_), c * cp * cq)
         return out
 
     new_poly = map_tensor(r.poly)

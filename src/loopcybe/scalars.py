@@ -257,9 +257,13 @@ def as_fraction(x: Scalar) -> Q:
     return Q(x)
 
 
-def frac_str(q: Q) -> str:
-    """Serialize a rational exactly, e.g. '3/4' or '-2'."""
-    q = Q(q)
+def frac_str(q: Scalar) -> str:
+    """Serialize a rational exactly, e.g. '3/4' or '-2'.
+
+    A rational-valued CycNumber serializes as its rational value; a genuinely
+    cyclotomic one raises ValueError.
+    """
+    q = as_fraction(q)
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 

@@ -185,7 +185,3 @@ def validation_json(report: dict) -> dict:
 def loop_tensor_json(t: Laurent2) -> list:
     return [{"dx": dx, "dy": dy, "i": i, "j": j, "val": frac_str(c)}
             for (dx, dy, i, j), c in sorted(t.items())]
-
-
-def loop_tensor_from_json(data: list) -> Laurent2:
-    return {(t["dx"], t["dy"], t["i"], t["j"]): parse_frac(t["val"]) for t in data}

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional
 
+from .chevalley import add_term, vec_add as t2_add, vec_scale as t2_scale
 from .loop import LoopElement, TwistedLoopAlgebra, _as_int
 
 Q = Fraction
@@ -34,44 +35,13 @@ Laurent2 = dict       # (dx, dy, i, j) -> coeff
 Laurent3 = dict       # (d1, d2, d3, i, j, k) -> coeff
 
 
-def add_term(out: dict, key, c) -> None:
-    """out[key] += c in a sparse tensor, dropping the key if the sum is 0."""
-    s = out.get(key, 0) + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def t2_add(a: dict, b: dict, scale=1) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        add_term(out, k, scale * c)
-    return out
-
-
-def t2_scale(a: dict, c) -> dict:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 def gtensor_tau(t: GTensor2) -> GTensor2:
     return {(j, i): c for (i, j), c in t.items()}
 
 
 def wedge(alg, a: LoopElement, b: LoopElement) -> Laurent2:
     """a (x) b - b (x) a as a two-variable Laurent tensor."""
-    out: Laurent2 = {}
-    pa, pb = a.chev_parts(), b.chev_parts()
-    for ka, va in pa.items():
-        for kb, vb in pb.items():
-            for i, ci in va.items():
-                for j, cj in vb.items():
-                    c = ci * cj
-                    add_term(out, (ka, kb, i, j), c)
-                    add_term(out, (kb, ka, j, i), -c)
-    return out
+    return t2_add(tensor_of_elements(a, b), tensor_of_elements(b, a), -1)
 
 
 def tensor_to_slots(L: TwistedLoopAlgebra, t: Laurent2) -> dict:
@@ -161,8 +131,7 @@ class TwoPointTensor:
         m = self.m
         poly: Laurent2 = {}
         for (dx, dy, i, j), c in self.poly.items():
-            key = (dy, dx, j, i)
-            poly[key] = poly.get(key, 0) + c
+            add_term(poly, (dy, dx, j, i), c)
         pole = [dict() for _ in range(m)]
         for k, pk in enumerate(self.pole_num):
             tpk = gtensor_tau(pk)
@@ -172,7 +141,7 @@ class TwoPointTensor:
                 pole[0] = t2_add(pole[0], tpk, scale=-1)
             else:
                 pole[m - k] = t2_add(pole[m - k], tpk, scale=-1)
-        return TwoPointTensor(self.L, {k: v for k, v in poly.items() if v}, pole)
+        return TwoPointTensor(self.L, poly, pole)
 
 
 def zero_tensor(L: TwistedLoopAlgebra) -> TwoPointTensor:
@@ -196,6 +165,9 @@ def casimir_components(L: TwistedLoopAlgebra) -> dict:
 
     Returns {"components": [C_0..C_{m-1}], "h": C_h, "plus": C_+,
     "minus": C_-} with C_k in g_k (x) g_{-k} and C_0 = C_- + C_h + C_+.
+    C_+ and C_- follow the affine Borel: a degree-0 root vector is positive
+    when its root is positive in the regraded algebra, which can differ
+    from the sign of its finite root when s_0 = 0.
     """
     C = L.alg.casimir()
     comps = [dict() for _ in range(L.m)]
@@ -209,20 +181,14 @@ def casimir_components(L: TwistedLoopAlgebra) -> dict:
             for gi, gc in slot.vec.items():
                 val = c * coeff * gc
                 key = (gi, j)
-                comps[k][key] = comps[k].get(key, 0) + val
+                add_term(comps[k], key, val)
                 if k == 0:
-                    if slot.positive is True:
-                        cplus[key] = cplus.get(key, 0) + val
-                    elif slot.positive is False:
-                        cminus[key] = cminus.get(key, 0) + val
+                    if slot.positive is None:
+                        add_term(ch, key, val)
+                    elif L.root_positive(sid, 0):
+                        add_term(cplus, key, val)
                     else:
-                        ch[key] = ch.get(key, 0) + val
-    for d in comps:
-        for key in [k for k, v in d.items() if v == 0]:
-            del d[key]
-    for d in (ch, cplus, cminus):
-        for key in [k for k, v in d.items() if v == 0]:
-            del d[key]
+                        add_term(cminus, key, val)
     return {"components": comps, "h": ch, "plus": cplus, "minus": cminus}
 
 
@@ -387,11 +353,10 @@ def _exact_div_clear(L, num: Laurent2) -> Laurent2:
         if dx < floor:
             raise ValueError("tensor is not divisible by (x/y)^m - 1")
         c = work.pop((dx, dy, i, j))
-        qkey = (dx - m, dy, i, j)
-        out[qkey] = out.get(qkey, 0) + c
+        add_term(out, (dx - m, dy, i, j), c)
         # subtract c * x^(dx-m) y^dy (x^m - y^m) leaving the lower term
         add_term(work, (dx - m, dy + m, i, j), c)
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
@@ -419,13 +384,8 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
                    for (i, j), c in pk.items()}
     add_action(pole_part, pole_tensor)
     quotient = _exact_div_clear(L, pole_part)
-    # verify exactness: quotient * (x^m - y^m)/y^m must reproduce pole_part
-    check: Laurent2 = {}
-    m = L.m
-    for (dx, dy, i, j), c in quotient.items():
-        add_term(check, (dx + m, dy - m, i, j), c)
-        add_term(check, (dx, dy, i, j), -c)
-    if check != pole_part:
+    # verify exactness: quotient * ((x/y)^m - 1) must reproduce pole_part
+    if from_loop_tensor(L, quotient).cleared() != pole_part:
         raise ValueError("pole failed to cancel; input is not sigma-equivariant")
     return t2_add(out, quotient)
 
@@ -474,13 +434,11 @@ def residue_operator(L: TwistedLoopAlgebra, t: Laurent2):
     def act(f: LoopElement) -> LoopElement:
         out: dict = {}
         for (sid, k), c in f.terms.items():
-            slot = L.slots[sid]
-            if slot.positive is None and k == 0:
-                out[(sid, k)] = out.get((sid, k), 0) + c / 2
+            if L.slots[sid].positive is None and k == 0:
+                out[(sid, k)] = c / 2
             elif not L.root_positive(sid, k):
-                out[(sid, k)] = out.get((sid, k), 0) + c
-        base = LoopElement(L, out)
-        return base + psi(f)
+                out[(sid, k)] = c
+        return LoopElement(L, out) + psi(f)
 
     return act
 
@@ -544,14 +502,12 @@ def taylor(r: TwoPointTensor, order: int) -> list:
     out = [dict() for _ in range(order + 1)]
     for (dx, dy, i, j), c in r.poly.items():
         if 0 <= dy <= order:
-            key = (dx, i, j)
-            out[dy][key] = out[dy].get(key, 0) + c
+            add_term(out[dy], (dx, i, j), c)
     for j_ord in range(1, order + 1):
         pk = r.pole_num[(-j_ord) % m]
         for (i, j), c in pk.items():
-            key = (-j_ord, i, j)
-            out[j_ord][key] = out[j_ord].get(key, 0) + c
-    return [{k: v for k, v in d.items() if v} for d in out]
+            add_term(out[j_ord], (-j_ord, i, j), c)
+    return out
 
 
 # ------------------------------------------------------ point-wise evaluation

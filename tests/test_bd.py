@@ -400,6 +400,22 @@ def test_all_c2_quadruples_solve_cybe():
         assert skew(r).is_zero()
 
 
+@pytest.mark.parametrize("label,s,nu", [
+    ("A1", [0, 1], None), ("A2", [0, 1, 0], None), ("B2", [0, 1, 0], None),
+    ("C2", [0, 0, 1], None), ("A3", [0, 1, 0], [2, 1, 0])])
+def test_quadruples_solve_cybe_when_s0_is_zero(label, s, nu):
+    """With s_0 = 0 some degree-0 root vectors of negative finite root are
+    affine-positive; r0 splits C_0 by the affine sign, so every valid
+    quadruple still gives an exact solution."""
+    import loopcybe.classify as cl
+    sigma = SigmaType.make(label, s, nu)
+    L = loop_algebra(sigma)
+    qs = cl.quadruples_with_canonical_t_h(sigma)
+    assert len(qs) > 1
+    for q in qs:
+        assert not cybe(r0(L) + from_loop_tensor(L, build_twist(q))), q
+
+
 def test_verify_cybe_symbolic_on_b4_witness():
     """dim g = 36 is checked symbolically: the B4 census witness solves CYBE,
     and doubling its twist does not."""

@@ -148,6 +148,31 @@ def test_verify_cybe_degree_bound_flag(tmp_path):
     assert json.loads(out.stdout)["operators"] == "agree"
 
 
+def test_verify_cybe_a1_s01(tmp_path):
+    """A1 graded by s = (0, 1), gamma: 0 -> 1: r0 splits C_0 by the affine sign."""
+    quad = {"diagram": {"type": "A1", "s": [0, 1], "nu_perm": None},
+            "gamma1": [0], "gamma2": [1], "gamma": {"0": 1}, "t_h": []}
+    out = run("verify-cybe", "-i", write_quad(tmp_path, "q.json", quad))
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["cybe"] == "zero"
+
+
+def test_negative_degree_bound_exits_2(tmp_path):
+    """An empty degree window would report "agree" with nothing checked."""
+    path = write_quad(tmp_path, "q.json", VALID_A2)
+    assert _usage_error(run("--degree-bound", "-5", "verify-cybe", "-i", path))
+
+
+def test_cyclotomic_tensor_export_exits_2(tmp_path):
+    """D4^(3) tensors have coefficients in Q(zeta_3), which the fraction-string
+    format cannot hold."""
+    assert _usage_error(run("r0", "--type", "D4", "--nu", "2,1,3,0"))
+    quad = {"diagram": {"type": "D4", "s": [1, 0, 0], "nu_perm": [2, 1, 3, 0]},
+            "gamma1": [0], "gamma2": [2], "gamma": {"0": 2},
+            "t_h": [{"i": 1, "j": 2, "val": "1/72"}]}
+    assert _usage_error(run("twist", "-i", write_quad(tmp_path, "q.json", quad)))
+
+
 def test_twist_deterministic_output(tmp_path):
     path = write_quad(tmp_path, "q.json", VALID_A2)
     out1 = run("twist", "-i", path)

@@ -1,0 +1,80 @@
+"""Byte-for-byte CLI goldens and a smoke run of every demo.
+
+`tests/golden/*.out` hold the stdout of each case below, as written by the
+code before the shared Belavin-Drinfeld steps were merged; the exit code is
+kept in `cases.json`.  A change that alters any of them alters the CLI's
+output.  After an intended output change, rewrite them with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import glob
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from test_cli import CLI, ENV
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(HERE), "demos", "*.py")))
+
+# (name, argv); inputs are the quadruple files in tests/golden/.
+CASES = [
+    ("roots-G2", ["roots", "G2"]),
+    ("r0-A2", ["r0", "--type", "A2", "--s", "1,0,0"]),
+    ("validate-A2", ["validate", "-i", "quad.json"]),
+    ("twist-A2", ["twist", "-i", "quad.json"]),
+    ("verify-A2", ["verify-cybe", "-i", "quad.json"]),
+    ("verify-A2-bound4", ["--degree-bound", "4", "verify-cybe", "-i", "quad.json"]),
+    ("census-BCD-11", ["census", "--types", "B,C,D", "--max-rank", "11"]),
+    ("census-BCD-6", ["census", "--types", "B,C,D", "--max-rank", "6"]),
+    ("equiv-A2", ["equiv", "-a", "quad.json", "-b", "quad_rotated.json"]),
+    ("catalog-A2", ["export", "--what", "catalog", "--type", "A2", "--s", "1,0,0"]),
+    ("r0-A3-order2", ["r0", "--type", "A3", "--s", "1,0,0", "--nu", "2,1,0"]),
+    ("catalog-D4-order3", ["export", "--what", "catalog", "--type", "D4", "--nu", "2,1,3,0"]),
+    ("validate-B4", ["validate", "-i", "quad_b4.json"]),
+    ("twist-B4", ["twist", "-i", "quad_b4.json"]),
+    ("verify-B4", ["verify-cybe", "-i", "quad_b4.json"]),
+    ("validate-D6", ["validate", "-i", "quad_d6.json"]),
+    ("twist-D6", ["twist", "-i", "quad_d6.json"]),
+]
+
+
+def run_case(argv):
+    return subprocess.run(CLI + argv, capture_output=True, text=True, env=ENV,
+                          cwd=GOLDEN, timeout=300)
+
+
+def expected(name):
+    with open(os.path.join(GOLDEN, "cases.json")) as fh:
+        code = json.load(fh)[name]
+    with open(os.path.join(GOLDEN, name + ".out")) as fh:
+        return code, fh.read()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_golden(name, argv):
+    out = run_case(argv)
+    assert (out.returncode, out.stdout) == expected(name)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
+def test_demo_runs(path):
+    out = subprocess.run([sys.executable, path], capture_output=True, text=True,
+                         env=ENV, timeout=300)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr[-2000:]
+
+
+if __name__ == "__main__":
+    codes = {}
+    for name, argv in CASES:
+        out = run_case(argv)
+        codes[name] = out.returncode
+        with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
+            fh.write(out.stdout)
+    with open(os.path.join(GOLDEN, "cases.json"), "w") as fh:
+        fh.write(json.dumps(codes, indent=1, sort_keys=True) + "\n")

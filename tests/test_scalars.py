@@ -53,6 +53,9 @@ def test_mixed_arithmetic_with_fractions():
 def test_frac_strings():
     assert frac_str(Q(3, 4)) == "3/4"
     assert frac_str(Q(-2)) == "-2"
+    assert frac_str(CycNumber.of(Q(3, 4), 3)) == "3/4"
+    with pytest.raises(ValueError):
+        frac_str(CycNumber.zeta(3))       # genuinely cyclotomic: no fraction string
     assert parse_frac("7/3") == Q(7, 3)
     assert parse_frac("-1/32") == Q(-1, 32)
     assert parse_frac(-4) == Q(-4)

@@ -23,6 +23,14 @@ def test_casimir_components_identity(sl2_loop):
     assert cas["plus"] == {(0, 1): Q(1, 4)}
 
 
+def test_casimir_split_follows_affine_borel():
+    """Under s = (0, 1) the affine node has degree 0 and alpha_0 = delta - alpha_1,
+    so the degree-0 vector f of negative finite root is affine-positive."""
+    cas = casimir_components(loop_algebra(SigmaType.make("A1", [0, 1])))
+    assert cas["plus"] == {(1, 0): Q(1, 4)}
+    assert cas["minus"] == {(0, 1): Q(1, 4)}
+
+
 @pytest.mark.parametrize("label,s,nu", ALL_SIGMAS)
 def test_casimir_components_sum(label, s, nu):
     L = loop_algebra(SigmaType.make(label, s, nu))
@@ -355,7 +363,8 @@ def test_residue_operator_projections(sl2_loop):
 
 
 @pytest.mark.parametrize("label,s,nu", [("A1", [1, 0], None), ("A1", [1, 1], None),
-                                        ("A2", [1, 0], [1, 0])])
+                                        ("A2", [1, 0], [1, 0]), ("A1", [0, 1], None),
+                                        ("A2", [0, 1, 0], None)])
 def test_residue_oracle_agreement(label, s, nu):
     """R_t on basis elements equals the truncated-series residue of r_t."""
     L = loop_algebra(SigmaType.make(label, s, nu))
