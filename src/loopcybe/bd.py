@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .chevalley import add_term
-from .linalg import kernel_basis, solve, span_equal
+from .linalg import kernel_basis, rref_int, solve, span_equal
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
-                   loop_algebra)
+                   _int_row, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components,
                       from_loop_tensor, r0, residue_operator, t2_add,
                       t2_scale, wedge)
@@ -164,18 +164,28 @@ def _contract_pair(f: tuple, g: tuple, a: int, b: int, n: int) -> list:
 
 
 def _condition3_matrix(L, gmap: dict, gamma1: frozenset):
-    """(rows, rhs) of the condition-3 system over the extended skew square.
+    """(pairs, rows, rhs) of the condition-3 system over the extended skew
+    square, each block of rows scaled to integers.
 
-    `L` may be a TwistedLoopAlgebra or light AffineDiagramData.
+    Row `comp` of the block for i is component `comp` of
+    (f (x) 1 + 1 (x) g) applied to the pair basis, as in `_contract_pair`:
+    it reads h[a] at the pairs (a, comp) and -h[b] at the pairs (comp, b),
+    with h = f - g.  The block and its right-hand side are multiplied by the
+    common denominator of f, g and the Casimir term, which leaves the
+    solution set as it is.  `L` may be a TwistedLoopAlgebra or light
+    AffineDiagramData.
     """
     next_ = L.nh + 1
     pairs = _pairs(next_)
     rows: list = []
     rhs: list = []
     for _, f, g, const in _condition3_terms(L, gmap, gamma1):
-        cols = [_contract_pair(f, g, a, b, next_) for (a, b) in pairs]
-        rows.extend([col[comp] for col in cols] for comp in range(next_))
-        rhs.extend(-c for c in const)
+        scaled = _int_row(list(f) + list(g) + const)
+        h = [a - b for a, b in zip(scaled, scaled[next_:2 * next_])]
+        for comp in range(next_):
+            rows.append([h[a] if b == comp else -h[b] if a == comp else 0
+                         for a, b in pairs])
+        rhs.extend(-c for c in scaled[2 * next_:])
     return pairs, rows, rhs
 
 
@@ -224,22 +234,46 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
         return {"pairs": pairs, "particular": {}, "basis": [to_dict(b) for b in basis],
                 "dimension": len(pairs)}
 
-    # try the d-free subsystem first (minimum-support canonical choice)
-    dfree_cols = [k for k, (a, b) in enumerate(pairs) if a < nh and b < nh]
-    sub = [[row[k] for k in dfree_cols] for row in rows]
-    part = solve(sub, rhs)
-    if part is not None:
-        particular = [Q(0)] * len(pairs)
-        for k, c in zip(dfree_cols, part):
-            particular[k] = c
-    else:
-        full = solve(rows, rhs)
-        if full is None:
-            raise ValueError("condition-3 system is inconsistent")
-        particular = full
-    kern = kernel_basis(rows, Q(0), Q(1))
+    # One fraction-free reduction of [rows | rhs] gives the kernel and a
+    # particular solution x, zero off the pivot columns.  If x is d-free it
+    # is the d-free subsystem's own reduced solution: a pivot column of the
+    # whole system is one of the d-free subsystem too, and a solution
+    # supported on that subsystem's pivot columns is unique.  Only if x has
+    # a d entry is the d-free subsystem reduced on its own.
+    ncols = len(pairs)
+    red, pivots = rref_int([row + [c] for row, c in zip(rows, rhs)])
+    if ncols in pivots:
+        raise ValueError("condition-3 system is inconsistent")
+    particular = _read_solution(red, pivots, range(ncols), ncols)
+    if any(c for (a, b), c in zip(pairs, particular) if b == nh):
+        dfree_cols = [k for k, (a, b) in enumerate(pairs) if b < nh]
+        sub, sub_pivots = rref_int([[row[k] for k in dfree_cols] + [c]
+                                    for row, c in zip(rows, rhs)])
+        if len(dfree_cols) not in sub_pivots:
+            particular = _read_solution(sub, sub_pivots, dfree_cols, ncols)
+    kern = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            if red[r][fc]:
+                v[pc] = Q(-red[r][fc], red[r][pc])
+        kern.append(v)
     return {"pairs": pairs, "particular": to_dict(particular),
             "basis": [to_dict(b) for b in kern], "dimension": len(kern)}
+
+
+def _read_solution(red: list, pivots: list, cols, ncols: int) -> list:
+    """The solution of a reduced augmented system with its free unknowns 0;
+    `cols` maps the reduced system's columns to the ncols unknowns."""
+    x = [Q(0)] * ncols
+    cols = list(cols)
+    for r, pc in enumerate(pivots):
+        if red[r][-1]:
+            x[cols[pc]] = Q(red[r][-1], red[r][pc])
+    return x
 
 
 def canonical_t_h(sigma: SigmaType, gamma1, gamma2, gamma: dict) -> dict:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bd import (BDQuadruple, D_INDEX, _orbit_escapes, canonical_t_h,
-                 th_solution_space)
+from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_solution_space
 from .cartan import CartanType
 from .linalg import in_span
 from .loop import SigmaType, affine_diagram_data
@@ -167,27 +166,66 @@ def enumerate_triples(L) -> list:
     return sorted(out, key=lambda t: (sorted(t[0]), sorted(t[1]), t[2]))
 
 
+def _length_classes(L) -> list:
+    """Per node, the rank of its coroot length among the diagram's lengths."""
+    diag = [L.coroot_gram[i][i] for i in range(len(L.node_weights))]
+    lengths = sorted(set(diag))
+    return [lengths.index(x) for x in diag]
+
+
+def _contains_a_class(classes: list, g1) -> bool:
+    """Whether g1 contains every node of some root-length class."""
+    return any(all(j in g1 for j, c in enumerate(classes) if c == k)
+               for k in set(classes))
+
+
 def _isometric_maps(L, g1: frozenset):
-    """Injective coroot-gram isometries gamma on g1 with escaping orbits."""
-    nodes = list(range(len(L.node_weights)))
+    """Injective isometries gamma on g1 whose orbits all escape g1.
+
+    gamma is an isometry of the coroot Gram exactly when it keeps each
+    node's root-length class and the affine Cartan matrix on g1: a Cartan
+    entry is 2 (t_i, t_j) / (t_j, t_j), and the class fixes (t_j, t_j).  So
+    only integers are compared.  Maps come in lexicographic order of
+    (gamma(i) for i in sorted g1).  Two prunes cut branches that yield
+    nothing, so they leave that sequence as it is:
+    - if g1 contains a whole length class, gamma maps that class injectively
+      into itself, hence permutes it, and every orbit in it is trapped;
+      no map on g1 qualifies;
+    - a partial gamma that closes a cycle inside g1 traps the orbits on
+      that cycle, whatever the rest of gamma is.
+    Every cycle is caught when its last edge is assigned, so each completed
+    map has only escaping orbits (condition 2).
+    """
+    nodes = range(len(L.node_weights))
+    classes = _length_classes(L)
+    if _contains_a_class(classes, g1):
+        return
     src = sorted(g1)
-    G = L.coroot_gram
+    A = L.affine_cartan
+    gamma: dict = {}
 
-    def backtrack(i: int, assigned: list):
+    def backtrack(i: int):
         if i == len(src):
-            gamma = dict(zip(src, assigned))
-            if all(_orbit_escapes(gamma, g1, j) is not None for j in src):
-                yield gamma
+            yield dict(gamma)
             return
+        s = src[i]
+        row = A[s]
         for cand in nodes:
-            if cand in assigned:
+            if classes[cand] != classes[s] or cand in gamma.values():
                 continue
-            if G[src[i]][src[i]] != G[cand][cand]:
+            crow = A[cand]
+            if any(row[j] != crow[a] for j, a in gamma.items()):
                 continue
-            if all(G[src[i]][src[j]] == G[cand][a] for j, a in enumerate(assigned)):
-                yield from backtrack(i + 1, assigned + [cand])
+            end = cand
+            while end in gamma:
+                end = gamma[end]
+            if end == s:
+                continue               # s -> cand closes a cycle inside g1
+            gamma[s] = cand
+            yield from backtrack(i + 1)
+            del gamma[s]
 
-    yield from backtrack(0, [])
+    yield from backtrack(0)
 
 
 def enumerate_representatives(sigma: SigmaType, cap: int = 13) -> list:
@@ -251,10 +289,14 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
     off the affine node, or None.
 
     Unreachability means Gamma_1 contains the whole automorphism orbit of
-    node 0, so only supersets of that orbit are scanned.
+    node 0, so only supersets of that orbit are scanned.  When that orbit
+    already contains a whole root-length class (C_n: the long nodes {0, n}),
+    no superset carries a quadruple and the answer is None at once.
     """
     group = loop_diagram_automorphisms(L)
     orbit0 = sorted({perm.index(0) for perm in group})
+    if _contains_a_class(_length_classes(L), orbit0):
+        return None    # every scanned Gamma_1 contains a trapped class
     nodes = len(L.node_weights)
     rest = [i for i in range(nodes) if i not in orbit0]
     for mask in range(2 ** len(rest)):
@@ -271,18 +313,25 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
     return None
 
 
-def type_census(types: Iterable[str], max_rank: int, cap: int = 13) -> list:
+_SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
+
+
+def type_census(types: Iterable[str], max_rank: int, cap: int = 17) -> list:
     """Reachability verdict per extended diagram.
 
     good = every Gamma_1 admitting a valid quadruple is movable off the
     affine node; otherwise a concrete unreachable witness is reported.
+    A label is a series ("B", every rank up to max_rank) or one type ("B4").
     """
     out = []
     for label in types:
         series = label[0].upper()
+        if series not in _SERIES_MIN_RANK:
+            raise ValueError("unknown series %r; the known series are %s"
+                             % (label, ", ".join(_SERIES_MIN_RANK)))
         ranks = [int(label[1:])] if len(label) > 1 else []
         if not ranks:
-            lo = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}[series]
+            lo = _SERIES_MIN_RANK[series]
             hi = {"E": 8, "F": 4, "G": 2}.get(series, max_rank)
             ranks = [r for r in range(lo, hi + 1) if r <= max_rank]
         for rank in ranks:

@@ -121,7 +121,12 @@ def cmd_verify_cybe(args) -> int:
 
 def cmd_census(args) -> int:
     types = [t.strip() for t in args.types.split(",") if t.strip()]
+    if args.max_rank < 1:
+        raise UsageError("--max-rank must be >= 1")
     rows = classify.type_census(types, args.max_rank)
+    if not rows:
+        raise UsageError("--types %r selects no diagram of rank <= %d"
+                         % (args.types, args.max_rank))
     out = [{"type": row["type"], "rank": row["rank"], "good": row["good"],
             "witness_gamma1": row["witness_gamma1"]} for row in rows]
     _write(args.output, out)

@@ -2,8 +2,11 @@
 
 Matrices are lists of lists of field elements (Fraction or CycNumber);
 everything is duck-typed through the arithmetic operators, so the same
-row reduction serves Q and Q(zeta_N).  Nothing here is optimized beyond
-what exhaustive rank <= 4 checks require.
+row reduction (`rref`) serves Q and Q(zeta_N).  It does one field
+operation per entry update, which is fine for the small solves of the
+Cartan-level code.  `rref_int` is the one reduction for large systems over
+Q: callers scale their rows to integers and it eliminates on Python ints
+(fraction-free), which is what the census and catalog `t_h` solves run on.
 """
 
 from __future__ import annotations
@@ -46,6 +49,45 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         pivots.append(c)
         r += 1
         if r == rows:
+            break
+    return a, pivots
+
+
+def rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
+    """Fraction-free Gauss-Jordan reduction of an integer matrix (Bareiss).
+
+    Returns (a, pivots): `a` has one integer row per pivot, every pivot row
+    holds the same nonzero integer `a[r][pivots[r]]`, and dividing each row
+    by it gives the nonzero rows of `rref(m)`.  Each update
+    (p * a[i] - a[i][c] * a[r]) / p_prev divides exactly, since every entry
+    stays a minor of `m` (Bareiss, Math. Comp. 22, 1968), so the integers
+    grow no larger than the determinants of the system.  Rows that become
+    zero are dropped as they appear.
+    """
+    a = [list(r) for r in m if any(r)]
+    cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        row = a[r]
+        p = row[c]
+        for i in range(len(a)):
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
+        a[r + 1:] = [x for x in a[r + 1:] if any(x)]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(a):
             break
     return a, pivots
 

@@ -15,12 +15,13 @@ tables; tests compare against the tabulated matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .cartan import CartanType, Root, is_positive, neg
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
-from .linalg import kernel_basis, mat_inverse, solve
+from .linalg import kernel_basis, mat_inverse, rref_int, solve
 from .scalars import Q, ScalarField
 
 Weight = tuple  # values of a functional on the fixed Cartan basis
@@ -647,6 +648,12 @@ def _as_int(q) -> int:
     return int(q)
 
 
+def _int_row(row: list) -> list:
+    """A row of Fractions times the least common denominator of its entries."""
+    d = lcm(*(x.denominator for x in row))
+    return [int(x * d) for x in row]
+
+
 def _diagram_tail(h_gram: list, node_weights: list, s: tuple, nu_order: int) -> tuple:
     """(node coroots, coroot Gram, affine Cartan, marks, m) from the node weights.
 
@@ -657,26 +664,24 @@ def _diagram_tail(h_gram: list, node_weights: list, s: tuple, nu_order: int) -> 
     """
     nh = len(h_gram)
     nodes = len(node_weights)
-    coroots = []
-    for w in node_weights:
-        sol = solve(h_gram, list(w))
-        if sol is None:
-            raise ValueError("singular Cartan Gram matrix")
-        coroots.append(sol)
-
-    def form(x, y):
-        return sum((x[a] * y[b] * h_gram[a][b] for a in range(nh) if x[a]
-                    for b in range(nh) if y[b]), Q(0))
-
-    gram = [[form(x, y) for y in coroots] for x in coroots]
+    # t_w = h_gram^{-1} w for every node weight w, from one fraction-free
+    # reduction of [h_gram | w_0 ... w_n] with its rows scaled to integers
+    red, pivots = rref_int([_int_row(list(h_gram[r]) + [w[r] for w in node_weights])
+                            for r in range(nh)])
+    if pivots != list(range(nh)):
+        raise ValueError("singular Cartan Gram matrix")
+    coroots = [[Q(red[r][nh + k], red[r][r]) for r in range(nh)] for k in range(nodes)]
+    # (t_x, t_y) = kappa(t_x, t_y) = y(t_x)
+    gram = [[sum((x[a] * y[a] for a in range(nh) if x[a]), Q(0)) for y in node_weights]
+            for x in coroots]
     cartan = [[_as_int(2 * gram[i][j] / gram[j][j]) for j in range(nodes)]
               for i in range(nodes)]
     # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
-    mat = [[node_weights[j][t] for j in range(1, nodes)] for t in range(nh)]
-    sol = solve(mat, [-x for x in node_weights[0]])
-    if sol is None:
+    red, pivots = rref_int([_int_row([w[t] for w in node_weights[1:]] + [-node_weights[0][t]])
+                            for t in range(nh)])
+    if pivots != list(range(nodes - 1)):
         raise AssertionError("marks system inconsistent")
-    marks = [1] + [_as_int(a) for a in sol]
+    marks = [1] + [_as_int(Q(red[r][-1], red[r][r])) for r in range(nodes - 1)]
     if any(a <= 0 for a in marks):
         raise AssertionError("marks must be positive")
     return coroots, gram, cartan, marks, nu_order * sum(a * x for a, x in zip(marks, s))
@@ -731,8 +736,10 @@ def affine_diagram_data(sigma: SigmaType):
     rs = build_root_system(sigma.cartan_type)
     if len(sigma.s) != n + 1:
         raise ValueError("s must have %d entries for this diagram" % (n + 1))
-    h_gram = [[Q(sum(rs.pairing(b, i) * rs.pairing(b, j) for b in rs.all_roots))
-               for j in range(n)] for i in range(n)]
+    # a root and its negative add the same term, so sum over positive roots
+    pairings = [[rs.pairing(b, i) for i in range(n)] for b in rs.positive_roots]
+    h_gram = [[Q(2 * sum(p[i] * p[j] for p in pairings)) for j in range(n)]
+              for i in range(n)]
     theta = rs.highest_root()
     node_weights = [tuple(Q(-rs.pairing(theta, i)) for i in range(n))]
     for i in range(n):

@@ -170,6 +170,28 @@ def test_census_witnesses_are_valid_quadruples():
         assert not ok
 
 
+def test_census_ranks_12_to_16():
+    """A_n and C_n good; B_n and D_n bad, their witness Gamma_1 being the
+    mark-1 set ({0, 1} on B_n, {0, 1, n-1, n} on D_n; Kac, Table Aff 1),
+    a valid quadruple that no diagram automorphism moves off node 0."""
+    rows = cl.type_census(["A", "B", "C", "D"], 16)
+    rows = [r for r in rows if r["rank"] >= 12]
+    assert len(rows) == 20
+    for row in rows:
+        n = row["rank"]
+        assert row["good"] == (row["type"] in "AC"), row
+        if row["good"]:
+            continue
+        sigma = SigmaType(cl.CartanType(row["type"], n), tuple([1] + [0] * n))
+        L = affine_diagram_data(sigma)
+        mark1 = [i for i, a in enumerate(L.marks) if a == 1]
+        assert row["witness_gamma1"] == mark1 == ([0, 1] if row["type"] == "B"
+                                                  else [0, 1, n - 1, n])
+        wit = row["witness"]
+        assert bd.validate(quad(sigma, wit["gamma1"], wit["gamma2"], wit["gamma"]))["valid"]
+        assert not cl.quasi_trig_reachable(L, wit["gamma1"])[0]
+
+
 def test_a3_orbit_partition_and_stabilizers():
     """Orbit sizes divide the dihedral group order 8 and partition A3^(1)."""
     sigma = SigmaType.make("A3", [1, 0, 0, 0])

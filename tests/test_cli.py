@@ -191,6 +191,25 @@ def test_census_b_series():
     assert by_rank[5]["witness_gamma1"] is not None
 
 
+@pytest.mark.parametrize("rank", ["0", "-2"])
+def test_census_nonpositive_max_rank_exits_2(rank):
+    out = run("census", "--types", "B", "--max-rank", rank)
+    assert out.returncode == 2
+    assert "max-rank" in json.loads(out.stdout)["error"]
+
+
+def test_census_empty_types_exits_2():
+    out = run("census", "--types", ",")
+    assert out.returncode == 2
+    assert "selects no diagram" in json.loads(out.stdout)["error"]
+
+
+def test_census_unknown_series_names_known_ones():
+    out = run("census", "--types", "X")
+    assert out.returncode == 2
+    assert "A, B, C, D, E, F, G" in json.loads(out.stdout)["error"]
+
+
 def test_equiv_subcommand(tmp_path):
     qa = write_quad(tmp_path, "a.json", VALID_A2)
     rotated = {

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI goldens and a smoke run of every demo.
 
-`tests/golden/*.out` hold the stdout of each case below, as written by the
-code before the shared Belavin-Drinfeld steps were merged; the exit code is
-kept in `cases.json`.  A change that alters any of them alters the CLI's
-output.  After an intended output change, rewrite them with
+`tests/golden/*.out` hold the stdout of each case below; the exit code is
+kept in `cases.json`.  The first seventeen were written by the code before
+the shared Belavin-Drinfeld steps were merged, and the five catalogs after
+them (E6, F4 and the order-2 twists of A3, D4 and E6, each graded by
+s = e_0) by the Fraction code before the integer isometry search and t_h
+solve.  A change that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -41,6 +43,14 @@ CASES = [
     ("verify-B4", ["verify-cybe", "-i", "quad_b4.json"]),
     ("validate-D6", ["validate", "-i", "quad_d6.json"]),
     ("twist-D6", ["twist", "-i", "quad_d6.json"]),
+    ("catalog-E6", ["export", "--what", "catalog", "--type", "E6", "--s", "1,0,0,0,0,0,0"]),
+    ("catalog-F4", ["export", "--what", "catalog", "--type", "F4", "--s", "1,0,0,0,0"]),
+    ("catalog-A3-order2", ["export", "--what", "catalog", "--type", "A3", "--s", "1,0,0",
+                           "--nu", "2,1,0"]),
+    ("catalog-D4-order2", ["export", "--what", "catalog", "--type", "D4", "--s", "1,0,0,0",
+                           "--nu", "0,1,3,2"]),
+    ("catalog-E6-order2", ["export", "--what", "catalog", "--type", "E6", "--s", "1,0,0,0,0",
+                           "--nu", "5,1,4,3,2,0"]),
 ]
 
 

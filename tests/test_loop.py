@@ -293,10 +293,12 @@ def test_roots_window_enumeration(sl2_loop, sl2_coxeter):
 
 def test_light_diagram_matches_full():
     for label, s in [("A1", [1, 0]), ("A2", [1, 0, 0]), ("B2", [1, 0, 0]),
-                     ("A3", [1, 0, 0, 0])]:
+                     ("A3", [1, 0, 0, 0]), ("C3", [1, 0, 0, 0]), ("G2", [0, 1, 0])]:
         sigma = SigmaType.make(label, s)
         light = affine_diagram_data(sigma)
         full = loop_algebra(sigma)
+        assert light.h_gram == full.h_gram      # root sum against ad-traces
+        assert light.node_coroots == full.node_coroots
         assert light.affine_cartan == full.affine_cartan
         assert light.marks == full.marks
         assert light.coroot_gram == full.coroot_gram

@@ -1,0 +1,161 @@
+"""Integer census and catalog paths against the Fraction code they replaced.
+
+The isometry search compares integer Cartan data and prunes as it goes, and
+the condition-3 solve runs one fraction-free elimination.  The oracles below
+are the earlier implementations, kept here unchanged in substance:
+
+- `fraction_th_solution_space` builds the condition-3 system in Fraction
+  coordinates and solves it with three generic `rref`s: the d-free `solve`,
+  the full `solve` when that fails, and `kernel_basis`;
+- `unpruned_isometric_maps` enumerates every injective isometry of the
+  Fraction coroot Gram on Gamma_1 and tests orbit escape only on completed
+  maps.
+
+Both must agree with the library exactly: the same dicts (values, types and
+key order) and the same sequence of maps.
+"""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+import loopcybe.bd as bd
+import loopcybe.classify as cl
+from loopcybe.linalg import kernel_basis, rref, rref_int, solve
+from loopcybe.loop import SigmaType, affine_diagram_data
+
+
+def fraction_th_solution_space(sigma, gamma1, gamma2, gamma):
+    L = affine_diagram_data(sigma)
+    gmap = {int(a): int(b) for a, b in gamma.items()}
+    nh = L.nh
+    next_ = nh + 1
+    pairs = bd._pairs(next_)
+    rows, rhs = [], []
+    for _, f, g, const in bd._condition3_terms(L, gmap, frozenset(gamma1)):
+        cols = [bd._contract_pair(f, g, a, b, next_) for (a, b) in pairs]
+        rows.extend([col[comp] for col in cols] for comp in range(next_))
+        rhs.extend(-c for c in const)
+
+    def to_dict(coeffs):
+        return {(a if a < nh else bd.D_INDEX, b if b < nh else bd.D_INDEX): c
+                for (a, b), c in zip(pairs, coeffs) if c != 0}
+
+    if not rows:
+        basis = [[Q(1) if k == t else Q(0) for k in range(len(pairs))]
+                 for t in range(len(pairs))]
+        return {"pairs": pairs, "particular": {}, "basis": [to_dict(b) for b in basis],
+                "dimension": len(pairs)}
+    dfree_cols = [k for k, (a, b) in enumerate(pairs) if a < nh and b < nh]
+    part = solve([[row[k] for k in dfree_cols] for row in rows], rhs)
+    if part is not None:
+        particular = [Q(0)] * len(pairs)
+        for k, c in zip(dfree_cols, part):
+            particular[k] = c
+    else:
+        particular = solve(rows, rhs)
+        if particular is None:
+            raise ValueError("condition-3 system is inconsistent")
+    kern = kernel_basis(rows, Q(0), Q(1))
+    return {"pairs": pairs, "particular": to_dict(particular),
+            "basis": [to_dict(b) for b in kern], "dimension": len(kern)}
+
+
+def unpruned_isometric_maps(L, g1):
+    nodes = range(len(L.node_weights))
+    src = sorted(g1)
+    G = L.coroot_gram
+
+    def backtrack(i, assigned):
+        if i == len(src):
+            gamma = dict(zip(src, assigned))
+            if all(bd._orbit_escapes(gamma, g1, j) is not None for j in src):
+                yield gamma
+            return
+        for cand in nodes:
+            if cand in assigned or G[src[i]][src[i]] != G[cand][cand]:
+                continue
+            if all(G[src[i]][src[j]] == G[cand][a] for j, a in enumerate(assigned)):
+                yield from backtrack(i + 1, assigned + [cand])
+
+    yield from backtrack(0, [])
+
+
+# (label, nu, affine nodes): the catalog diagrams below E6, twisted ones too
+CATALOGS = [("A1", None, 2), ("A2", None, 3), ("A3", None, 4), ("B3", None, 4),
+            ("C3", None, 4), ("D4", None, 5), ("G2", None, 3), ("F4", None, 5),
+            ("A3", (2, 1, 0), 3), ("D4", (0, 1, 3, 2), 4), ("D4", (2, 1, 3, 0), 3),
+            ("E6", (5, 1, 4, 3, 2, 0), 5)]
+
+
+def diagram_id(case):
+    label, nu, _ = case
+    return label if nu is None else "%s-nu%s" % (label, "".join(map(str, nu)))
+
+
+def mark1_gradings(label, nu, nodes):
+    unit = [1] + [0] * (nodes - 1)
+    marks = affine_diagram_data(SigmaType.make(label, unit, nu)).marks
+    return [SigmaType.make(label, [int(i == k) for i in range(nodes)], nu)
+            for k, a in enumerate(marks) if a == 1]
+
+
+def assert_same_space(sigma, triple):
+    g1, g2, gm = triple
+    new = bd.th_solution_space(sigma, g1, g2, dict(gm))
+    old = fraction_th_solution_space(sigma, g1, g2, dict(gm))
+    assert repr(new) == repr(old), (sigma, triple)
+
+
+@pytest.mark.parametrize("label,nu,nodes", CATALOGS,
+                         ids=[diagram_id(c) for c in CATALOGS])
+def test_th_solution_space_matches_fraction_oracle(label, nu, nodes):
+    for sigma in mark1_gradings(label, nu, nodes):
+        for rep in cl.enumerate_representatives(sigma):
+            assert_same_space(sigma, rep["triple"])
+
+
+def test_th_solution_space_matches_fraction_oracle_e6():
+    rng = random.Random(6)
+    gradings = mark1_gradings("E6", None, 7)
+    reps = {s: cl.enumerate_representatives(s) for s in gradings}
+    for _ in range(30):
+        sigma = rng.choice(gradings)
+        assert_same_space(sigma, rng.choice(reps[sigma])["triple"])
+
+
+ISOMETRY_DIAGRAMS = [("A3", None, 4), ("A5", None, 6), ("B3", None, 4), ("B5", None, 6),
+                     ("C3", None, 4), ("C5", None, 6), ("D4", None, 5), ("D5", None, 6),
+                     ("G2", None, 3), ("F4", None, 5), ("A3", (2, 1, 0), 3),
+                     ("D4", (2, 1, 3, 0), 3)]
+
+
+@pytest.mark.parametrize("label,nu,nodes", ISOMETRY_DIAGRAMS,
+                         ids=[diagram_id(c) for c in ISOMETRY_DIAGRAMS])
+def test_isometric_maps_match_unpruned_oracle(label, nu, nodes):
+    L = affine_diagram_data(SigmaType.make(label, [1] + [0] * (nodes - 1), nu))
+    for mask in range(2 ** nodes):
+        g1 = frozenset(i for i in range(nodes) if mask >> i & 1)
+        new = [list(g.items()) for g in cl._isometric_maps(L, g1)]
+        old = [list(g.items()) for g in unpruned_isometric_maps(L, g1)]
+        assert new == old, (label, nu, sorted(g1))
+
+
+def test_rref_int_matches_rref():
+    """Random low-rank integer matrices, zero rows and columns included."""
+    rng = random.Random(7)
+    for _ in range(500):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+        k = rng.randint(1, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(cols)]
+                 for _ in range(k)]
+        m = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+             for i in range(rows)]
+        red, pivots = rref_int(m)
+        want, want_pivots = rref([[Q(x) for x in row] for row in m])
+        assert pivots == want_pivots and len(red) == len(pivots)
+        assert len({red[r][pc] for r, pc in enumerate(pivots)}) <= 1
+        assert [[Q(x, red[r][pc]) for x in red[r]] for r, pc in enumerate(pivots)] \
+            == want[:len(pivots)]
