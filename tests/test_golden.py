@@ -5,7 +5,10 @@ kept in `cases.json`.  The first seventeen were written by the code before
 the shared Belavin-Drinfeld steps were merged, and the five catalogs after
 them (E6, F4 and the order-2 twists of A3, D4 and E6, each graded by
 s = e_0) by the Fraction code before the integer isometry search and t_h
-solve.  A change that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
+solve.  The two structure tables (G2, B3), which pin the structure
+constants and the Killing Gram, were written by the code that still took
+the Killing form from ad-traces.  A change that alters any of them alters
+the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -51,6 +54,8 @@ CASES = [
                            "--nu", "0,1,3,2"]),
     ("catalog-E6-order2", ["export", "--what", "catalog", "--type", "E6", "--s", "1,0,0,0,0",
                            "--nu", "5,1,4,3,2,0"]),
+    ("structure-G2", ["export", "--what", "structure", "--type", "G2"]),
+    ("structure-B3", ["export", "--what", "structure", "--type", "B3"]),
 ]
 
 
