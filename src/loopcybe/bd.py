@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .chevalley import add_term
-from .linalg import kernel_basis, rref_int, solve, span_equal
+from .linalg import kernel_basis, map_sending, rref_int, solve, span_equal
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
                    _int_row, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components,
@@ -335,14 +335,7 @@ class ThetaMap:
             comp = kernel_basis(rows, Q(0), Q(1))
         else:
             comp = [[Q(1) if t == c else Q(0) for t in range(L.nh)] for c in range(L.nh)]
-        mat_cols = span + comp
-        img_cols = imgs + [[Q(0)] * L.nh for _ in comp]
-        # solve for the matrix M with M * col = img for each basis col
-        m = [[mat_cols[c][r] for c in range(len(mat_cols))] for r in range(L.nh)]
-        from .linalg import mat_inverse, mat_mul
-        minv = mat_inverse(m)
-        imat = [[img_cols[c][r] for c in range(len(img_cols))] for r in range(L.nh)]
-        self._cartan_matrix = mat_mul(imat, minv)
+        self._cartan_matrix = map_sending(span + comp, imgs + [[Q(0)] * L.nh for _ in comp])
 
     def series(self, f: LoopElement):
         """Yield theta^j(f) for j = 1, 2, ... while it is nonzero (theta is nilpotent)."""
@@ -485,19 +478,12 @@ def build_rq(q: BDQuadruple):
     t_h = q.t_h_dict
 
     def act(f: LoopElement) -> LoopElement:
-        out = L.zero()
-        for (sid, k), c in f.terms.items():
-            slot = L.slots[sid]
-            elem = LoopElement(L, {(sid, k): c})
-            if slot.positive is None and k == 0:
-                out = out + psi_th(L, t_h, elem) + elem.scale(Q(1, 2))
-            elif L.root_positive(sid, k):
-                for img in theta_fwd.series(elem):
-                    out = out - img
-            else:
-                out = out + elem
-                for img in theta_bwd.series(elem):
-                    out = out + img
+        plus, minus, cart = L.split(f)
+        out = psi_th(L, t_h, cart) + cart.scale(Q(1, 2)) + minus
+        for img in theta_bwd.series(minus):
+            out = out + img
+        for img in theta_fwd.series(plus):
+            out = out - img
         return out
 
     return act
@@ -631,24 +617,11 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
     theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
     theta_bwd = ThetaMap(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
 
-    def split(e: LoopElement):
-        plus, minus, cart = L.zero(), L.zero(), L.zero()
-        for (sid, k), c in e.terms.items():
-            piece = LoopElement(L, {(sid, k): c})
-            slot = L.slots[sid]
-            if slot.positive is None and k == 0:
-                cart = cart + piece
-            elif L.root_positive(sid, k):
-                plus = plus + piece
-            else:
-                minus = minus + piece
-        return plus, minus, cart
-
     for f in L.basis_up_to(d):
         x = rq(f) - f
         y = rq(f)
-        xp, xm, xc = split(x)
-        yp, ym, yc = split(y)
+        xp, xm, xc = L.split(x)
+        yp, ym, yc = L.split(y)
         # N_+ block: y_+ = -sum_{j>=1} theta^j(n_+) for n_+ = y_+ - x_+;
         # N_- block: x_- = sum_{j>=1} theta'^j(n_-) for n_- = y_- - x_-
         n_plus = yp - xp

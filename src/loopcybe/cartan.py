@@ -3,8 +3,10 @@
 Roots are integer coefficient vectors over the simple roots, so the
 whole root system lives in Z^rank.  The inner product comes from the
 symmetrized Cartan matrix with the shortest root length normalized to
-(alpha, alpha) = 2 * d_min; only ratios matter downstream (the Killing
-form is recomputed from structure constants by exact traces).
+(alpha, alpha) = 2 * d_min; only ratios matter downstream.  The Killing
+form is read off the root system too, and only here: `killing_cartan`
+is its Gram on the simple coroots, from which the Chevalley algebra, the
+untwisted affine diagram and the Casimir element all take it.
 
 Positive roots are ordered by height and then lexicographically; this
 ordering is canonical for the whole package (structure constants, basis
@@ -170,6 +172,19 @@ class RootSystem:
             p += 1
             cur = sub(cur, alpha)
         return p
+
+
+def killing_cartan(rs: RootSystem) -> tuple:
+    """kappa(h_i, h_j) = sum over roots beta of <beta, a_i^vee> <beta, a_j^vee>.
+
+    The Killing form on the simple coroots h_i, as a tuple of Fraction rows.
+    A root and its negative add the same term, so the sum runs over the
+    positive roots and is doubled.
+    """
+    n = rs.rank
+    pairings = [[rs.pairing(b, i) for i in range(n)] for b in rs.positive_roots]
+    return tuple(tuple(Q(2 * sum(p[i] * p[j] for p in pairings)) for j in range(n))
+                 for i in range(n))
 
 
 def neg(r: Root) -> Root:

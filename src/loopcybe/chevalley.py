@@ -9,18 +9,23 @@ convention: for each non-simple positive gamma the minimal decomposition
 gamma = eps + eta gets N_{eps,eta} = +(p+1), and every other constant
 follows from antisymmetry, N_{-a,-b} = -N_{a,b}, the rotation rule
 N_{a,b}/(c,c) = N_{b,c}/(a,a) for a+b+c = 0, and the Jacobi identity.
-The Killing form is recomputed from the table by exact ad-traces, so all
-downstream normalization (coroots, Casimir, twists) is genuinely the
-Killing normalization rather than a rescaled invariant form.
+The Killing form is read off the root system, never off the table: its
+Cartan block is `cartan.killing_cartan`, the one derivation of it in the
+package, and kappa(e_b, f_b) = kappa(h_b, h_b)/2 follows by invariance.
+So all downstream normalization (coroots, Casimir, twists) is genuinely
+the Killing normalization rather than a rescaled invariant form; the tests
+check it against exact ad-traces of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .cartan import CartanType, Root, RootSystem, add, build_root_system, is_positive, neg, sub
+from .cartan import (CartanType, Root, RootSystem, add, build_root_system, is_positive,
+                     killing_cartan, neg, sub)
 
 Q = Fraction
 
@@ -58,7 +63,7 @@ def vec_eq(x: Vec, y: Vec) -> bool:
 class ChevalleyAlgebra:
     rs: RootSystem
     npos: dict                      # (alpha, beta) -> N for positive pairs
-    killing_gram: tuple             # dim x dim, rational entries
+    cartan_gram: tuple              # kappa(h_i, h_j), from cartan.killing_cartan
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -155,6 +160,24 @@ class ChevalleyAlgebra:
 
     # ---- Killing form and friends ------------------------------------------
 
+    @cached_property
+    def killing_gram(self) -> tuple:
+        """The Killing form on the whole basis, dense, with Fraction entries.
+
+        The Cartan block is `cartan_gram`.  Off it only kappa(e_b, f_b) is
+        nonzero; by invariance it is kappa(h_b, h_b)/2 with h_b = [e_b, f_b].
+        """
+        h0 = self.h_index(0)
+        gram = [[Q(0)] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(self.cartan_gram):
+            gram[h0 + i][h0:] = row
+        for beta in self.rs.positive_roots:
+            h = [(i - h0, c) for i, c in self.coroot_combo(beta).items()]
+            c = sum(a * b * self.cartan_gram[i][j] for i, a in h for j, b in h) / 2
+            ei, fi = self.e_index(beta), self.f_index(beta)
+            gram[ei][fi] = gram[fi][ei] = c
+        return tuple(tuple(row) for row in gram)
+
     def killing(self, x: Vec, y: Vec) -> Q:
         acc = Q(0)
         for i, ci in x.items():
@@ -169,14 +192,11 @@ class ChevalleyAlgebra:
 
         `alpha_on_h` is the tuple of values of the functional on h_1..h_n.
         Raises if the Cartan Gram matrix is singular (it never is for a
-        simple algebra; a failure signals a broken structure table).
+        simple algebra; a failure signals a broken root system).
         """
         from .linalg import solve
 
-        n = self.rank
-        g = [[self.killing_gram[self.h_index(i)][self.h_index(j)] for j in range(n)]
-             for i in range(n)]
-        sol = solve(g, [Q(v) for v in alpha_on_h])
+        sol = solve(self.cartan_gram, [Q(v) for v in alpha_on_h])
         if sol is None:
             raise ValueError("singular Cartan Gram matrix")
         return {self.h_index(i): c for i, c in enumerate(sol) if c}
@@ -199,9 +219,7 @@ class ChevalleyAlgebra:
             out[(ei, fi)] = out.get((ei, fi), Q(0)) + Q(1) / c
             out[(fi, ei)] = out.get((fi, ei), Q(0)) + Q(1) / c
         n = self.rank
-        g = [[self.killing_gram[self.h_index(i)][self.h_index(j)] for j in range(n)]
-             for i in range(n)]
-        ginv = mat_inverse(g)
+        ginv = mat_inverse(self.cartan_gram)
         for i in range(n):
             for j in range(n):
                 if ginv[i][j]:
@@ -264,34 +282,6 @@ def _build_constants(rs: RootSystem) -> dict:
     return npos
 
 
-def _killing_gram(rs: RootSystem, npos: dict) -> tuple:
-    """Killing form kappa(x, y) = tr(ad x ad y) on the Chevalley basis."""
-    alg = ChevalleyAlgebra(rs, npos, tuple())  # gram not needed for brackets
-    dim = alg.dim
-    # ad matrices, column-sparse: ad[i][j] = bracket of basis i with basis j
-    ad = [[alg.bracket_basis(i, j) for j in range(dim)] for i in range(dim)]
-    gram = [[Q(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        ri = alg.basis_root(i)
-        for j in range(i, dim):
-            rj = alg.basis_root(j)
-            # kappa(e_a, e_b) = 0 unless a + b = 0; Cartan pairs only with Cartan
-            if ri is not None and rj is not None and any(v != 0 for v in add(ri, rj)):
-                continue
-            if (ri is None) != (rj is None):
-                continue
-            acc = Q(0)
-            for k in range(dim):
-                inner = ad[j][k]
-                for t, c in inner.items():
-                    c2 = ad[i][t].get(k)
-                    if c2:
-                        acc += c * c2
-            gram[i][j] = acc
-            gram[j][i] = acc
-    return tuple(tuple(row) for row in gram)
-
-
 _ALG_CACHE: dict = {}
 
 
@@ -301,9 +291,7 @@ def chevalley_algebra(ct: CartanType | str) -> ChevalleyAlgebra:
         ct = CartanType.parse(ct)
     if ct not in _ALG_CACHE:
         rs = build_root_system(ct)
-        npos = _build_constants(rs)
-        gram = _killing_gram(rs, npos)
-        _ALG_CACHE[ct] = ChevalleyAlgebra(rs, npos, gram)
+        _ALG_CACHE[ct] = ChevalleyAlgebra(rs, _build_constants(rs), killing_cartan(rs))
     return _ALG_CACHE[ct]
 
 

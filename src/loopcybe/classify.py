@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_solution_space
 from .cartan import CartanType
-from .linalg import in_span
+from .linalg import in_span, map_sending
 from .loop import SigmaType, affine_diagram_data
 
 Q = Fraction
@@ -59,15 +59,10 @@ def _theta_on_cartan(L, perm: tuple) -> list:
     Well-defined because the single relation sum a_i t_i = 0 among the
     node coroots is preserved (marks are permutation-invariant).
     """
-    nodes = len(L.node_weights)
-    cols = [list(L.node_coroots[i]) for i in range(1, nodes)]
-    imgs = [list(L.node_coroots[perm[i]]) for i in range(1, nodes)]
+    nodes = range(1, len(L.node_weights))
     # node coroots 1..n form a basis of h (the relation involves node 0)
-    m = [[cols[c][r] for c in range(len(cols))] for r in range(L.nh)]
-    from .linalg import mat_inverse, mat_mul
-    minv = mat_inverse(m)
-    imat = [[imgs[c][r] for c in range(len(imgs))] for r in range(L.nh)]
-    theta = mat_mul(imat, minv)
+    theta = map_sending([L.node_coroots[i] for i in nodes],
+                        [L.node_coroots[perm[i]] for i in nodes])
     # consistency: node 0 must also map correctly
     img0 = [sum(theta[r][t] * L.node_coroots[0][t] for t in range(L.nh))
             for r in range(L.nh)]

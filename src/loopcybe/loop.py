@@ -8,8 +8,11 @@ regraded algebra.  A loop element is a finite sparse sum of z^k * slot
 terms with k congruent to the slot's class modulo m.
 
 All affine diagram data (simple root system, affine Cartan matrix,
-marks, coroots) is derived from the construction rather than read from
-tables; tests compare against the tabulated matrices.
+marks, coroots) is derived rather than read from tables, and each diagram
+has one derivation: an untwisted one (nu = id) comes from the bare root
+system in `affine_diagram_data`, whose data the loop algebra adopts, and
+one of an outer nu is read off the slots.  Tests compare against the
+tabulated matrices.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .cartan import CartanType, Root, is_positive, neg
+from .cartan import CartanType, Root, build_root_system, is_positive, killing_cartan, neg
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
-from .linalg import kernel_basis, mat_inverse, rref_int, solve
+from .linalg import kernel_basis, rref_int, solve
 from .scalars import Q, ScalarField
 
 Weight = tuple  # values of a functional on the fixed Cartan basis
@@ -170,7 +173,11 @@ class TwistedLoopAlgebra:
         self._decomp_cache: dict = {}
         self._build_cartan()
         self._build_slots()
-        self._build_diagram()
+        diagram = affine_diagram_data(sigma) if self.nu_order == 1 else self._build_diagram()
+        for name in ("node_weights", "node_coroots", "coroot_gram", "affine_cartan",
+                     "marks", "m"):
+            setattr(self, name, getattr(diagram, name))
+        self.node_nu_degree: list[int] = [1] + [0] * self.nh
         self._grade_slots()
 
     # ------------------------------------------------------------------ setup
@@ -197,7 +204,6 @@ class TwistedLoopAlgebra:
         self.nh = len(self.h_basis)
         # Gram of kappa restricted to the fixed Cartan
         self.h_gram = [[alg.killing(a, b) for b in self.h_basis] for a in self.h_basis]
-        self.h_gram_inv = mat_inverse(self.h_gram)
 
     def _weight_of_root(self, r: Root) -> Weight:
         vals = []
@@ -280,45 +286,31 @@ class TwistedLoopAlgebra:
             if any(v != 0 for v in w) and len(ids) != 1:
                 raise AssertionError("root space (%s, %d) not one-dimensional" % (w, j))
 
-    def _build_diagram(self) -> None:
-        """Simple root system Pi = {(alpha_0, 1), (alpha_i, 0)} and its data."""
-        r = self.nu_order
-        # class-0 positive weights (roots of the fixed subalgebra)
-        pos_weights = []
-        seen = set()
-        for s in self.slots:
-            if s.nu_class == 0 and s.positive is True and s.weight not in seen:
-                seen.add(s.weight)
-                pos_weights.append(s.weight)
+    def _build_diagram(self) -> "AffineDiagramData":
+        """Diagram data of an outer nu, read off the slots.
+
+        The simple roots of the fixed subalgebra are its positive weights
+        that are no sum of two others, and alpha_0 is the lowest weight of
+        g_1 as a module over it.
+        """
+        pos_weights = {s.weight for s in self.slots if s.nu_class == 0 and s.positive is True}
 
         def wsum(a: Weight, b: Weight) -> Weight:
             return tuple(x + y for x, y in zip(a, b))
 
-        simple = [w for w in pos_weights
-                  if not any(wsum(u, v) == w for u in pos_weights for v in pos_weights)]
-        simple.sort()
-        if self.nu_order == 1:
-            # keep the native node order of the finite diagram
-            simple = [self._weight_of_root(tuple(1 if j == i else 0 for j in range(self.alg.rank)))
-                      for i in range(self.alg.rank)]
+        simple = sorted(w for w in pos_weights
+                        if not any(wsum(u, v) == w for u in pos_weights for v in pos_weights))
         if len(simple) != self.nh:
             raise AssertionError("wrong number of simple roots for the fixed subalgebra")
-
-        if r == 1:
-            alpha0 = self._weight_of_root(neg(self.alg.rs.highest_root()))
-        else:
-            # lowest weight of g_1 as a module over the fixed subalgebra
-            w1 = sorted({s.weight for s in self.slots if s.nu_class == 1 % r})
-            cand = [w for w in w1
-                    if not any(tuple(a - b for a, b in zip(w, sw)) in w1 for sw in simple)]
-            if len(cand) != 1:
-                raise AssertionError("lowest weight of g_1 is not unique: %r" % (cand,))
-            alpha0 = cand[0]
-
-        self.node_weights: list[Weight] = [alpha0] + simple
-        self.node_nu_degree: list[int] = [1] + [0] * len(simple)
-        (self.node_coroots, self.coroot_gram, self.affine_cartan, self.marks,
-         self.m) = _diagram_tail(self.h_gram, self.node_weights, self.sigma.s, r)
+        w1 = {s.weight for s in self.slots if s.nu_class == 1}
+        cand = [w for w in w1
+                if not any(tuple(a - b for a, b in zip(w, sw)) in w1 for sw in simple)]
+        if len(cand) != 1:
+            raise AssertionError("lowest weight of g_1 is not unique: %r" % (cand,))
+        node_weights = [cand[0]] + simple
+        return AffineDiagramData(self.sigma, self.nh, self.h_gram, node_weights,
+                                 *_diagram_tail(self.h_gram, node_weights, self.sigma.s,
+                                                self.nu_order))
 
     def cartan_vec(self, coords: Sequence) -> Vec:
         """Chevalley vector of a Cartan element given in h_basis coordinates."""
@@ -503,6 +495,18 @@ class TwistedLoopAlgebra:
             return False
         return bool(slot.positive)
 
+    def split(self, f: LoopElement) -> tuple:
+        """(plus, minus, cartan) parts of f: its terms on positive roots, on
+        negative roots, and on the Cartan directions at degree 0."""
+        parts: tuple = ({}, {}, {})
+        for (sid, k), c in f.terms.items():
+            if self.slots[sid].positive is None and k == 0:
+                part = parts[2]
+            else:
+                part = parts[0] if self.root_positive(sid, k) else parts[1]
+            part[(sid, k)] = c
+        return tuple(LoopElement(self, p) for p in parts)
+
     def nu_root_degree(self, sid: int, k: int) -> int:
         """nu-degree of the nu-root regrading to (slot sid, degree k)."""
         slot = self.slots[sid]
@@ -574,12 +578,8 @@ class TwistedLoopAlgebra:
     def in_parabolic(self, f: LoopElement, S: Iterable[int], d: int) -> bool:
         """Membership test for p^S_+ among elements of degree bound d."""
         S = set(S)
-        for (sid, k) in f.terms:
-            if self.slots[sid].positive is None and k == 0:
-                continue  # Cartan inside the Borel
-            if not self.root_positive(sid, k) and not self.root_in_span(sid, k, S):
-                return False
-        return True
+        _, minus, _ = self.split(f)
+        return all(self.root_in_span(sid, k, S) for (sid, k) in minus.terms)
 
     def root_in_span(self, sid: int, k: int, S) -> bool:
         """Whether the root of slot `sid` at degree k is a combination of the
@@ -701,12 +701,11 @@ def loop_algebra(sigma: SigmaType) -> TwistedLoopAlgebra:
 class AffineDiagramData:
     """Affine diagram data without the structure-constant machinery.
 
-    Large-rank classification only needs Cartan-level information; the
-    Killing form restricted to the Cartan is the root-sum
-    kappa(h, h') = sum_beta beta(h) beta(h'), so everything here derives
-    from the bare root system.  Field names mirror TwistedLoopAlgebra so
-    the quadruple-condition code runs on either; `affine_cartan` is stored
-    transposed against Kac's a_ij there as here.
+    Field names mirror TwistedLoopAlgebra so the quadruple-condition code
+    runs on either; `affine_cartan` is stored transposed against Kac's a_ij
+    there as here.  `h_gram` is the Killing form on the fixed Cartan basis:
+    for nu = id the root-sum `cartan.killing_cartan`, for an outer nu its
+    restriction to the orbit sums.
     """
     sigma: SigmaType
     nh: int
@@ -723,28 +722,26 @@ _DIAGRAM_CACHE: dict = {}
 
 
 def affine_diagram_data(sigma: SigmaType):
-    """Light diagram data; falls back to the full algebra for outer nu."""
-    key = (sigma.cartan_type, sigma.s, sigma.nu)
-    if key in _DIAGRAM_CACHE:
-        return _DIAGRAM_CACHE[key]
-    if key in _LOOP_CACHE:
-        return _LOOP_CACHE[key]
+    """The affine diagram of sigma, from its one derivation.
+
+    For nu = id it comes from the bare root system: the node weights are
+    -theta and the rows of the Cartan matrix, over the simple coroots whose
+    Killing Gram is `killing_cartan`.  An outer nu needs the slots, so the
+    full loop algebra, which holds the same fields, is returned.
+    """
     n = sigma.cartan_type.rank
     if sigma.nu is not None and tuple(sigma.nu) != tuple(range(n)):
         return loop_algebra(sigma)
-    from .cartan import build_root_system
-    rs = build_root_system(sigma.cartan_type)
-    if len(sigma.s) != n + 1:
-        raise ValueError("s must have %d entries for this diagram" % (n + 1))
-    # a root and its negative add the same term, so sum over positive roots
-    pairings = [[rs.pairing(b, i) for i in range(n)] for b in rs.positive_roots]
-    h_gram = [[Q(2 * sum(p[i] * p[j] for p in pairings)) for j in range(n)]
-              for i in range(n)]
-    theta = rs.highest_root()
-    node_weights = [tuple(Q(-rs.pairing(theta, i)) for i in range(n))]
-    for i in range(n):
-        node_weights.append(tuple(Q(rs.cartan[i][j]) for j in range(n)))
-    data = AffineDiagramData(sigma, n, h_gram, node_weights,
-                             *_diagram_tail(h_gram, node_weights, sigma.s, 1))
-    _DIAGRAM_CACHE[key] = data
-    return data
+    key = (sigma.cartan_type, sigma.s, sigma.nu)
+    if key not in _DIAGRAM_CACHE:
+        if len(sigma.s) != n + 1:
+            raise ValueError("s must have %d entries for this diagram" % (n + 1))
+        rs = build_root_system(sigma.cartan_type)
+        h_gram = [list(row) for row in killing_cartan(rs)]
+        theta = rs.highest_root()
+        node_weights = [tuple(Q(-rs.pairing(theta, i)) for i in range(n))]
+        node_weights += [tuple(Q(a) for a in row) for row in rs.cartan]
+        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, n, h_gram, node_weights,
+                                                *_diagram_tail(h_gram, node_weights,
+                                                               sigma.s, 1))
+    return _DIAGRAM_CACHE[key]

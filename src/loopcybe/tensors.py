@@ -432,13 +432,8 @@ def residue_operator(L: TwistedLoopAlgebra, t: Laurent2):
         return acc
 
     def act(f: LoopElement) -> LoopElement:
-        out: dict = {}
-        for (sid, k), c in f.terms.items():
-            if L.slots[sid].positive is None and k == 0:
-                out[(sid, k)] = c / 2
-            elif not L.root_positive(sid, k):
-                out[(sid, k)] = c
-        return LoopElement(L, out) + psi(f)
+        _, minus, cart = L.split(f)
+        return cart.scale(Q(1, 2)) + minus + psi(f)
 
     return act
 

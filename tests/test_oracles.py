@@ -1,8 +1,12 @@
-"""Integer census and catalog paths against the Fraction code they replaced.
+"""Root-system and integer paths against the code they replaced.
 
-The isometry search compares integer Cartan data and prunes as it goes, and
-the condition-3 solve runs one fraction-free elimination.  The oracles below
-are the earlier implementations, kept here unchanged in substance:
+The Killing form is read off the root system, the isometry search compares
+integer Cartan data and prunes as it goes, and the condition-3 solve runs
+one fraction-free elimination.  The oracles below are the earlier
+implementations, kept here unchanged in substance:
+
+- `ad_trace_killing_gram` takes the Killing form kappa(x, y) = tr(ad x ad y)
+  of the structure table, one exact trace per pair of basis vectors;
 
 - `fraction_th_solution_space` builds the condition-3 system in Fraction
   coordinates and solves it with three generic `rref`s: the d-free `solve`,
@@ -11,8 +15,8 @@ are the earlier implementations, kept here unchanged in substance:
   Fraction coroot Gram on Gamma_1 and tests orbit escape only on completed
   maps.
 
-Both must agree with the library exactly: the same dicts (values, types and
-key order) and the same sequence of maps.
+They must agree with the library exactly: the same Gram matrices, the same
+dicts (values, types and key order) and the same sequence of maps.
 """
 
 import random
@@ -22,8 +26,42 @@ import pytest
 
 import loopcybe.bd as bd
 import loopcybe.classify as cl
+from loopcybe.chevalley import chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
-from loopcybe.loop import SigmaType, affine_diagram_data
+from loopcybe.loop import SigmaType, affine_diagram_data, loop_algebra
+
+
+def ad_trace_killing_gram(alg):
+    """Killing form kappa(x, y) = tr(ad x ad y) on the Chevalley basis."""
+    dim = alg.dim
+    # ad matrices, column-sparse: ad[i][j] = bracket of basis i with basis j
+    ad = [[alg.bracket_basis(i, j) for j in range(dim)] for i in range(dim)]
+    gram = [[Q(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        ri = alg.basis_root(i)
+        for j in range(i, dim):
+            rj = alg.basis_root(j)
+            # kappa(e_a, e_b) = 0 unless a + b = 0; Cartan pairs only with Cartan
+            if ri is not None and rj is not None and any(a + b for a, b in zip(ri, rj)):
+                continue
+            if (ri is None) != (rj is None):
+                continue
+            acc = Q(0)
+            for k in range(dim):
+                for t, c in ad[j][k].items():
+                    c2 = ad[i][t].get(k)
+                    if c2:
+                        acc += c * c2
+            gram[i][j] = acc
+            gram[j][i] = acc
+    return tuple(tuple(row) for row in gram)
+
+
+def oracle_cartan_gram(alg, h_basis):
+    """The ad-trace Killing form on Cartan vectors given as Chevalley dicts."""
+    gram = ad_trace_killing_gram(alg)
+    return [[sum((ca * cb * gram[i][j] for i, ca in a.items() for j, cb in b.items()), Q(0))
+             for b in h_basis] for a in h_basis]
 
 
 def fraction_th_solution_space(sigma, gamma1, gamma2, gamma):
@@ -159,3 +197,25 @@ def test_rref_int_matches_rref():
         assert len({red[r][pc] for r, pc in enumerate(pivots)}) <= 1
         assert [[Q(x, red[r][pc]) for x in red[r]] for r, pc in enumerate(pivots)] \
             == want[:len(pivots)]
+
+
+KILLING_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                 "D4", "D5", "G2", "F4", "E6"]
+
+
+@pytest.mark.parametrize("label", KILLING_TYPES)
+def test_killing_gram_matches_ad_trace_oracle(label):
+    alg = chevalley_algebra(label)
+    assert alg.killing_gram == ad_trace_killing_gram(alg)
+
+
+# (label, s, nu): outer twists, whose fixed Cartan is spanned by orbit sums
+OUTER_TWISTS = [("A3", (1, 0, 0), (2, 1, 0)), ("D4", (1, 0, 0, 0), (0, 1, 3, 2)),
+                ("D4", (1, 0, 0), (2, 1, 3, 0)), ("E6", (1, 0, 0, 0, 0), (5, 1, 4, 3, 2, 0))]
+
+
+@pytest.mark.parametrize("label,s,nu", OUTER_TWISTS,
+                         ids=[diagram_id((label, nu, None)) for label, _, nu in OUTER_TWISTS])
+def test_twisted_h_gram_matches_ad_trace_oracle(label, s, nu):
+    L = loop_algebra(SigmaType.make(label, s, nu))
+    assert L.h_gram == oracle_cartan_gram(L.alg, L.h_basis)
