@@ -548,6 +548,8 @@ def psi_th(L: TwistedLoopAlgebra, t_h: dict, f: LoopElement) -> LoopElement:
     An entry ((a, b), c) of t_h stands for c (h_a (x) h_b - h_b (x) h_a).
     """
     acc = L.zero()
+    if f.is_zero():
+        return acc      # psi is linear: skip building the Cartan vectors
     for (a, b), c in t_h.items():
         va, vb = L.from_chev(0, L.h_basis[a]), L.from_chev(0, L.h_basis[b])
         acc = acc + va.scale(c * L.form(vb, f)) - vb.scale(c * L.form(va, f))

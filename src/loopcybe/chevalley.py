@@ -213,11 +213,9 @@ class ChevalleyAlgebra:
         from .linalg import mat_inverse
 
         out: dict = {}
-        for k, beta in enumerate(self.rs.positive_roots):
+        for beta in self.rs.positive_roots:
             ei, fi = self.e_index(beta), self.f_index(beta)
-            c = self.killing_gram[ei][fi]
-            out[(ei, fi)] = out.get((ei, fi), Q(0)) + Q(1) / c
-            out[(fi, ei)] = out.get((fi, ei), Q(0)) + Q(1) / c
+            out[(ei, fi)] = out[(fi, ei)] = 1 / self.killing_gram[ei][fi]
         n = self.rank
         ginv = mat_inverse(self.cartan_gram)
         for i in range(n):

@@ -184,23 +184,13 @@ class TwistedLoopAlgebra:
 
     def _expected_nodes(self) -> int:
         # number of affine nodes = rank of the fixed subalgebra + 1
-        n = self.alg.rank
-        if self.nu_order == 1:
-            return n + 1
-        orbits = _perm_orbits(self.nu_perm)
-        return len(orbits) + 1
+        return len(_perm_orbits(self.nu_perm)) + 1
 
     def _build_cartan(self) -> None:
         alg = self.alg
-        if self.nu_order == 1:
-            self.h_basis = [{alg.h_index(i): Q(1)} for i in range(alg.rank)]
-        else:
-            self.h_basis = []
-            for orbit in _perm_orbits(self.nu_perm):
-                vec: Vec = {}
-                for i in orbit:
-                    vec[alg.h_index(i)] = Q(1)
-                self.h_basis.append(vec)
+        # the orbit sums of the simple coroots span the fixed Cartan
+        self.h_basis = [{alg.h_index(i): Q(1) for i in orbit}
+                        for orbit in _perm_orbits(self.nu_perm)]
         self.nh = len(self.h_basis)
         # Gram of kappa restricted to the fixed Cartan
         self.h_gram = [[alg.killing(a, b) for b in self.h_basis] for a in self.h_basis]
