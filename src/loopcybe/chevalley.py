@@ -172,7 +172,7 @@ class ChevalleyAlgebra:
         for i, row in enumerate(self.cartan_gram):
             gram[h0 + i][h0:] = row
         for beta in self.rs.positive_roots:
-            h = [(i - h0, c) for i, c in self.coroot_combo(beta).items()]
+            h = [(i - h0, x) for i, x in self.coroot_combo(beta).items()]
             c = sum(a * b * self.cartan_gram[i][j] for i, a in h for j, b in h) / 2
             ei, fi = self.e_index(beta), self.f_index(beta)
             gram[ei][fi] = gram[fi][ei] = c
