@@ -7,7 +7,12 @@ them (E6, F4 and the order-2 twists of A3, D4 and E6, each graded by
 s = e_0) by the Fraction code before the integer isometry search and t_h
 solve.  The two structure tables (G2, B3), which pin the structure
 constants and the Killing Gram, were written by the code that still took
-the Killing form from ad-traces.  A change that alters any of them alters
+the Killing form from ad-traces.  The last two (`r0` on A4 with
+nu = (3, 2, 1, 0) graded by s = (0, 1, 0), and the catalog of A6 with
+nu = (5, 4, 3, 2, 1, 0) graded by s = (0, 0, 0, 1)) pin the A_2l^(2) sign
+rule, nu e_beta = -e_beta on the nu-fixed roots beta = gamma + nu(gamma);
+they were written by the code that still read outer-twist diagrams off the
+slots of the full loop algebra.  A change that alters any of them alters
 the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -56,6 +61,9 @@ CASES = [
                            "--nu", "5,1,4,3,2,0"]),
     ("structure-G2", ["export", "--what", "structure", "--type", "G2"]),
     ("structure-B3", ["export", "--what", "structure", "--type", "B3"]),
+    ("r0-A4-order2", ["r0", "--type", "A4", "--nu", "3,2,1,0", "--s", "0,1,0"]),
+    ("catalog-A6-order2", ["export", "--what", "catalog", "--type", "A6",
+                           "--nu", "5,4,3,2,1,0", "--s", "0,0,0,1"]),
 ]
 
 
