@@ -513,11 +513,7 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
 
     def psi_pm(sign: int) -> list:
         # image of psi(t_h) +/- id/2 inside the Cartan, as loop elements
-        out = []
-        for hv in L.h_basis:
-            h = L.from_chev(0, hv)
-            out.append(coords(h.scale(Q(sign, 2)) + psi_th(L, t_h, h)))
-        return out
+        return [coords(h.scale(Q(sign, 2)) + psi_th(L, t_h, h)) for h in L.h_elements]
 
     pred_c1, pred_c2 = [], []
     for e in basis:
@@ -549,17 +545,16 @@ def psi_th(L: TwistedLoopAlgebra, t_h: dict, f: LoopElement) -> LoopElement:
     """
     acc = L.zero()
     if f.is_zero():
-        return acc      # psi is linear: skip building the Cartan vectors
+        return acc      # psi is linear
     for (a, b), c in t_h.items():
-        va, vb = L.from_chev(0, L.h_basis[a]), L.from_chev(0, L.h_basis[b])
+        va, vb = L.h_elements[a], L.h_elements[b]
         acc = acc + va.scale(c * L.form(vb, f)) - vb.scale(c * L.form(va, f))
     return acc
 
 
 def psi_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
     """psi(t_h) as a matrix over fixed-Cartan coordinates."""
-    cols = [_cartan_coords(L, psi_th(L, t_h, L.from_chev(0, hv)).chev_parts().get(0, {}))
-            for hv in L.h_basis]
+    cols = [_cartan_coords(L, psi_th(L, t_h, h).chev_parts().get(0, {})) for h in L.h_elements]
     return [[cols[c][r] for c in range(L.nh)] for r in range(L.nh)]
 
 

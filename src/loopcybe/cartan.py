@@ -187,6 +187,13 @@ def killing_cartan(rs: RootSystem) -> tuple:
                  for i in range(n))
 
 
+def check_diagram_automorphism(cartan, perm) -> None:
+    """Raise ValueError unless the node permutation `perm` preserves `cartan`."""
+    n = len(cartan)
+    if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(n) for j in range(n)):
+        raise ValueError("permutation does not preserve the Cartan matrix")
+
+
 def neg(r: Root) -> Root:
     return tuple(-c for c in r)
 

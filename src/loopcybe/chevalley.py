@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .cartan import (CartanType, Root, RootSystem, add, build_root_system, is_positive,
-                     killing_cartan, neg, sub)
+from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
+                     check_diagram_automorphism, is_positive, killing_cartan, neg, sub)
 
 Q = Fraction
 
@@ -306,11 +306,7 @@ def lift_diagram_automorphism(alg: ChevalleyAlgebra, perm: Iterable[int]) -> lis
     """
     perm = list(perm)
     n = alg.rank
-    a = alg.rs.cartan
-    for i in range(n):
-        for j in range(n):
-            if a[perm[i]][perm[j]] != a[i][j]:
-                raise ValueError("permutation does not preserve the Cartan matrix")
+    check_diagram_automorphism(alg.rs.cartan, perm)
 
     dim = alg.dim
     cols: list = [None] * dim

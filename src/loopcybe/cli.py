@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import bd, classify, serialize
 from .cartan import CartanType, build_root_system
-from .loop import SigmaType, loop_algebra
+from .loop import SigmaType, affine_node_count, loop_algebra
 from .tensors import from_loop_tensor, r0, residue_operator, verify_cybe
 
 Q = Fraction
@@ -53,12 +53,7 @@ def _sigma_from_args(args) -> SigmaType:
         raise UsageError("--nu must be a permutation of 0..%d" % (ct.rank - 1))
     if s is None:
         # default to the grading with s = (1, 0, ..., 0): one entry per node
-        if nu and list(nu) != list(range(ct.rank)):
-            from .loop import _perm_orbits
-            nodes = len(_perm_orbits(tuple(nu))) + 1
-        else:
-            nodes = ct.rank + 1
-        s = [1] + [0] * (nodes - 1)
+        s = [1] + [0] * (affine_node_count(ct, nu) - 1)
     return SigmaType(ct, tuple(s), tuple(nu) if nu else None)
 
 

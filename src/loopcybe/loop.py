@@ -8,20 +8,22 @@ regraded algebra.  A loop element is a finite sparse sum of z^k * slot
 terms with k congruent to the slot's class modulo m.
 
 All affine diagram data (simple root system, affine Cartan matrix,
-marks, coroots) is derived rather than read from tables, and each diagram
-has one derivation: an untwisted one (nu = id) comes from the bare root
-system in `affine_diagram_data`, whose data the loop algebra adopts, and
-one of an outer nu is read off the slots.  Tests compare against the
-tabulated matrices.
+marks, coroots) is derived rather than read from tables, and it has one
+derivation for every nu: `affine_diagram_data` reads it off the root
+system and nu alone, without structure constants, and the loop algebra
+adopts its fields.  Tests compare against the tabulated matrices and
+against the diagram read off the slots of the full loop algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .cartan import CartanType, Root, build_root_system, is_positive, killing_cartan, neg
+from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
+                     check_diagram_automorphism, is_positive, killing_cartan, neg)
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
 from .linalg import kernel_basis, rref_int, solve
@@ -157,53 +159,28 @@ class TwistedLoopAlgebra:
 
     def __init__(self, sigma: SigmaType):
         self.sigma = sigma
+        diagram = affine_diagram_data(sigma)
+        for name in ("nh", "h_gram", "node_weights", "node_coroots", "coroot_gram",
+                     "affine_cartan", "marks", "m"):
+            setattr(self, name, getattr(diagram, name))
         self.alg: ChevalleyAlgebra = chevalley_algebra(sigma.cartan_type)
-        n = self.alg.rank
-        if sigma.nu is not None and tuple(sigma.nu) != tuple(range(n)):
-            self.nu_cols = lift_diagram_automorphism(self.alg, sigma.nu)
-            self.nu_perm = tuple(sigma.nu)
-            self.nu_order = _perm_order(self.nu_perm)
-        else:
-            self.nu_cols = None
-            self.nu_perm = tuple(range(n))
-            self.nu_order = 1
-        if len(sigma.s) != self._expected_nodes():
-            raise ValueError("s must have %d entries for this diagram" % self._expected_nodes())
+        self.nu_perm = _nu_perm(self.alg.rank, sigma.nu)
+        self.orbits = _perm_orbits(self.nu_perm)
+        self.nu_order = lcm(*map(len, self.orbits))
+        self.nu_cols = (lift_diagram_automorphism(self.alg, self.nu_perm)
+                        if self.nu_order > 1 else None)
         self.field = ScalarField(1 if self.nu_order <= 2 else self.nu_order)
         self._decomp_cache: dict = {}
-        self._build_cartan()
+        # the orbit sums of the simple coroots span the fixed Cartan
+        self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
-        diagram = affine_diagram_data(sigma) if self.nu_order == 1 else self._build_diagram()
-        for name in ("node_weights", "node_coroots", "coroot_gram", "affine_cartan",
-                     "marks", "m"):
-            setattr(self, name, getattr(diagram, name))
         self.node_nu_degree: list[int] = [1] + [0] * self.nh
         self._grade_slots()
 
     # ------------------------------------------------------------------ setup
 
-    def _expected_nodes(self) -> int:
-        # number of affine nodes = rank of the fixed subalgebra + 1
-        return len(_perm_orbits(self.nu_perm)) + 1
-
-    def _build_cartan(self) -> None:
-        alg = self.alg
-        # the orbit sums of the simple coroots span the fixed Cartan
-        self.h_basis = [{alg.h_index(i): Q(1) for i in orbit}
-                        for orbit in _perm_orbits(self.nu_perm)]
-        self.nh = len(self.h_basis)
-        # Gram of kappa restricted to the fixed Cartan
-        self.h_gram = [[alg.killing(a, b) for b in self.h_basis] for a in self.h_basis]
-
     def _weight_of_root(self, r: Root) -> Weight:
-        vals = []
-        for hv in self.h_basis:
-            acc = Q(0)
-            for idx in hv:
-                i = idx - 2 * self.alg.num_pos
-                acc += self.alg.rs.pairing(r, i)
-            vals.append(acc)
-        return tuple(vals)
+        return _restrict(self.alg.rs, self.orbits, r)
 
     def _build_slots(self) -> None:
         alg = self.alg
@@ -254,7 +231,7 @@ class TwistedLoopAlgebra:
                         new_slot(j, wt, chev, pos)
             # Cartan orbits
             zero_w = tuple([Q(0)] * self.nh)
-            for orbit in _perm_orbits(self.nu_perm):
+            for orbit in self.orbits:
                 idxs = [alg.h_index(i) for i in orbit]
                 mat = [[Q(0)] * len(idxs) for _ in idxs]
                 for c, i in enumerate(orbit):
@@ -276,31 +253,10 @@ class TwistedLoopAlgebra:
             if any(v != 0 for v in w) and len(ids) != 1:
                 raise AssertionError("root space (%s, %d) not one-dimensional" % (w, j))
 
-    def _build_diagram(self) -> "AffineDiagramData":
-        """Diagram data of an outer nu, read off the slots.
-
-        The simple roots of the fixed subalgebra are its positive weights
-        that are no sum of two others, and alpha_0 is the lowest weight of
-        g_1 as a module over it.
-        """
-        pos_weights = {s.weight for s in self.slots if s.nu_class == 0 and s.positive is True}
-
-        def wsum(a: Weight, b: Weight) -> Weight:
-            return tuple(x + y for x, y in zip(a, b))
-
-        simple = sorted(w for w in pos_weights
-                        if not any(wsum(u, v) == w for u in pos_weights for v in pos_weights))
-        if len(simple) != self.nh:
-            raise AssertionError("wrong number of simple roots for the fixed subalgebra")
-        w1 = {s.weight for s in self.slots if s.nu_class == 1}
-        cand = [w for w in w1
-                if not any(tuple(a - b for a, b in zip(w, sw)) in w1 for sw in simple)]
-        if len(cand) != 1:
-            raise AssertionError("lowest weight of g_1 is not unique: %r" % (cand,))
-        node_weights = [cand[0]] + simple
-        return AffineDiagramData(self.sigma, self.nh, self.h_gram, node_weights,
-                                 *_diagram_tail(self.h_gram, node_weights, self.sigma.s,
-                                                self.nu_order))
+    @cached_property
+    def h_elements(self) -> list:
+        """The fixed-Cartan basis h_basis as degree-0 loop elements."""
+        return [self.from_chev(0, hv) for hv in self.h_basis]
 
     def cartan_vec(self, coords: Sequence) -> Vec:
         """Chevalley vector of a Cartan element given in h_basis coordinates."""
@@ -588,14 +544,8 @@ def _element_ratio(x: LoopElement, y: LoopElement):
     return ratios.pop()
 
 
-def _perm_order(perm: tuple) -> int:
-    order = 1
-    cur = perm
-    ident = tuple(range(len(perm)))
-    while cur != ident:
-        cur = tuple(perm[i] for i in cur)
-        order += 1
-    return order
+def _nu_perm(rank: int, nu: Optional[Sequence[int]]) -> tuple:
+    return tuple(nu) if nu is not None else tuple(range(rank))
 
 
 def _perm_orbits(perm: tuple) -> list[list[int]]:
@@ -620,6 +570,12 @@ def _perm_root(perm: tuple, r: Root) -> Root:
     for i, c in enumerate(r):
         out[perm[i]] = c
     return tuple(out)
+
+
+def _restrict(rs: RootSystem, orbits: list, r: Root) -> Weight:
+    """The root r restricted to the fixed Cartan: its values on the orbit
+    sums of the simple coroots."""
+    return tuple(Q(sum(rs.pairing(r, i) for i in orbit)) for orbit in orbits)
 
 
 def _eigen_kernel(mat: list, F: ScalarField, j: int, r: int) -> list:
@@ -691,11 +647,12 @@ def loop_algebra(sigma: SigmaType) -> TwistedLoopAlgebra:
 class AffineDiagramData:
     """Affine diagram data without the structure-constant machinery.
 
-    Field names mirror TwistedLoopAlgebra so the quadruple-condition code
-    runs on either; `affine_cartan` is stored transposed against Kac's a_ij
-    there as here.  `h_gram` is the Killing form on the fixed Cartan basis:
-    for nu = id the root-sum `cartan.killing_cartan`, for an outer nu its
-    restriction to the orbit sums.
+    This is the one derivation of the diagram, for every nu; the loop
+    algebra adopts these fields, so the quadruple-condition code runs on
+    either.  `affine_cartan` is stored transposed against Kac's a_ij, there
+    as here.  `h_gram` is the Killing form on the fixed Cartan basis, the
+    orbit sums of the simple coroots: `cartan.killing_cartan` summed over
+    the nu-orbits.
     """
     sigma: SigmaType
     nh: int
@@ -711,27 +668,50 @@ class AffineDiagramData:
 _DIAGRAM_CACHE: dict = {}
 
 
-def affine_diagram_data(sigma: SigmaType):
-    """The affine diagram of sigma, from its one derivation.
+def affine_node_count(cartan_type: CartanType, nu: Optional[Sequence[int]]) -> int:
+    """Nodes of the affine diagram, so entries of s: one per nu-orbit of the
+    finite nodes, plus alpha_0."""
+    return len(_perm_orbits(_nu_perm(cartan_type.rank, nu))) + 1
 
-    For nu = id it comes from the bare root system: the node weights are
-    -theta and the rows of the Cartan matrix, over the simple coroots whose
-    Killing Gram is `killing_cartan`.  An outer nu needs the slots, so the
-    full loop algebra, which holds the same fields, is returned.
+
+def affine_diagram_data(sigma: SigmaType) -> AffineDiagramData:
+    """The affine diagram of sigma, read off the root system and nu alone.
+
+    Let r be the order of nu and g_1 the zeta_r-eigenspace of nu (g itself
+    when nu = id).  The simple roots of g^nu are the restrictions
+    alpha_i|h^nu, one per nu-orbit; for an outer nu they are sorted, which
+    fixes the node order.  alpha_0 is the lowest weight of g_1.  The nonzero
+    weights of g_1 are the restrictions of the roots in nu-orbits of size r
+    and, when r = 2, of each nu-fixed root beta = gamma + nu(gamma) with
+    gamma a root, since nu e_beta = -e_beta there (this happens only on
+    A_2l).  A restriction has the height of its root, so alpha_0 is the
+    restriction of a lowest such root: -theta when nu = id.
     """
-    n = sigma.cartan_type.rank
-    if sigma.nu is not None and tuple(sigma.nu) != tuple(range(n)):
-        return loop_algebra(sigma)
     key = (sigma.cartan_type, sigma.s, sigma.nu)
     if key not in _DIAGRAM_CACHE:
-        if len(sigma.s) != n + 1:
-            raise ValueError("s must have %d entries for this diagram" % (n + 1))
         rs = build_root_system(sigma.cartan_type)
-        h_gram = [list(row) for row in killing_cartan(rs)]
-        theta = rs.highest_root()
-        node_weights = [tuple(Q(-rs.pairing(theta, i)) for i in range(n))]
-        node_weights += [tuple(Q(a) for a in row) for row in rs.cartan]
-        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, n, h_gram, node_weights,
+        perm = _nu_perm(rs.rank, sigma.nu)
+        check_diagram_automorphism(rs.cartan, perm)
+        nodes = affine_node_count(sigma.cartan_type, sigma.nu)
+        if len(sigma.s) != nodes:
+            raise ValueError("s must have %d entries for this diagram" % nodes)
+        orbits = _perm_orbits(perm)
+        r = lcm(*map(len, orbits))
+        kc = killing_cartan(rs)
+        h_gram = [[sum((kc[i][j] for i in a for j in b), Q(0)) for b in orbits]
+                  for a in orbits]
+        # the roots whose restrictions are the nonzero weights of g_1
+        g1 = [rho for rho in rs.all_roots if r == 1 or _perm_root(perm, rho) != rho]
+        if r == 2:
+            g1 += [beta for beta in (add(g, _perm_root(perm, g)) for g in rs.all_roots)
+                   if rs.is_root(beta)]
+        # alpha_j| takes the values a_ji summed over each orbit
+        simple = [tuple(Q(sum(rs.cartan[j[0]][i] for i in orbit)) for orbit in orbits)
+                  for j in orbits]
+        if r > 1:
+            simple.sort()
+        node_weights = [_restrict(rs, orbits, min(g1, key=sum))] + simple
+        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, len(orbits), h_gram, node_weights,
                                                 *_diagram_tail(h_gram, node_weights,
-                                                               sigma.s, 1))
+                                                               sigma.s, r))
     return _DIAGRAM_CACHE[key]

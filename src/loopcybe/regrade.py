@@ -283,13 +283,12 @@ def apply_equivalence(desc: dict, r: TwoPointTensor, window: int = 6) -> TwoPoin
     """
     L = r.L
     kind = desc.get("kind")
-    payload = desc.get("payload")
     if kind == "exp_ad":
-        phi = exp_ad_map(L, desc.get("element", payload), window=window)
+        phi = exp_ad_map(L, desc.get("element"), window=window)
     elif kind == "rescale":
-        phi = rescale_map(L, desc.get("a", payload), window=window)
+        phi = rescale_map(L, desc.get("a"), window=window)
     elif kind == "diagram":
-        phi = diagram_map(L, tuple(desc.get("perm", payload or ())), window=window)
+        phi = diagram_map(L, tuple(desc.get("perm", ())), window=window)
     else:
         raise ValueError("unsupported equivalence family %r" % (kind,))
 

@@ -247,3 +247,25 @@ def test_parabolic_restriction_requires_containment():
     qa = quad(A2, {1}, {2}, {1: 2})
     with pytest.raises(ValueError):
         cl.parabolic_restriction_check(qa, qa, {2})
+
+
+@pytest.mark.parametrize("label,s,nu", [
+    ("A4", [0, 1, 0], [3, 2, 1, 0]),
+    ("D4", [1, 0, 0], [2, 1, 3, 0]),
+    ("E6", [1, 0, 0, 0, 0], [5, 1, 4, 3, 2, 0]),
+])
+def test_outer_twist_catalog_needs_no_structure_constants(monkeypatch, label, s, nu):
+    """Catalogs and validation run on the root system alone, outer nu included."""
+    import loopcybe.loop as lp
+
+    def refuse(*args):
+        raise AssertionError("structure constants built")
+
+    monkeypatch.setattr(lp, "chevalley_algebra", refuse)
+    monkeypatch.setattr(lp, "_LOOP_CACHE", {})
+    monkeypatch.setattr(lp, "_DIAGRAM_CACHE", {})
+    sigma = SigmaType.make(label, s, nu)
+    for rep in cl.enumerate_representatives(sigma):
+        g1, g2, gm = rep["triple"]
+        assert bd.validate(BDQuadruple.make(sigma, g1, g2, dict(gm)))["structure"]["ok"]
+        bd.th_solution_space(sigma, g1, g2, dict(gm))

@@ -232,6 +232,21 @@ def test_export_catalog():
     assert all("t_h_dimension" in o for o in data["orbits"])
 
 
+@pytest.mark.parametrize("label,nu", [("A3", "1,0,2"), ("B2", "1,0")])
+def test_catalog_nu_off_the_diagram_exits_2(label, nu):
+    """A node permutation that is no diagram automorphism is refused."""
+    out = run("export", "--what", "catalog", "--type", label, "--nu", nu)
+    assert out.returncode == 2
+    assert json.loads(out.stdout) == \
+        {"error": "ValueError: permutation does not preserve the Cartan matrix"}
+
+
+def test_catalog_s_length_follows_the_twisted_diagram():
+    out = run("export", "--what", "catalog", "--type", "A3", "--nu", "2,1,0", "--s", "1,0")
+    assert out.returncode == 2
+    assert json.loads(out.stdout) == {"error": "ValueError: s must have 3 entries for this diagram"}
+
+
 def test_unknown_flag_rejected():
     out = run("roots", "A1", "--frobnicate")
     assert out.returncode == 2

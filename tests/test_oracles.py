@@ -13,7 +13,10 @@ implementations, kept here unchanged in substance:
   the full `solve` when that fails, and `kernel_basis`;
 - `unpruned_isometric_maps` enumerates every injective isometry of the
   Fraction coroot Gram on Gamma_1 and tests orbit escape only on completed
-  maps.
+  maps;
+- `slot_diagram` reads the affine diagram of an outer nu off the slots of
+  the full loop algebra, with the Killing form of the structure table on
+  the fixed Cartan.
 
 They must agree with the library exactly: the same Gram matrices, the same
 dicts (values, types and key order) and the same sequence of maps.
@@ -26,9 +29,11 @@ import pytest
 
 import loopcybe.bd as bd
 import loopcybe.classify as cl
+from loopcybe.cartan import CartanType
 from loopcybe.chevalley import chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
-from loopcybe.loop import SigmaType, affine_diagram_data, loop_algebra
+from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
+                           affine_node_count, loop_algebra)
 
 
 def ad_trace_killing_gram(alg):
@@ -219,3 +224,48 @@ OUTER_TWISTS = [("A3", (1, 0, 0), (2, 1, 0)), ("D4", (1, 0, 0, 0), (0, 1, 3, 2))
 def test_twisted_h_gram_matches_ad_trace_oracle(label, s, nu):
     L = loop_algebra(SigmaType.make(label, s, nu))
     assert L.h_gram == oracle_cartan_gram(L.alg, L.h_basis)
+
+
+def slot_diagram(L, sigma):
+    """Diagram data of an outer nu, read off the slots of the loop algebra L.
+
+    The simple roots of the fixed subalgebra are its positive weights that
+    are no sum of two others, and alpha_0 is the lowest weight of g_1 as a
+    module over it.  The slots do not depend on the grading, so one L serves
+    every sigma of its type and nu.
+    """
+    h_gram = [[L.alg.killing(a, b) for b in L.h_basis] for a in L.h_basis]
+    pos_weights = {s.weight for s in L.slots if s.nu_class == 0 and s.positive is True}
+
+    def wsum(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    simple = sorted(w for w in pos_weights
+                    if not any(wsum(u, v) == w for u in pos_weights for v in pos_weights))
+    assert len(simple) == L.nh, "wrong number of simple roots for the fixed subalgebra"
+    w1 = {s.weight for s in L.slots if s.nu_class == 1}
+    cand = [w for w in w1
+            if not any(tuple(a - b for a, b in zip(w, sw)) in w1 for sw in simple)]
+    assert len(cand) == 1, "lowest weight of g_1 is not unique: %r" % (cand,)
+    node_weights = [cand[0]] + simple
+    return AffineDiagramData(sigma, L.nh, h_gram, node_weights,
+                             *_diagram_tail(h_gram, node_weights, sigma.s, L.nu_order))
+
+
+# (label, nu): A_n^(2), D_n^(2), every order-2 and order-3 twist of D4, and E6^(2)
+SLOT_DIAGRAMS = ([("A%d" % n, tuple(range(n))[::-1]) for n in range(2, 9)]
+                 + [("D%d" % n, tuple(range(n - 2)) + (n - 1, n - 2)) for n in range(5, 9)]
+                 + [("D4", nu) for nu in [(0, 1, 3, 2), (2, 1, 0, 3), (3, 1, 2, 0),
+                                          (2, 1, 3, 0), (3, 1, 0, 2)]]
+                 + [("E6", (5, 1, 4, 3, 2, 0))])
+
+
+@pytest.mark.parametrize("label,nu", SLOT_DIAGRAMS,
+                         ids=[diagram_id((label, nu, None)) for label, nu in SLOT_DIAGRAMS])
+def test_affine_diagram_data_matches_slot_oracle(label, nu):
+    nodes = affine_node_count(CartanType.parse(label), nu)
+    gradings = [[1] + [0] * (nodes - 1), [1] * nodes, [0] * (nodes - 1) + [1]]
+    L = loop_algebra(SigmaType.make(label, gradings[0], nu))
+    for s in gradings:
+        sigma = SigmaType.make(label, s, nu)
+        assert affine_diagram_data(sigma) == slot_diagram(L, sigma), s

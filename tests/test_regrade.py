@@ -178,13 +178,6 @@ def test_apply_unknown_family():
         rg.apply_equivalence({"kind": "mystery"}, r0(L))
 
 
-def test_apply_payload_descriptor_form():
-    L = loop_algebra(A1_COX)
-    a = rg.apply_equivalence({"kind": "rescale", "a": Q(2)}, r0(L))
-    b = rg.apply_equivalence({"kind": "rescale", "payload": Q(2)}, r0(L))
-    assert a == b
-
-
 def test_apply_diagram_matches_quadruple_action():
     sigma = A2_STD
     q = BDQuadruple.make(sigma, {1, 2}, {0, 1}, {1: 0, 2: 1},
