@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 from .chevalley import add_term
 from .linalg import kernel_basis, map_sending, rref_int, solve, span_equal
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
-                   _int_row, loop_algebra)
+                   _int_row, affine_diagram_data, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components,
                       from_loop_tensor, r0, residue_operator, t2_add,
                       t2_scale, wedge)
@@ -85,7 +85,6 @@ def _orbit_escapes(gamma: dict, gamma1: frozenset, i: int) -> Optional[int]:
 
 def validate(q: BDQuadruple) -> dict:
     """Per-condition report with witnesses; never raises on math failures."""
-    from .loop import affine_diagram_data
     L = affine_diagram_data(q.sigma)
     nodes = len(L.node_weights)
     report: dict = {"valid": True}
@@ -214,7 +213,6 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
     (reported as D_INDEX) is the scaling direction.  The particular
     solution is d-free whenever the d-free subsystem is consistent.
     """
-    from .loop import affine_diagram_data
     L = affine_diagram_data(sigma)
     gmap = {int(a): int(b) for a, b in gamma.items()}
     pairs, rows, rhs = _condition3_matrix(L, gmap, frozenset(int(i) for i in gamma1))

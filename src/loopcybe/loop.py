@@ -705,9 +705,9 @@ def affine_diagram_data(sigma: SigmaType) -> AffineDiagramData:
         if r == 2:
             g1 += [beta for beta in (add(g, _perm_root(perm, g)) for g in rs.all_roots)
                    if rs.is_root(beta)]
-        # alpha_j| takes the values a_ji summed over each orbit
-        simple = [tuple(Q(sum(rs.cartan[j[0]][i] for i in orbit)) for orbit in orbits)
-                  for j in orbits]
+        # alpha_j, one j per orbit, takes on the orbit sum of the h_i the sum of the a_ji
+        simple = [tuple(Q(sum(rs.cartan[j][i] for i in orbit)) for orbit in orbits)
+                  for j, *_ in orbits]
         if r > 1:
             simple.sort()
         node_weights = [_restrict(rs, orbits, min(g1, key=sum))] + simple
