@@ -705,7 +705,7 @@ def affine_diagram_data(sigma: SigmaType) -> AffineDiagramData:
         if r == 2:
             g1 += [beta for beta in (add(g, _perm_root(perm, g)) for g in rs.all_roots)
                    if rs.is_root(beta)]
-        # alpha_j, one j per orbit, takes on the orbit sum of the h_i the sum of the a_ji
+        # alpha_j (one j per orbit) on the orbit sum of the h_i: the a_ji summed over it
         simple = [tuple(Q(sum(rs.cartan[j][i] for i in orbit)) for orbit in orbits)
                   for j, *_ in orbits]
         if r > 1:

@@ -244,7 +244,8 @@ def test_catalog_nu_off_the_diagram_exits_2(label, nu):
 def test_catalog_s_length_follows_the_twisted_diagram():
     out = run("export", "--what", "catalog", "--type", "A3", "--nu", "2,1,0", "--s", "1,0")
     assert out.returncode == 2
-    assert json.loads(out.stdout) == {"error": "ValueError: s must have 3 entries for this diagram"}
+    assert json.loads(out.stdout) == \
+        {"error": "ValueError: s must have 3 entries for this diagram"}
 
 
 def test_unknown_flag_rejected():
