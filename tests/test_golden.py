@@ -12,13 +12,18 @@ nu = (3, 2, 1, 0) graded by s = (0, 1, 0), and the catalog of A6 with
 nu = (5, 4, 3, 2, 1, 0) graded by s = (0, 0, 0, 1)) pin the A_2l^(2) sign
 rule, nu e_beta = -e_beta on the nu-fixed roots beta = gamma + nu(gamma);
 they were written by the code that still read outer-twist diagrams off the
-slots of the full loop algebra.  A change that alters any of them alters
-the CLI's output.  After an intended output change, rewrite them with
+slots of the full loop algebra.  `structure-F4` (the only doubly-laced
+rank-4 table) and `r0-E6` (graded by s = e_0), with the SHA-256 digests in
+`DIGESTS` of the stdout of `export --what structure --type E7` and of
+`r0 --type E7 --s 1,0,0,0,0,0,0,0`, were written by the code that still
+resolved each mixed-sign structure constant by Fraction root lengths on
+every bracket.  A change that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +69,16 @@ CASES = [
     ("r0-A4-order2", ["r0", "--type", "A4", "--nu", "3,2,1,0", "--s", "0,1,0"]),
     ("catalog-A6-order2", ["export", "--what", "catalog", "--type", "A6",
                            "--nu", "5,4,3,2,1,0", "--s", "0,0,0,1"]),
+    ("structure-F4", ["export", "--what", "structure", "--type", "F4"]),
+    ("r0-E6", ["r0", "--type", "E6", "--s", "1,0,0,0,0,0,0"]),
+]
+
+# (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
+DIGESTS = [
+    (["export", "--what", "structure", "--type", "E7"],
+     "19250e60d650c6222a065be6581eeaedc5ba01b525e949f2fcb9a839a1e342ed"),
+    (["r0", "--type", "E7", "--s", "1,0,0,0,0,0,0,0"],
+     "8d1d20daf1f0f2ac73ee9ebfbd3021f4c308fcc39f1bed13e09b1da3561173e1"),
 ]
 
 
@@ -83,6 +98,13 @@ def expected(name):
 def test_cli_golden(name, argv):
     out = run_case(argv)
     assert (out.returncode, out.stdout) == expected(name)
+
+
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7"])
+def test_cli_digest(argv, digest):
+    out = run_case(argv)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
