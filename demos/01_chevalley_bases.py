@@ -28,7 +28,8 @@ print("coroot of alpha (alpha(h) = 2):", alg.coroot((Q(2),)), " (h/4 since kappa
 print()
 print("== structure constants carry |N| = p + 1 ==")
 alg2 = chevalley_algebra("G2")
-sample = list(alg2.npos.items())[:4]
+# the table holds every signed pair; show a few with both roots positive
+sample = [(k, n) for k, n in alg2.n_table.items() if min(k[0] + k[1]) >= 0][:4]
 for (a, b), n in sample:
     print("N_{%s,%s} = %s (p = %d)" % (a, b, n, alg2.rs.p_value(a, b)))
 

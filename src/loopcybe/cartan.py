@@ -3,7 +3,10 @@
 Roots are integer coefficient vectors over the simple roots, so the
 whole root system lives in Z^rank.  The inner product comes from the
 symmetrized Cartan matrix with the shortest root length normalized to
-(alpha, alpha) = 2 * d_min; only ratios matter downstream.  The Killing
+(alpha, alpha) = 2; only ratios matter downstream.  At that scale every
+squared length is an integer (2, 4 or 6), and `sq_len` holds it for each
+signed root, so the structure constants and coroots never need the
+Fraction `inner`.  The Killing
 form is read off the root system too, and only here: `killing_cartan`
 is its Gram on the simple coroots, from which the Chevalley algebra, the
 untwisted affine diagram and the Casimir element all take it.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Q = Fraction
 
@@ -131,17 +135,29 @@ class RootSystem:
     def rank(self) -> int:
         return self.cartan_type.rank
 
-    @property
+    @cached_property
     def all_roots(self) -> tuple[Root, ...]:
+        """Positive roots, then their negatives in the same order: the basis order."""
         return self.positive_roots + tuple(neg(r) for r in self.positive_roots)
 
-    def is_root(self, r: Root) -> bool:
-        return r in self._root_set()
+    @cached_property
+    def root_position(self) -> dict:
+        """Each signed root -> its position in `all_roots`."""
+        return {r: k for k, r in enumerate(self.all_roots)}
 
-    def _root_set(self) -> frozenset:
-        if not hasattr(self, "_cached_set"):
-            object.__setattr__(self, "_cached_set", frozenset(self.all_roots))
-        return self._cached_set  # type: ignore[attr-defined]
+    @cached_property
+    def sq_len(self) -> dict:
+        """(r, r) as an int for each signed root r; the short roots have length 2."""
+        d = [int(x) for x in self.d]
+        if any(x != y for x, y in zip(d, self.d)):
+            raise AssertionError("half square lengths must be integers")
+        n = self.rank
+        return {r: sum(r[i] * r[j] * d[j] * self.cartan[i][j]
+                       for i in range(n) if r[i] for j in range(n) if r[j])
+                for r in self.all_roots}
+
+    def is_root(self, r: Root) -> bool:
+        return r in self.root_position
 
     def inner(self, x: Root, y: Root) -> Q:
         """(x, y) under the symmetrized form; (ai, aj) = d_j a_ij."""

@@ -9,6 +9,10 @@ convention: for each non-simple positive gamma the minimal decomposition
 gamma = eps + eta gets N_{eps,eta} = +(p+1), and every other constant
 follows from antisymmetry, N_{-a,-b} = -N_{a,b}, the rotation rule
 N_{a,b}/(c,c) = N_{b,c}/(a,a) for a+b+c = 0, and the Jacobi identity.
+These rules are applied once, when the algebra is built: `n_table` holds
+N_{a,b} as an int for every pair of signed roots whose sum is a root, and
+every bracket reads it.  The coroot brackets [e_b, f_b] are integral too,
+so `bracket_basis` returns int coefficients throughout.
 The Killing form is read off the root system, never off the table: its
 Cartan block is `cartan.killing_cartan`, the one derivation of it in the
 package, and kappa(e_b, f_b) = kappa(h_b, h_b)/2 follows by invariance.
@@ -62,7 +66,7 @@ def vec_eq(x: Vec, y: Vec) -> bool:
 @dataclass(frozen=True)
 class ChevalleyAlgebra:
     rs: RootSystem
-    npos: dict                      # (alpha, beta) -> N for positive pairs
+    n_table: dict                   # (a, b) -> int N_{a,b}, all signed a, b with a + b a root
     cartan_gram: tuple              # kappa(h_i, h_j), from cartan.killing_cartan
 
     # ---- basis bookkeeping -------------------------------------------------
@@ -90,17 +94,10 @@ class ChevalleyAlgebra:
 
     def basis_root(self, idx: int) -> Optional[Root]:
         """Signed root of a basis vector, or None for Cartan elements."""
-        np_ = self.num_pos
-        if idx < np_:
-            return self.rs.positive_roots[idx]
-        if idx < 2 * np_:
-            return neg(self.rs.positive_roots[idx - np_])
-        return None
+        return self.rs.all_roots[idx] if idx < 2 * self.num_pos else None
 
     def root_index(self, r: Root) -> int:
-        if is_positive(r):
-            return self.e_index(r)
-        return self.f_index(neg(r))
+        return self.rs.root_position[r]
 
     def basis_label(self, idx: int) -> str:
         np_ = self.num_pos
@@ -111,41 +108,37 @@ class ChevalleyAlgebra:
         return "h%d" % (idx - 2 * np_ + 1)
 
     def coroot_combo(self, r: Root) -> Vec:
-        """[e_r, e_-r] for positive r: h_r = sum c_i (d_i/d_r) h_i."""
-        d_r = self.rs.inner(r, r) / 2
+        """[e_r, e_-r] for positive r: h_r = sum c_i ((a_i, a_i)/(r, r)) h_i, integral."""
+        sq = self.rs.sq_len
         out: Vec = {}
         for i, c in enumerate(r):
             if c:
-                k = c * self.rs.d[i] / d_r
-                out[self.h_index(i)] = k
+                simple = tuple(int(t == i) for t in range(self.rank))
+                out[self.h_index(i)] = _exact_div(c * sq[simple], sq[r])
         return out
 
     # ---- structure constants ----------------------------------------------
 
-    def n_constant(self, a: Root, b: Root):
-        """N_{a,b} for arbitrary signed roots with a + b a root."""
-        return _resolve_n(self.rs, self.npos, a, b)
-
     def bracket_basis(self, i: int, j: int) -> Vec:
-        x, y = self.basis_root(i), self.basis_root(j)
-        if x is None and y is None:
-            return {}
-        if x is None:  # [h_k, e_y]
-            k = i - 2 * self.num_pos
-            c = self.rs.pairing(y, k)
-            return {j: Q(c)} if c else {}
-        if y is None:
-            k = j - 2 * self.num_pos
-            c = self.rs.pairing(x, k)
-            return {i: Q(-c)} if c else {}
-        s = add(x, y)
-        if all(v == 0 for v in s):
-            if is_positive(x):
-                return self.coroot_combo(x)
+        """[b_i, b_j] on the basis, with int coefficients."""
+        nr = 2 * self.num_pos
+        roots = self.rs.all_roots
+        if i >= nr:
+            if j >= nr:
+                return {}
+            c = self.rs.pairing(roots[j], i - nr)  # [h_k, e_y]
+            return {j: c} if c else {}
+        if j >= nr:
+            c = self.rs.pairing(roots[i], j - nr)
+            return {i: -c} if c else {}
+        x, y = roots[i], roots[j]
+        n = self.n_table.get((x, y))
+        if n is not None:
+            return {self.rs.root_position[add(x, y)]: n}
+        if j - i == self.num_pos:  # [e_x, f_x]
+            return self.coroot_combo(x)
+        if i - j == self.num_pos:  # [f_y, e_y]
             return vec_scale(self.coroot_combo(y), -1)
-        if self.rs.is_root(s):
-            n = self.n_constant(x, y)
-            return {self.root_index(s): Q(n)}
         return {}
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
@@ -225,33 +218,40 @@ class ChevalleyAlgebra:
         return out
 
 
-def _resolve_n(rs: RootSystem, npos: dict, a: Root, b: Root):
-    """N_{a,b} for signed roots a, b with a + b a root (Carter's rules)."""
-    pa, pb = is_positive(a), is_positive(b)
-    if pa and pb:
-        return npos[(a, b)]
-    if not pa and not pb:
-        return -npos[(neg(a), neg(b))]
-    if pa:  # mixed with first positive: antisymmetry first
-        return -_resolve_n(rs, npos, b, a)
-    # a negative, b positive, a+b a root
-    c = neg(add(a, b))
-    if is_positive(c):
-        # rotate once: N_{a,b} = (c,c)/(a,a) N_{b,c}; (b, c) both positive
-        return rs.inner(c, c) / rs.inner(a, a) * npos[(b, c)]
-    # rotate twice: N_{a,b} = (c,c)/(b,b) N_{c,a} = -(c,c)/(b,b) N_{-c,-a}
-    return -rs.inner(c, c) / rs.inner(b, b) * npos[(neg(c), neg(a))]
+def _exact_div(a: int, b: int) -> int:
+    """a / b for ints that b divides; anything else is a broken root system."""
+    q, r = divmod(a, b)
+    if r:
+        raise AssertionError("%d / %d is not an integer" % (a, b))
+    return q
 
 
 def _build_constants(rs: RootSystem) -> dict:
-    """Positive-pair structure constants via the extraspecial recursion."""
+    """N_{a,b} for every pair of signed roots with a + b a root, as ints.
+
+    The extraspecial recursion runs over the positive roots by height; each
+    constant it fixes fills its whole triple a + b + c = 0 and the negated
+    triple, so the Jacobi step only reads constants already in the table.
+    Keys are the root tuples of `rs.all_roots`, shared, not copies.
+    """
+    roots = rs.all_roots
+    num_pos = len(rs.positive_roots)
+    intern = {r: r for r in roots}
+    opp = {r: roots[(k + num_pos) % len(roots)] for k, r in enumerate(roots)}
+    sq = rs.sq_len
+    table: dict = {}
+
+    def put(a: Root, b: Root, n: int) -> None:
+        c = opp[intern[add(a, b)]]
+        # N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
+        for x, y, v in ((a, b, n), (b, c, _exact_div(n * sq[a], sq[c])),
+                        (c, a, _exact_div(n * sq[b], sq[c]))):
+            table[x, y] = v
+            table[y, x] = -v
+            table[opp[x], opp[y]] = -v
+            table[opp[y], opp[x]] = v
+
     order = {r: k for k, r in enumerate(rs.positive_roots)}
-    npos: dict = {}
-
-    def put(a: Root, b: Root, val) -> None:
-        npos[(a, b)] = val
-        npos[(b, a)] = -val
-
     for gamma in rs.positive_roots:
         if sum(gamma) < 2:
             continue
@@ -260,24 +260,23 @@ def _build_constants(rs: RootSystem) -> dict:
         for alpha in rs.positive_roots:
             if order[alpha] > order[gamma]:
                 break
-            beta = sub(gamma, alpha)
-            if rs.is_root(beta) and is_positive(beta) and order[alpha] < order[beta]:
+            beta = intern.get(sub(gamma, alpha))
+            if beta is not None and is_positive(beta) and order[alpha] < order[beta]:
                 decomps.append((alpha, beta))
         eps, eta = decomps[0]  # extraspecial: minimal first component
-        put(eps, eta, Q(rs.p_value(eps, eta) + 1))
+        put(eps, eta, rs.p_value(eps, eta) + 1)
+        m_eps = opp[eps]
         for alpha, beta in decomps[1:]:
             # Jacobi on (e_{-eps}, e_alpha, e_beta):
             #   N_{-eps,a} N_{a-eps,b} + N_{b,-eps} N_{b-eps,a} + N_{a,b} N_{g,-eps} = 0
-            acc = Q(0)
-            if rs.is_root(sub(alpha, eps)):
-                acc += _resolve_n(rs, npos, neg(eps), alpha) * \
-                    _resolve_n(rs, npos, sub(alpha, eps), beta)
-            if rs.is_root(sub(beta, eps)):
-                acc += _resolve_n(rs, npos, beta, neg(eps)) * \
-                    _resolve_n(rs, npos, sub(beta, eps), alpha)
-            denom = _resolve_n(rs, npos, gamma, neg(eps))
-            put(alpha, beta, -acc / denom)
-    return npos
+            acc = 0
+            a_eps, b_eps = sub(alpha, eps), sub(beta, eps)
+            if a_eps in intern:
+                acc += table[m_eps, alpha] * table[a_eps, beta]
+            if b_eps in intern:
+                acc += table[beta, m_eps] * table[b_eps, alpha]
+            put(alpha, beta, _exact_div(-acc, table[gamma, m_eps]))
+    return table
 
 
 _ALG_CACHE: dict = {}
@@ -326,10 +325,10 @@ def lift_diagram_automorphism(alg: ChevalleyAlgebra, perm: Iterable[int]) -> lis
             if alg.rs.is_root(beta) and is_positive(beta):
                 eps, eta = alpha, beta
                 break
-        nconst = alg.npos[(eps, eta)]
+        nconst = alg.n_table[eps, eta]
         img_e = alg.bracket(cols[alg.e_index(eps)], cols[alg.e_index(eta)])
         cols[alg.e_index(gamma)] = vec_scale(img_e, Q(1) / nconst)
-        nconst_neg = alg.n_constant(neg(eps), neg(eta))
+        nconst_neg = alg.n_table[neg(eps), neg(eta)]
         img_f = alg.bracket(cols[alg.f_index(eps)], cols[alg.f_index(eta)])
         cols[alg.f_index(gamma)] = vec_scale(img_f, Q(1) / nconst_neg)
     return cols

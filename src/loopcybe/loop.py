@@ -26,7 +26,7 @@ from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
                      check_diagram_automorphism, is_positive, killing_cartan, neg)
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
-from .linalg import kernel_basis, rref_int, solve
+from .linalg import kernel_basis, mat_inverse, rref_int, solve
 from .scalars import Q, ScalarField
 
 Weight = tuple  # values of a functional on the fixed Cartan basis
@@ -171,6 +171,9 @@ class TwistedLoopAlgebra:
                         if self.nu_order > 1 else None)
         self.field = ScalarField(1 if self.nu_order <= 2 else self.nu_order)
         self._decomp_cache: dict = {}
+        # columns: the simple roots of the fixed subalgebra on the fixed Cartan
+        self._pi_inverse = mat_inverse([[w[t] for w in self.node_weights[1:]]
+                                        for t in range(self.nh)])
         # the orbit sums of the simple coroots span the fixed Cartan
         self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
@@ -282,11 +285,8 @@ class TwistedLoopAlgebra:
             return self._decomp_cache[key]
         c0 = k  # alpha_0 carries nu-degree 1, all other nodes degree 0
         rest = [w - c0 * a0 for w, a0 in zip(weight, self.node_weights[0])]
-        mat = [[self.node_weights[j + 1][t] for j in range(self.nh)] for t in range(self.nh)]
-        sol = solve(mat, rest)
-        if sol is None:
-            raise ValueError("root (%s, %d) not in the span of Pi" % (weight, k))
-        out = [c0] + [_as_int(x) for x in sol]
+        out = [c0] + [_as_int(sum(x * y for x, y in zip(row, rest) if y))
+                      for row in self._pi_inverse]
         self._decomp_cache[key] = out
         return out
 

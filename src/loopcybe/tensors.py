@@ -25,7 +25,7 @@ from functools import reduce
 from typing import Iterable, Optional
 
 from .chevalley import add_term, vec_add as t2_add, vec_scale as t2_scale
-from .loop import LoopElement, TwistedLoopAlgebra, _as_int
+from .loop import LoopElement, TwistedLoopAlgebra
 
 Q = Fraction
 
@@ -241,8 +241,7 @@ def _cyb_parts(alg, t: Laurent2):
             for v, rterms in right.items():
                 br = brackets.get((u, v))
                 if br is None:
-                    br = brackets[(u, v)] = [(w, _as_int(cw)) for w, cw
-                                             in alg.bracket_basis(u, v).items()]
+                    br = brackets[(u, v)] = list(alg.bracket_basis(u, v).items())
                 if not br:
                     continue
                 for d1, e1, p, c1 in lterms:

@@ -8,6 +8,9 @@ from loopcybe.chevalley import (apply_map, automorphism_order, chevalley_algebra
 from loopcybe.linalg import kernel_basis
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+THROUGH_E8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+              + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def _pair_table(alg):
@@ -26,16 +29,21 @@ def test_sl2_relations():
 def test_a2_constants_all_unit():
     # p = 0 for every composable pair in A2, so |N| = 1 throughout
     alg = chevalley_algebra("A2")
-    for (a, b), v in alg.npos.items():
+    for (a, b), v in alg.n_table.items():
         assert abs(v) == 1
         assert alg.rs.p_value(a, b) == 0
 
 
 def test_n_constants_magnitude():
-    for label in ["B2", "G2", "C3"]:
+    """|N_{a,b}| = p + 1 (Carter) on every signed pair of every type, each an int."""
+    for label in THROUGH_E8:
         alg = chevalley_algebra(label)
-        for (a, b), v in alg.npos.items():
-            assert abs(v) == alg.rs.p_value(a, b) + 1
+        rs = alg.rs
+        assert len(alg.n_table) == sum(rs.is_root(add(a, b))
+                                       for a in rs.all_roots for b in rs.all_roots)
+        for (a, b), v in alg.n_table.items():
+            assert type(v) is int
+            assert abs(v) == rs.p_value(a, b) + 1, (label, a, b)
 
 
 @pytest.mark.parametrize("label", RANK_LE_4)
@@ -45,6 +53,7 @@ def test_exhaustive_invariants(label):
     dim = alg.dim
     assert dim == len(alg.rs.all_roots) + alg.rank
     table = _pair_table(alg)
+    assert all(type(c) is int for row in table for v in row for c in v.values())
 
     for i in range(dim):
         assert table[i][i] == {}

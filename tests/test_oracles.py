@@ -7,6 +7,10 @@ implementations, kept here unchanged in substance:
 
 - `ad_trace_killing_gram` takes the Killing form kappa(x, y) = tr(ad x ad y)
   of the structure table, one exact trace per pair of basis vectors;
+- `fraction_positive_constants` runs the extraspecial recursion over the
+  positive pairs only, and `fraction_resolve_n` derives each signed N_{a,b}
+  from that table on every call, by Carter's rules with the Fraction root
+  lengths of `RootSystem.inner`;
 
 - `fraction_th_solution_space` builds the condition-3 system in Fraction
   coordinates and solves it with three generic `rref`s: the d-free `solve`,
@@ -29,7 +33,7 @@ import pytest
 
 import loopcybe.bd as bd
 import loopcybe.classify as cl
-from loopcybe.cartan import CartanType
+from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
 from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
@@ -60,6 +64,58 @@ def ad_trace_killing_gram(alg):
             gram[i][j] = acc
             gram[j][i] = acc
     return tuple(tuple(row) for row in gram)
+
+
+def fraction_resolve_n(rs, npos, a, b):
+    """N_{a,b} for signed roots a, b with a + b a root (Carter's rules)."""
+    pa, pb = is_positive(a), is_positive(b)
+    if pa and pb:
+        return npos[(a, b)]
+    if not pa and not pb:
+        return -npos[(neg(a), neg(b))]
+    if pa:  # mixed with first positive: antisymmetry first
+        return -fraction_resolve_n(rs, npos, b, a)
+    # a negative, b positive, a+b a root
+    c = neg(add(a, b))
+    if is_positive(c):
+        # rotate once: N_{a,b} = (c,c)/(a,a) N_{b,c}; (b, c) both positive
+        return rs.inner(c, c) / rs.inner(a, a) * npos[(b, c)]
+    # rotate twice: N_{a,b} = (c,c)/(b,b) N_{c,a} = -(c,c)/(b,b) N_{-c,-a}
+    return -rs.inner(c, c) / rs.inner(b, b) * npos[(neg(c), neg(a))]
+
+
+def fraction_positive_constants(rs):
+    """Positive-pair structure constants via the extraspecial recursion."""
+    order = {r: k for k, r in enumerate(rs.positive_roots)}
+    npos = {}
+
+    def put(a, b, val):
+        npos[(a, b)] = val
+        npos[(b, a)] = -val
+
+    for gamma in rs.positive_roots:
+        if sum(gamma) < 2:
+            continue
+        decomps = []
+        for alpha in rs.positive_roots:
+            if order[alpha] > order[gamma]:
+                break
+            beta = sub(gamma, alpha)
+            if rs.is_root(beta) and is_positive(beta) and order[alpha] < order[beta]:
+                decomps.append((alpha, beta))
+        eps, eta = decomps[0]
+        put(eps, eta, Q(rs.p_value(eps, eta) + 1))
+        for alpha, beta in decomps[1:]:
+            acc = Q(0)
+            if rs.is_root(sub(alpha, eps)):
+                acc += fraction_resolve_n(rs, npos, neg(eps), alpha) * \
+                    fraction_resolve_n(rs, npos, sub(alpha, eps), beta)
+            if rs.is_root(sub(beta, eps)):
+                acc += fraction_resolve_n(rs, npos, beta, neg(eps)) * \
+                    fraction_resolve_n(rs, npos, sub(beta, eps), alpha)
+            denom = fraction_resolve_n(rs, npos, gamma, neg(eps))
+            put(alpha, beta, -acc / denom)
+    return npos
 
 
 def oracle_cartan_gram(alg, h_basis):
@@ -202,6 +258,21 @@ def test_rref_int_matches_rref():
         assert len({red[r][pc] for r, pc in enumerate(pivots)}) <= 1
         assert [[Q(x, red[r][pc]) for x in red[r]] for r, pc in enumerate(pivots)] \
             == want[:len(pivots)]
+
+
+N_TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                 "D4", "D5", "G2", "F4", "E6", "E7"]
+
+
+@pytest.mark.parametrize("label", N_TABLE_TYPES)
+def test_n_table_matches_fraction_oracle(label):
+    """The integer table holds exactly the signed pairs, with the oracle's values."""
+    alg = chevalley_algebra(label)
+    rs = alg.rs
+    npos = fraction_positive_constants(rs)
+    want = {(a, b): fraction_resolve_n(rs, npos, a, b)
+            for a in rs.all_roots for b in rs.all_roots if rs.is_root(add(a, b))}
+    assert alg.n_table == want
 
 
 KILLING_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
