@@ -17,7 +17,15 @@ rank-4 table) and `r0-E6` (graded by s = e_0), with the SHA-256 digests in
 `DIGESTS` of the stdout of `export --what structure --type E7` and of
 `r0 --type E7 --s 1,0,0,0,0,0,0,0`, were written by the code that still
 resolved each mixed-sign structure constant by Fraction root lengths on
-every bracket.  A change that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
+every bracket.  `verify-A3-order2`, `twist-A3-order2`, `verify-A3-s0` and
+`twist-A3-s0` run `verify-cybe` and `twist` on one order-2 quadruple (A3
+with nu = (2, 1, 0), Gamma_1 = {0}, gamma: 0 -> 2) and on one quadruple
+graded with s_0 = 0 (A3, s = (0, 1, 1, 0), gamma: 0 -> 3, 1 -> 2), each
+with its canonical t_h; the earlier `verify-*` cases are all untwisted with
+s_0 = 1.  They were written by the code that still paired loop elements
+through Chevalley coordinates and solved for the fixed-Cartan coordinates
+of a theta image.  A change that alters any of them alters the
+CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -71,6 +79,10 @@ CASES = [
                            "--nu", "5,4,3,2,1,0", "--s", "0,0,0,1"]),
     ("structure-F4", ["export", "--what", "structure", "--type", "F4"]),
     ("r0-E6", ["r0", "--type", "E6", "--s", "1,0,0,0,0,0,0"]),
+    ("verify-A3-order2", ["verify-cybe", "-i", "quad_a3_order2.json"]),
+    ("twist-A3-order2", ["twist", "-i", "quad_a3_order2.json"]),
+    ("verify-A3-s0", ["verify-cybe", "-i", "quad_a3_s0.json"]),
+    ("twist-A3-s0", ["twist", "-i", "quad_a3_s0.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
