@@ -9,8 +9,8 @@ identity is checked symbolically or at exact rational points.
 from .cartan import CartanType, RootSystem, build_root_system
 from .chevalley import ChevalleyAlgebra, chevalley_algebra, lift_diagram_automorphism
 from .loop import LoopElement, SigmaType, TwistedLoopAlgebra, loop_algebra
-from .tensors import (TwoPointTensor, casimir_components, cobracket, cybe,
-                      r0, residue_operator, skew, taylor, twist_residual,
+from .tensors import (TwoPointTensor, casimir_components, cobracket, contraction,
+                      cybe, r0, residue_operator, skew, taylor, twist_residual,
                       verify_cybe)
 from .bd import (BDQuadruple, ThetaMap, build_rq, build_twist, canonical_t_h,
                  cayley, th_solution_space, validate, w_isotropy)

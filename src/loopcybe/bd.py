@@ -14,6 +14,10 @@ reading under which the solution-space dimension is l(l-1)/2 with
 l = |Pi \\ Gamma_1|.  Twists themselves only ever use the d-free part of
 t_h (the loop algebra has no d), and the canonical representative is the
 d-free minimum-support particular solution.
+
+The residue operator of a quadruple is R_{t_h} plus the two theta series,
+and `tensors.contraction` is the one Psi(a (x) b) = B(b, -) a behind it,
+the Cayley transform, the Cartan gluing and the Manin operator.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .chevalley import add_term
-from .linalg import kernel_basis, map_sending, rref_int, solve, span_equal
+from .linalg import kernel_basis, map_sending, mat_inverse, mat_mul, rref_int, span_equal
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
                    _int_row, affine_diagram_data, loop_algebra)
-from .tensors import (Laurent2, TwoPointTensor, casimir_components,
+from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
                       from_loop_tensor, r0, residue_operator, t2_add,
-                      t2_scale, wedge)
+                      t2_scale, twist_defect, wedge)
 
 Q = Fraction
 
@@ -344,24 +348,25 @@ class ThetaMap:
 
     def apply(self, f: LoopElement) -> LoopElement:
         L = self.L
-        out = L.zero()
+        out: dict = {}
         for (sid, k), c in f.terms.items():
             slot = L.slots[sid]
             if slot.positive is None:
                 if k == 0 and slot.cartan:
-                    coords = _cartan_coords(L, slot.vec)
-                    new = [sum(self._cartan_matrix[r][t] * coords[t]
-                               for t in range(L.nh)) for r in range(L.nh)]
-                    out = out + L.from_chev(0, L.cartan_vec(new)).scale(c)
+                    # a fixed-Cartan slot is one coordinate a: h_elements[a]
+                    a = L.h_slots.index(sid)
+                    for row, target in zip(self._cartan_matrix, L.h_slots):
+                        if row[a]:
+                            add_term(out, (target, 0), c * row[a])
                 continue  # imaginary directions lie outside S^Gamma_1
-            key = (slot.weight, k)
-            entry = self._root_images.get(key)
+            entry = self._root_images.get((slot.weight, k))
             if entry is None:
                 continue
             base, img = entry
-            (bsid, bk), = base.terms
-            out = out + img.scale(c / base.terms[(bsid, bk)])
-        return out
+            scale = c / next(iter(base.terms.values()))
+            for key, v in img.terms.items():
+                add_term(out, key, scale * v)
+        return LoopElement(L, out)
 
     def nilpotency_index(self, d: int) -> int:
         """Least N with theta^N = 0 on the degree-d window of root vectors."""
@@ -414,16 +419,6 @@ def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
     return roots
 
 
-def _cartan_coords(L: TwistedLoopAlgebra, vec) -> list:
-    rows = sorted({i for hv in L.h_basis for i in hv})
-    mat = [[L.h_basis[c].get(r, Q(0)) for c in range(L.nh)] for r in rows]
-    rhs = [vec.get(r, Q(0)) for r in rows]
-    sol = solve(mat, rhs)
-    if sol is None:
-        raise ValueError("vector outside the fixed Cartan")
-    return sol
-
-
 # ------------------------------------------------------------------- twists
 
 
@@ -467,17 +462,18 @@ def build_rq(q: BDQuadruple):
     """Closed-form residue operator of the quadruple, as a callable.
 
     R_Q = theta+ (theta+ - pi_+)^{-1} + (psi(t_h) + id_h/2) + (pi_- - theta-)^{-1}
-    with the inverses expanded as finite Neumann series (theta nilpotent).
+    with the inverses expanded as finite Neumann series (theta nilpotent):
+    R_{t_h} = pi_h/2 + pi_- + Psi(t_h) plus the two theta series.
     """
     L = q.algebra()
     theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
     inv_gamma = {b: a for a, b in q.gamma_map.items()}
     theta_bwd = ThetaMap(L, q.gamma2, inv_gamma)
-    t_h = q.t_h_dict
+    r_th = residue_operator(L, embed_t_h(L, q.t_h_dict))
 
     def act(f: LoopElement) -> LoopElement:
-        plus, minus, cart = L.split(f)
-        out = psi_th(L, t_h, cart) + cart.scale(Q(1, 2)) + minus
+        plus, minus, _ = L.split(f)
+        out = r_th(f)
         for img in theta_bwd.series(minus):
             out = out + img
         for img in theta_fwd.series(plus):
@@ -508,10 +504,11 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
         im_rm1.append(coords(v - e))
 
     t_h = q.t_h_dict
+    psi = contraction(L, embed_t_h(L, t_h))
 
     def psi_pm(sign: int) -> list:
         # image of psi(t_h) +/- id/2 inside the Cartan, as loop elements
-        return [coords(h.scale(Q(sign, 2)) + psi_th(L, t_h, h)) for h in L.h_elements]
+        return [coords(h.scale(Q(sign, 2)) + psi(h)) for h in L.h_elements]
 
     pred_c1, pred_c2 = [], []
     for e in basis:
@@ -536,24 +533,11 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
             "h_gluing": cartan_gluing_matrix(L, t_h)}
 
 
-def psi_th(L: TwistedLoopAlgebra, t_h: dict, f: LoopElement) -> LoopElement:
-    """psi(t_h)(f) for a d-free skew t_h, where psi(a (x) b) = B(b, -) a.
-
-    An entry ((a, b), c) of t_h stands for c (h_a (x) h_b - h_b (x) h_a).
-    """
-    acc = L.zero()
-    if f.is_zero():
-        return acc      # psi is linear
-    for (a, b), c in t_h.items():
-        va, vb = L.h_elements[a], L.h_elements[b]
-        acc = acc + va.scale(c * L.form(vb, f)) - vb.scale(c * L.form(va, f))
-    return acc
-
-
 def psi_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
     """psi(t_h) as a matrix over fixed-Cartan coordinates."""
-    cols = [_cartan_coords(L, psi_th(L, t_h, h).chev_parts().get(0, {})) for h in L.h_elements]
-    return [[cols[c][r] for c in range(L.nh)] for r in range(L.nh)]
+    psi = contraction(L, embed_t_h(L, t_h))
+    cols = [psi(h).terms for h in L.h_elements]
+    return [[col.get((sid, 0), Q(0)) for col in cols] for sid in L.h_slots]
 
 
 def cartan_gluing_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
@@ -563,7 +547,6 @@ def cartan_gluing_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
     psi +- 1/2 is always invertible and the quotient maps of the Cayley
     transform are realized by honest matrices.
     """
-    from .linalg import mat_inverse, mat_mul
     p = psi_matrix(L, t_h)
     plus = [[p[i][j] + (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
     minus = [[p[i][j] - (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
@@ -611,6 +594,7 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
     rq = build_rq(q)
     theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
     theta_bwd = ThetaMap(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
+    psi = contraction(L, embed_t_h(L, q.t_h_dict))
 
     for f in L.basis_up_to(d):
         x = rq(f) - f
@@ -627,7 +611,7 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
             return False
         # Cartan block: x_c = (psi - 1/2) h and y_c = (psi + 1/2) h for h = y-x
         hc = (yc - xc)
-        psi_h = psi_th(L, q.t_h_dict, hc)
+        psi_h = psi(hc)
         if not (psi_h - hc.scale(Q(1, 2)) - xc).is_zero():
             return False
         if not (psi_h + hc.scale(Q(1, 2)) - yc).is_zero():
@@ -642,20 +626,13 @@ def manin_t_operator(L: TwistedLoopAlgebra, t: Laurent2):
     """T: W_0 -> Delta from a finite tensor t = sum x_i (x) y^i.
 
     T(w) = script-B(y^i-diagonal, w) x_i-diagonal for w = (w1, w2) in the
-    double; returns a callable on pairs of loop elements.
+    double, that is Psi(t)(w1 - w2) on both legs; returns a callable on
+    pairs of loop elements.
     """
-    from .tensors import tensor_to_slots
-    terms = []
-    for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-        terms.append((LoopElement(L, {(s1, dx): c}), LoopElement(L, {(s2, dy): Q(1)})))
+    psi = contraction(L, t)
 
     def act(w: tuple) -> tuple:
-        w1, w2 = w
-        acc = L.zero()
-        for xi, yi in terms:
-            val = L.form(yi, w1) - L.form(yi, w2)
-            if val:
-                acc = acc + xi.scale(val)
+        acc = psi(w[0] - w[1])
         return (acc, acc)
 
     return act
@@ -668,8 +645,6 @@ def manin_identity_sides(L: TwistedLoopAlgebra, t: Laurent2, w_triple: tuple,
     left  = script-B(w1 (x) w2 (x) w3, CYB(t) - Alt((delta (x) 1) t))
     right = -script-B([T w1 - w1, T w2 - w2], T w3 - w3)
     """
-    from .tensors import twist_defect
-
     resid = twist_defect(L, t, base)
 
     w1, w2, w3 = w_triple

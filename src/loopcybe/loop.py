@@ -171,6 +171,7 @@ class TwistedLoopAlgebra:
                         if self.nu_order > 1 else None)
         self.field = ScalarField(1 if self.nu_order <= 2 else self.nu_order)
         self._decomp_cache: dict = {}
+        self._chev_slot_cache: dict = {}
         # columns: the simple roots of the fixed subalgebra on the fixed Cartan
         self._pi_inverse = mat_inverse([[w[t] for w in self.node_weights[1:]]
                                         for t in range(self.nh)])
@@ -257,18 +258,21 @@ class TwistedLoopAlgebra:
                 raise AssertionError("root space (%s, %d) not one-dimensional" % (w, j))
 
     @cached_property
+    def h_slots(self) -> list:
+        """The slot of each h_basis vector, so of each fixed-Cartan coordinate.
+
+        Each h_basis vector is checked to be one Cartan slot with coefficient
+        1, so fixed-Cartan coordinates are read straight off slot terms.
+        """
+        parts = [self._decompose_gvec(hv) for hv in self.h_basis]
+        if any(list(p.values()) != [1] or not self.slots[next(iter(p))].cartan for p in parts):
+            raise AssertionError("an h_basis vector is not one Cartan slot")
+        return [next(iter(p)) for p in parts]
+
+    @cached_property
     def h_elements(self) -> list:
         """The fixed-Cartan basis h_basis as degree-0 loop elements."""
-        return [self.from_chev(0, hv) for hv in self.h_basis]
-
-    def cartan_vec(self, coords: Sequence) -> Vec:
-        """Chevalley vector of a Cartan element given in h_basis coordinates."""
-        out: Vec = {}
-        for c, hv in zip(coords, self.h_basis):
-            if c:
-                for idx, v in hv.items():
-                    add_term(out, idx, c * v)
-        return out
+        return [LoopElement(self, {(sid, 0): Q(1)}) for sid in self.h_slots]
 
     def _grade_slots(self) -> None:
         for s in self.slots:
@@ -318,8 +322,6 @@ class TwistedLoopAlgebra:
 
     def chev_index_slots(self, i: int) -> list:
         """Decomposition of the Chevalley basis vector e_i over slots (cached)."""
-        if not hasattr(self, "_chev_slot_cache"):
-            self._chev_slot_cache: dict = {}
         if i not in self._chev_slot_cache:
             self._chev_slot_cache[i] = sorted(self._decompose_gvec({i: Q(1)}).items())
         return self._chev_slot_cache[i]
@@ -365,16 +367,35 @@ class TwistedLoopAlgebra:
                     add_term(acc, (sid, kf + kg), c)
         return LoopElement(self, acc)
 
+    @cached_property
+    def slot_pairing(self) -> list:
+        """For each slot s, the pairs (t, kappa(x_s, x_t)) with kappa != 0.
+
+        kappa pairs a weight space only with the opposite one, so the
+        partners of s are taken from the slots of weight -w alone.
+        """
+        out = []
+        for slot in self.slots:
+            wneg = tuple(-x for x in slot.weight)
+            partners = []
+            for j in range(self.nu_order):
+                for t in self._by_weight.get((wneg, j), []):
+                    kappa = self.alg.killing(slot.vec, self.slots[t].vec)
+                    if kappa:
+                        partners.append((t, kappa))
+            out.append(partners)
+        return out
+
     def form(self, f: LoopElement, g: LoopElement):
-        """B(z^j x, z^k y) = delta_{j+k,0} kappa(x, y)."""
+        """B(z^j x, z^k y) = delta_{j+k,0} kappa(x, y), on slot coordinates."""
         f._check(g)
         acc = Q(0)
-        fparts = f.chev_parts()
-        gparts = g.chev_parts()
-        for k, vf in fparts.items():
-            vg = gparts.get(-k)
-            if vg:
-                acc += self.alg.killing(vf, vg)
+        gterms = g.terms
+        for (s, k), c in f.terms.items():
+            for t, kappa in self.slot_pairing[s]:
+                d = gterms.get((t, -k))
+                if d:
+                    acc += c * d * kappa
         return acc
 
     # ------------------------------------------------------------------ roots
@@ -483,10 +504,9 @@ class TwistedLoopAlgebra:
 
     def coroot_element(self, i: int) -> LoopElement:
         """H_i = 2 t_i / B(t_i, t_i) where t_i is the kappa-coroot of node i."""
-        coords = self.node_coroots[i]
         nrm = self.coroot_gram[i][i]
-        vec = self.cartan_vec([2 * c / nrm for c in coords])
-        return self.from_chev(0, vec)
+        return LoopElement(self, {(sid, 0): 2 * c / nrm
+                                  for sid, c in zip(self.h_slots, self.node_coroots[i])})
 
     def generators(self) -> list[dict]:
         """Affine Chevalley generators {X-: , H: , X+: } per node."""

@@ -14,6 +14,10 @@ Conventions:
 The Yang-Baxter verifier clears denominators and works on exact Laurent
 tensors; `cybe` output is CYB(r) multiplied by
 ((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).
+
+`contraction` is the one Psi(a (x) b) = B(b, -) a in the package: the
+residue operator R_t = pi_h/2 + pi_- + Psi(t), the residue operator R_Q of
+a quadruple, its Cayley transform and the Manin operator all call it.
 """
 
 from __future__ import annotations
@@ -211,12 +215,7 @@ def _bracket_into(alg, acc: Laurent3, d: tuple, i: int, j: int, pos: int, rest: 
     for t, ct in br.items():
         legs = list(rest)
         legs.insert(pos, t)
-        key = d + tuple(legs)
-        s = acc.get(key, 0) + c * ct
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+        add_term(acc, d + tuple(legs), c * ct)
 
 
 def _cyb_parts(alg, t: Laurent2):
@@ -417,18 +416,30 @@ def twist_defect(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTens
 # ------------------------------------------------------------- residue action
 
 
-def residue_operator(L: TwistedLoopAlgebra, t: Laurent2):
-    """R_t = pi_h/2 + pi_- + Psi(t) as a callable on loop elements."""
-    slot_terms = list(tensor_to_slots(L, t).items())
+def contraction(L: TwistedLoopAlgebra, t: Laurent2):
+    """Psi(t), with Psi(a (x) b) = B(b, -) a, as a callable on loop elements.
+
+    The terms of t are grouped by their second leg (slot, degree); a term
+    (s, k) of f meets only the legs (u, -k) with u in `L.slot_pairing[s]`.
+    """
+    by_second: dict = {}
+    for (first, second), c in tensor_to_slots(L, t).items():
+        by_second.setdefault(second, []).append((first, c))
 
     def psi(f: LoopElement) -> LoopElement:
-        acc = L.zero()
-        for ((s1, dx), (s2, dy)), c in slot_terms:
-            # term (slot1 at dx) (x) (slot2 at dy): Psi: B(leg2, f) * leg1
-            val = L.form(LoopElement(L, {(s2, dy): Q(1)}), f)
-            if val:
-                acc = acc + LoopElement(L, {(s1, dx): c * val})
-        return acc
+        out: dict = {}
+        for (s, k), c in f.terms.items():
+            for u, kappa in L.slot_pairing[s]:
+                for first, ct in by_second.get((u, -k), ()):
+                    add_term(out, first, ct * c * kappa)
+        return LoopElement(L, out)
+
+    return psi
+
+
+def residue_operator(L: TwistedLoopAlgebra, t: Laurent2):
+    """R_t = pi_h/2 + pi_- + Psi(t) as a callable on loop elements."""
+    psi = contraction(L, t)
 
     def act(f: LoopElement) -> LoopElement:
         _, minus, cart = L.split(f)
@@ -450,15 +461,6 @@ def residue_oracle(L: TwistedLoopAlgebra, r: TwoPointTensor, f: LoopElement) -> 
     # accumulate raw degree -> g-vector and convert once (single Chevalley
     # legs need not be graded, but the total is)
     raw: dict = {}
-
-    def add_raw(deg: int, i: int, c) -> None:
-        acc = raw.setdefault(deg, {})
-        s = acc.get(i, 0) + c
-        if s:
-            acc[i] = s
-        else:
-            acc.pop(i, None)
-
     # poly part: term x^a y^b u (x) v acts as kappa(v, f_{-b}) z^a u
     fparts = f.chev_parts()
     for (a, b, i, j), c in r.poly.items():
@@ -466,7 +468,7 @@ def residue_oracle(L: TwistedLoopAlgebra, r: TwoPointTensor, f: LoopElement) -> 
         if vf:
             val = L.alg.killing({j: Q(1)}, vf)
             if val:
-                add_raw(a, i, c * val)
+                add_term(raw.setdefault(a, {}), i, c * val)
     # pole part: 1/((z/y)^m - 1) = sum_{l>=1} (y/z)^{lm}
     m = L.m
     for k, pk in enumerate(r.pole_num):
@@ -479,7 +481,7 @@ def residue_oracle(L: TwistedLoopAlgebra, r: TwoPointTensor, f: LoopElement) -> 
                 if vf:
                     val = L.alg.killing({j: Q(1)}, vf)
                     if val:
-                        add_raw(k - m * l, i, c * val)
+                        add_term(raw.setdefault(k - m * l, {}), i, c * val)
     acc = L.zero()
     for deg, vec in raw.items():
         if vec:

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from loopcybe import cli, loop
+from loopcybe.cartan import CartanType
 from loopcybe.linalg import kernel_basis, solve
-from loopcybe.loop import SigmaType, affine_diagram_data, loop_algebra
+from loopcybe.loop import SigmaType, affine_diagram_data, affine_node_count, loop_algebra
 from test_oracles import oracle_cartan_gram
 
 
@@ -302,3 +304,48 @@ def test_diagram_data_matches_ad_trace_oracle():
         gram = oracle_cartan_gram(full.alg, full.h_basis)
         assert light.h_gram == full.h_gram == gram
         assert light.node_coroots == [solve(gram, list(w)) for w in light.node_weights]
+
+
+# (label, nu, s): A1-A4, every non-identity nu of D4, A4^(2) graded with
+# s_0 = 0 and E6^(2); s = None grades by e_0
+H_SLOT_ALGEBRAS = ([("A%d" % n, None, None) for n in range(1, 5)]
+                   + [("D4", nu, None) for nu in [(0, 1, 3, 2), (2, 1, 0, 3), (3, 1, 2, 0),
+                                                  (2, 1, 3, 0), (3, 1, 0, 2)]]
+                   + [("A4", (3, 2, 1, 0), (0, 1, 0)), ("E6", (5, 1, 4, 3, 2, 0), None)])
+
+
+@pytest.mark.parametrize("label,nu,s", H_SLOT_ALGEBRAS,
+                         ids=[label if nu is None else "%s-nu%s" % (label, "".join(map(str, nu)))
+                              for label, nu, _ in H_SLOT_ALGEBRAS])
+def test_h_elements_are_single_cartan_slots(label, nu, s):
+    """Each fixed-Cartan basis vector is one Cartan slot with coefficient 1,
+    so fixed-Cartan coordinates are read straight off slot terms."""
+    if s is None:
+        s = [1] + [0] * (affine_node_count(CartanType.parse(label), nu) - 1)
+    L = loop_algebra(SigmaType.make(label, s, nu))
+    assert len(L.h_elements) == len(L.h_slots) == L.nh
+    for a, (h, sid) in enumerate(zip(L.h_elements, L.h_slots)):
+        assert h.terms == {(sid, 0): 1}
+        assert L.slots[sid].cartan and L.slots[sid].vec == L.h_basis[a]
+    assert sorted(L.h_slots) == [slot.index for slot in L.slots if slot.cartan]
+
+
+@pytest.mark.parametrize("argv", [["r0", "--type", "B3", "--s", "1,0,0,0"],
+                                  ["r0", "--type", "D4", "--s", "1,0,0,0", "--nu", "0,1,3,2"],
+                                  ["export", "--what", "catalog", "--type", "A3", "--s", "1,0,0",
+                                   "--nu", "2,1,0"],
+                                  ["export", "--what", "catalog", "--type", "C3"]],
+                         ids=["r0-B3", "r0-D4-nu0132", "catalog-A3-nu210", "catalog-C3"])
+def test_slot_pairing_is_lazy(argv, monkeypatch, capsys):
+    """Neither `r0` nor a catalog pairs loop elements, so neither builds the
+    cached slot pairing."""
+    cache: dict = {}
+    monkeypatch.setattr(loop, "_LOOP_CACHE", cache)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert not any("slot_pairing" in vars(L) for L in cache.values())
+    if argv[0] == "r0":
+        (L,) = cache.values()
+        e = L.basis_of_degree(0)[0]
+        L.form(e, e)
+        assert "slot_pairing" in vars(L)      # the check above can see it

@@ -20,7 +20,10 @@ implementations, kept here unchanged in substance:
   maps;
 - `slot_diagram` reads the affine diagram of an outer nu off the slots of
   the full loop algebra, with the Killing form of the structure table on
-  the fixed Cartan.
+  the fixed Cartan;
+- `chevalley_form` pairs two loop elements through their Chevalley
+  coordinates (`chev_parts` and `alg.killing`), where the library reads
+  the cached `slot_pairing` of the loop algebra.
 
 They must agree with the library exactly: the same Gram matrices, the same
 dicts (values, types and key order) and the same sequence of maps.
@@ -340,3 +343,36 @@ def test_affine_diagram_data_matches_slot_oracle(label, nu):
     for s in gradings:
         sigma = SigmaType.make(label, s, nu)
         assert affine_diagram_data(sigma) == slot_diagram(L, sigma), s
+
+
+def chevalley_form(L, f, g):
+    """B(z^j x, z^k y) = delta_{j+k,0} kappa(x, y), through Chevalley coordinates."""
+    acc = Q(0)
+    fparts = f.chev_parts()
+    gparts = g.chev_parts()
+    for k, vf in fparts.items():
+        vg = gparts.get(-k)
+        if vg:
+            acc += L.alg.killing(vf, vg)
+    return acc
+
+
+# (label, s, nu): untwisted, order-2 (one graded with s_0 = 0) and order-3
+FORM_ALGEBRAS = [("A2", (1, 0, 0), None), ("B3", (1, 0, 0, 0), None), ("G2", (1, 0, 0), None),
+                 ("A3", (1, 0, 0), (2, 1, 0)), ("A4", (0, 1, 0), (3, 2, 1, 0)),
+                 ("D4", (1, 0, 0), (2, 1, 3, 0))]
+
+
+@pytest.mark.parametrize("label,s,nu", FORM_ALGEBRAS,
+                         ids=["%s-%s" % (diagram_id((label, nu, None)), "".join(map(str, s)))
+                              for label, s, nu in FORM_ALGEBRAS])
+def test_slot_form_matches_chevalley_oracle(label, s, nu):
+    L = loop_algebra(SigmaType.make(label, s, nu))
+    basis = L.basis_up_to(2)
+    types = set()
+    for f in basis:
+        for g in basis:
+            got, want = L.form(f, g), chevalley_form(L, f, g)
+            assert (got, type(got)) == (want, type(want)), (f, g)
+            types.add(type(got).__name__)
+    assert types == ({"Fraction", "CycNumber"} if L.nu_order == 3 else {"Fraction"})
