@@ -378,6 +378,20 @@ def test_residue_oracle_agreement(label, s, nu):
         assert (rt_op(f) - residue_oracle(L, r_t, f)).is_zero()
 
 
+@pytest.mark.parametrize("label,s,nu,gamma", [("A2", [1, 0, 0], None, {1: 2}),
+                                              ("A3", [1, 0, 0], [2, 1, 0], {0: 2}),
+                                              ("A3", [0, 1, 1, 0], None, {0: 3, 1: 2})],
+                         ids=["A2", "A3^(2)", "A3-s0110"])
+def test_residue_oracle_agreement_on_twists(label, s, nu, gamma):
+    """R_t of a Belavin-Drinfeld twist t, t_h included, equals the
+    truncated-series residue of r_0 + t on every basis element."""
+    L, t = _kernel_twist(label, s, nu, gamma)
+    rt_op = residue_operator(L, t)
+    r_t = r0(L) + from_loop_tensor(L, t)
+    for f in L.basis_up_to(2):
+        assert (rt_op(f) - residue_oracle(L, r_t, f)).is_zero()
+
+
 # ------------------------------------------------------------------- taylor
 
 
