@@ -486,19 +486,13 @@ class TwistedLoopAlgebra:
         slot = self.slots[sid]
         if slot.positive is None:
             raise ValueError("not a root direction (alpha = 0)")
-        wneg = tuple(-x for x in slot.weight)
-        # the opposite slot: weight -w, sigma class -k mod m
-        cands = [s for j in range(self.nu_order) for s in self._by_weight.get((wneg, j), [])
-                 if (-k - self.slots[s].sigma_class) % self.m == 0]
+        # the opposite slot: a kappa partner of sigma class -k mod m
+        cands = [(t, kappa) for t, kappa in self.slot_pairing[sid]
+                 if (-k - self.slots[t].sigma_class) % self.m == 0]
         if len(cands) != 1:
-            raise AssertionError("opposite root space not unique")
-        dual = self.slots[cands[0]]
-        b = LoopElement(self, {(slot.index, k): Q(1)})
-        bd = LoopElement(self, {(dual.index, -k): Q(1)})
-        pairing = self.form(b, bd)
-        if pairing == 0:
-            raise AssertionError("degenerate root-space pairing")
-        return b, bd.scale(1 / pairing)
+            raise AssertionError("opposite root space not unique or degenerate")
+        (t, kappa), = cands
+        return LoopElement(self, {(sid, k): Q(1)}), LoopElement(self, {(t, -k): 1 / kappa})
 
     # ------------------------------------------------------------- generators
 

@@ -168,19 +168,6 @@ def test_twist_invariance_under_root_vector_rescaling(sl3_loop):
         assert out == reference
 
 
-@pytest.mark.parametrize("sigma", [A2, SigmaType.make("A3", [0, 1, 1, 0]),
-                                   SigmaType.make("A3", [1, 0, 0], [2, 1, 0]),
-                                   SigmaType.make("D4", [1, 0, 0], [2, 1, 3, 0])],
-                         ids=["A2", "A3-s0110", "A3-nu210", "D4-nu2130"])
-def test_rq_of_trivial_quadruple_is_r0_operator(sigma):
-    """With Gamma_1 empty and t_h = 0, R_Q is R_0 = pi_h/2 + pi_-."""
-    q = BDQuadruple.make(sigma, set(), set(), {}, {})
-    L = loop_algebra(sigma)
-    rq, r0_op = build_rq(q), residue_operator(L, {})
-    for f in L.basis_up_to(3):
-        assert rq(f) == r0_op(f)
-
-
 @pytest.mark.parametrize("sigma,g1,g2,gamma", [
     (A1, {1}, {0}, {1: 0}),
     (A2, {1}, {2}, {1: 2}),
