@@ -24,7 +24,12 @@ graded with s_0 = 0 (A3, s = (0, 1, 1, 0), gamma: 0 -> 3, 1 -> 2), each
 with its canonical t_h; the earlier `verify-*` cases are all untwisted with
 s_0 = 1.  They were written by the code that still paired loop elements
 through Chevalley coordinates and solved for the fixed-Cartan coordinates
-of a theta image.  A change that alters any of them alters the
+of a theta image.  The four `error-*` cases exit 2 with the validation
+messages of the value types: `roots E9` (a rank the series does not
+admit), `census --types Z` (an unknown series), `r0 --type A2 --s 0,0,0`
+(a grading with no non-zero weight) and `r0 --type B3 --nu 1,0,2` (a node
+permutation that is no diagram automorphism).  They were written by the
+code whose value types were still dataclasses.  A change that alters any of them alters the
 CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -83,6 +88,10 @@ CASES = [
     ("twist-A3-order2", ["twist", "-i", "quad_a3_order2.json"]),
     ("verify-A3-s0", ["verify-cybe", "-i", "quad_a3_s0.json"]),
     ("twist-A3-s0", ["twist", "-i", "quad_a3_s0.json"]),
+    ("error-roots-E9", ["roots", "E9"]),
+    ("error-census-Z", ["census", "--types", "Z"]),
+    ("error-r0-A2-s0", ["r0", "--type", "A2", "--s", "0,0,0"]),
+    ("error-r0-B3-nu", ["r0", "--type", "B3", "--nu", "1,0,2"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
