@@ -22,7 +22,6 @@ the Cayley transform, the Cartan gluing and the Manin operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -33,6 +32,7 @@ from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_
 from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
                       from_loop_tensor, r0, residue_operator, t2_add,
                       t2_scale, twist_defect, wedge)
+from .value import Value
 
 Q = Fraction
 
@@ -41,13 +41,15 @@ Q = Fraction
 D_INDEX = -1
 
 
-@dataclass(frozen=True)
-class BDQuadruple:
-    sigma: SigmaType
-    gamma1: frozenset
-    gamma2: frozenset
-    gamma: tuple                       # sorted tuple of (i, gamma(i)) pairs
-    t_h: tuple                         # sorted tuple of ((a, b), Q) skew entries, a < b
+class BDQuadruple(Value):
+    __slots__ = ("sigma", "gamma1", "gamma2", "gamma", "t_h")
+
+    def __init__(self, sigma: SigmaType, gamma1: frozenset, gamma2: frozenset, gamma, t_h):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "gamma1", gamma1)
+        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "gamma", gamma)    # sorted tuple of (i, gamma(i)) pairs
+        object.__setattr__(self, "t_h", t_h)        # sorted ((a, b), Q) skew entries, a < b
 
     @staticmethod
     def make(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],

@@ -18,9 +18,10 @@ serialization, extraspecial pairs all refer to it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+from .value import Value
 
 Q = Fraction
 
@@ -37,17 +38,17 @@ SERIES_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
-    series: str
-    rank: int
+class CartanType(Value):
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
-        ok = SERIES_RANKS.get(self.series)
+    def __init__(self, series: str, rank: int):
+        ok = SERIES_RANKS.get(series)
         if ok is None:
-            raise ValueError("unknown series %r" % (self.series,))
-        if not ok(self.rank):
-            raise ValueError("rank %d not admissible for series %s" % (self.rank, self.series))
+            raise ValueError("unknown series %r" % (series,))
+        if not ok(rank):
+            raise ValueError("rank %d not admissible for series %s" % (rank, series))
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
 
     @staticmethod
     def parse(label: str) -> "CartanType":
@@ -124,12 +125,12 @@ def symmetrizer(a: list[list[int]]) -> list[Q]:
     return [x / lo for x in d]  # type: ignore[union-attr]
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    cartan_type: CartanType
-    cartan: tuple[tuple[int, ...], ...]          # a[i][j] = 2(ai,aj)/(aj,aj)
-    d: tuple[Q, ...]                             # half square lengths (ai,ai)/2
-    positive_roots: tuple[Root, ...]             # height-then-lex order
+    def __init__(self, cartan_type: CartanType, cartan: tuple, d: tuple, positive_roots: tuple):
+        self.cartan_type = cartan_type
+        self.cartan = cartan                     # a[i][j] = 2(ai,aj)/(aj,aj), int rows
+        self.d = d                               # half square lengths (ai,ai)/2, Fractions
+        self.positive_roots = positive_roots     # height-then-lex order
 
     @property
     def rank(self) -> int:

@@ -23,7 +23,6 @@ check it against exact ad-traces of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
@@ -63,11 +62,11 @@ def vec_eq(x: Vec, y: Vec) -> bool:
     return vec_add(x, y, -1) == {}
 
 
-@dataclass(frozen=True)
 class ChevalleyAlgebra:
-    rs: RootSystem
-    n_table: dict                   # (a, b) -> int N_{a,b}, all signed a, b with a + b a root
-    cartan_gram: tuple              # kappa(h_i, h_j), from cartan.killing_cartan
+    def __init__(self, rs: RootSystem, n_table: dict, cartan_gram: tuple):
+        self.rs = rs
+        self.n_table = n_table          # (a, b) -> int N_{a,b}, all signed a, b with a + b a root
+        self.cartan_gram = cartan_gram  # kappa(h_i, h_j), from cartan.killing_cartan
 
     # ---- basis bookkeeping -------------------------------------------------
 

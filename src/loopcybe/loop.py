@@ -17,7 +17,6 @@ against the diagram read off the slots of the full loop algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -28,6 +27,7 @@ from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
 from .linalg import kernel_basis, mat_inverse, rref_int, solve
 from .scalars import Q, ScalarField
+from .value import Value
 
 Weight = tuple  # values of a functional on the fixed Cartan basis
 
@@ -49,22 +49,22 @@ class AffineRoot(tuple):
         return self[1]
 
 
-@dataclass(frozen=True)
-class SigmaType:
+class SigmaType(Value):
     """Automorphism datum (s; |nu|): diagram permutation plus weights s.
 
     `nu` is a node permutation of the finite diagram (0-indexed tuple),
     identity if None.  The derived order is m = |nu| * sum a_i s_i.
     """
-    cartan_type: CartanType
-    s: tuple
-    nu: Optional[tuple] = None
+    __slots__ = ("cartan_type", "s", "nu")
 
-    def __post_init__(self):
-        if all(x == 0 for x in self.s):
+    def __init__(self, cartan_type: CartanType, s: tuple, nu: Optional[tuple] = None):
+        if all(x == 0 for x in s):
             raise ValueError("s must have at least one non-zero entry")
-        if any(x < 0 for x in self.s):
+        if any(x < 0 for x in s):
             raise ValueError("s entries must be non-negative")
+        object.__setattr__(self, "cartan_type", cartan_type)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "nu", nu)
 
     @staticmethod
     def make(type_label: str, s: Sequence[int], nu: Optional[Sequence[int]] = None) -> "SigmaType":
@@ -72,17 +72,19 @@ class SigmaType:
                          tuple(int(x) for x in nu) if nu is not None else None)
 
 
-@dataclass
 class Slot:
     """One line (or Cartan direction) of the nu-eigenspace decomposition."""
-    index: int
-    nu_class: int          # j with slot subset of g^nu_j
-    weight: Weight         # functional values on the fixed Cartan basis
-    vec: Vec               # g-vector in Chevalley coordinates
-    positive: Optional[bool] = None  # sign of the root (weight, nu_class); None if weight = 0
-    cartan: bool = False   # weight 0 at nu-class 0
-    sigma_class: int = 0   # degree class modulo m after regrading
-    nu_base_degree: int = 0  # hgt_s of the nu-root (weight, nu_class)
+
+    def __init__(self, index: int, nu_class: int, weight: Weight, vec: Vec,
+                 positive: Optional[bool], cartan: bool, nu_base_degree: int, m: int):
+        self.index = index
+        self.nu_class = nu_class  # j with slot subset of g^nu_j
+        self.weight = weight      # functional values on the fixed Cartan basis
+        self.vec = vec            # g-vector in Chevalley coordinates
+        self.positive = positive  # sign of the root (weight, nu_class); None if weight = 0
+        self.cartan = cartan      # weight 0 at nu-class 0
+        self.nu_base_degree = nu_base_degree  # hgt_s of the nu-root (weight, nu_class)
+        self.sigma_class = nu_base_degree % m  # degree class modulo m after regrading
 
     def label(self) -> str:
         w = ",".join(str(x) for x in self.weight)
@@ -158,11 +160,8 @@ class TwistedLoopAlgebra:
     """
 
     def __init__(self, sigma: SigmaType):
+        vars(self).update(vars(affine_diagram_data(sigma)))   # adopt the diagram's fields
         self.sigma = sigma
-        diagram = affine_diagram_data(sigma)
-        for name in ("nh", "h_gram", "node_weights", "node_coroots", "coroot_gram",
-                     "affine_cartan", "marks", "m"):
-            setattr(self, name, getattr(diagram, name))
         self.alg: ChevalleyAlgebra = chevalley_algebra(sigma.cartan_type)
         self.nu_perm = _nu_perm(self.alg.rank, sigma.nu)
         self.orbits = _perm_orbits(self.nu_perm)
@@ -179,7 +178,6 @@ class TwistedLoopAlgebra:
         self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
         self.node_nu_degree: list[int] = [1] + [0] * self.nh
-        self._grade_slots()
 
     # ------------------------------------------------------------------ setup
 
@@ -192,10 +190,9 @@ class TwistedLoopAlgebra:
         F = self.field
         slots: list[Slot] = []
 
-        def new_slot(j: int, weight: Weight, vec: Vec, positive, cartan=False) -> Slot:
-            s = Slot(len(slots), j % r, weight, vec, positive=positive, cartan=cartan)
-            slots.append(s)
-            return s
+        def new_slot(j: int, weight: Weight, vec: Vec, positive, cartan=False) -> None:
+            base = self.s_height(weight, j % r)
+            slots.append(Slot(len(slots), j % r, weight, vec, positive, cartan, base, self.m))
 
         if r == 1:
             for k, beta in enumerate(alg.rs.positive_roots):
@@ -273,12 +270,6 @@ class TwistedLoopAlgebra:
     def h_elements(self) -> list:
         """The fixed-Cartan basis h_basis as degree-0 loop elements."""
         return [LoopElement(self, {(sid, 0): Q(1)}) for sid in self.h_slots]
-
-    def _grade_slots(self) -> None:
-        for s in self.slots:
-            base = self.s_height(s.weight, s.nu_class)
-            s.nu_base_degree = base
-            s.sigma_class = base % self.m
 
     # -------------------------------------------------------------- structure
 
@@ -503,7 +494,11 @@ class TwistedLoopAlgebra:
                                   for sid, c in zip(self.h_slots, self.node_coroots[i])})
 
     def generators(self) -> list[dict]:
-        """Affine Chevalley generators {X-: , H: , X+: } per node."""
+        """Affine Chevalley generators {X-: , H: , X+: } per node; shared, never mutate it."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> list[dict]:
         out = []
         for i in range(len(self.node_weights)):
             w = self.node_weights[i]
@@ -657,7 +652,6 @@ def loop_algebra(sigma: SigmaType) -> TwistedLoopAlgebra:
     return _LOOP_CACHE[key]
 
 
-@dataclass
 class AffineDiagramData:
     """Affine diagram data without the structure-constant machinery.
 
@@ -668,15 +662,18 @@ class AffineDiagramData:
     orbit sums of the simple coroots: `cartan.killing_cartan` summed over
     the nu-orbits.
     """
-    sigma: SigmaType
-    nh: int
-    h_gram: list
-    node_weights: list
-    node_coroots: list
-    coroot_gram: list
-    affine_cartan: list
-    marks: list
-    m: int
+
+    def __init__(self, sigma: SigmaType, nh: int, h_gram: list, node_weights: list,
+                 node_coroots: list, coroot_gram: list, affine_cartan: list, marks: list, m: int):
+        self.sigma = sigma
+        self.nh = nh
+        self.h_gram = h_gram
+        self.node_weights = node_weights
+        self.node_coroots = node_coroots
+        self.coroot_gram = coroot_gram
+        self.affine_cartan = affine_cartan
+        self.marks = marks
+        self.m = m
 
 
 _DIAGRAM_CACHE: dict = {}

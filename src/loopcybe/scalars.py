@@ -12,10 +12,11 @@ extension.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
+
+from .value import Value
 
 Q = Fraction
 
@@ -72,12 +73,14 @@ def cyclotomic_poly(n: int) -> tuple[Q, ...]:
     return num
 
 
-@dataclass(frozen=True)
-class CycNumber:
+class CycNumber(Value):
     """Element of Q(zeta_N) as a polynomial in zeta_N modulo Phi_N."""
 
-    conductor: int
-    coeffs: tuple[Q, ...]  # length < deg Phi_N, trailing zeros trimmed
+    __slots__ = ("conductor", "coeffs")
+
+    def __init__(self, conductor: int, coeffs: tuple[Q, ...]):
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", coeffs)  # length < deg Phi_N, trailing zeros trimmed
 
     @staticmethod
     def of(value, conductor: int = 1) -> "CycNumber":

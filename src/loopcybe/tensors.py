@@ -23,7 +23,6 @@ a quadruple, its Cayley transform and the Manin operator all call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional
@@ -88,11 +87,11 @@ def tensor_of_elements(a: LoopElement, b: LoopElement) -> Laurent2:
     return out
 
 
-@dataclass
 class TwoPointTensor:
-    L: TwistedLoopAlgebra
-    poly: Laurent2
-    pole_num: list          # m constant GTensor2 slots
+    def __init__(self, L: TwistedLoopAlgebra, poly: Laurent2, pole_num: list):
+        self.L = L
+        self.poly = poly
+        self.pole_num = pole_num    # m constant GTensor2 slots
 
     @property
     def m(self) -> int:
@@ -179,7 +178,7 @@ def casimir_components(L: TwistedLoopAlgebra) -> dict:
     cplus: GTensor2 = {}
     cminus: GTensor2 = {}
     for (i, j), c in C.items():
-        for sid, coeff in L._decompose_gvec({i: Q(1)}).items():
+        for sid, coeff in L.chev_index_slots(i):
             slot = L.slots[sid]
             k = slot.sigma_class
             for gi, gc in slot.vec.items():
