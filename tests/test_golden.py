@@ -29,8 +29,14 @@ messages of the value types: `roots E9` (a rank the series does not
 admit), `census --types Z` (an unknown series), `r0 --type A2 --s 0,0,0`
 (a grading with no non-zero weight) and `r0 --type B3 --nu 1,0,2` (a node
 permutation that is no diagram automorphism).  They were written by the
-code whose value types were still dataclasses.  A change that alters any of them alters the
-CLI's output.  After an intended output change, rewrite them with
+code whose value types were still dataclasses.  `verify-A2-invalid` (exit
+1) runs `verify-cybe` on an A2 quadruple whose t_h breaks condition 3,
+and `error-verify-A2-d` (exit 2) on a valid one whose t_h has entries on
+the scaling direction d, which a twist cannot embed.  They, and the digest
+of `export --what catalog --type E7 --s 1,0,0,0,0,0,0,0` in `DIGESTS`,
+were written by the code that still validated a quadruple twice per
+`verify-cybe` and ran one condition-3 solve per catalog orbit.  A change
+that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -92,6 +98,8 @@ CASES = [
     ("error-census-Z", ["census", "--types", "Z"]),
     ("error-r0-A2-s0", ["r0", "--type", "A2", "--s", "0,0,0"]),
     ("error-r0-B3-nu", ["r0", "--type", "B3", "--nu", "1,0,2"]),
+    ("verify-A2-invalid", ["verify-cybe", "-i", "quad_invalid.json"]),
+    ("error-verify-A2-d", ["verify-cybe", "-i", "quad_th_d.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
@@ -100,6 +108,8 @@ DIGESTS = [
      "19250e60d650c6222a065be6581eeaedc5ba01b525e949f2fcb9a839a1e342ed"),
     (["r0", "--type", "E7", "--s", "1,0,0,0,0,0,0,0"],
      "8d1d20daf1f0f2ac73ee9ebfbd3021f4c308fcc39f1bed13e09b1da3561173e1"),
+    (["export", "--what", "catalog", "--type", "E7", "--s", "1,0,0,0,0,0,0,0"],
+     "07d6299133c7c983cc1d27147eb387e97d1f0a0c4f89218f14f19e06fcd002e4"),
 ]
 
 
@@ -121,7 +131,7 @@ def test_cli_golden(name, argv):
     assert (out.returncode, out.stdout) == expected(name)
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7"])
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7"])
 def test_cli_digest(argv, digest):
     out = run_case(argv)
     assert out.returncode == 0
