@@ -23,6 +23,8 @@ the Cayley transform, the Cartan gluing and the Manin operator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Iterable, Optional
 
 from .chevalley import add_term
@@ -210,6 +212,36 @@ def _condition3_residual(L, gmap: dict, gamma1: frozenset,
     return out
 
 
+def th_dimension(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
+                 gamma: dict) -> int:
+    """Dimension of the condition-3 family of t_h, counted without a solve.
+
+    On V = h^nu + C d condition 3 reads iota_{h_i} t = c_i (i in Gamma_1),
+    h_i = alpha_{gamma(i)} - alpha_i, c_i = -(t_{gamma(i)} + t_i)/2 as in
+    `_condition3_terms`.  The alpha_i are independent on V (their relation
+    sum a_i alpha_i = 0 on h^nu fails at d: sum a_i s_i = m > 0), so under
+    condition 2 so are the h_i.  Cartan's lemma then makes the system
+    solvable iff <h_j, c_i> + <h_i, c_j> = 0 for all i <= j, an identity
+    that expands to condition 1 but is checked here on h and c; the
+    homogeneous family is Lambda^2(W), W the common kernel of the h_i, of
+    dimension C(l, 2), l = nodes - |Gamma_1|.  Raises ValueError if the
+    family is empty or the h_i are dependent (gamma breaks condition 2).
+    """
+    L = affine_diagram_data(sigma)
+    funcs, coroots = L.integer_nodes
+    g1 = sorted(gamma1)
+    hs = [[a - b for a, b in zip(funcs[gamma[i]], funcs[i])] for i in g1]
+    # -2 c_i, scaled; c has no d-part, so zip pairs it with h over h^nu alone
+    cs = [[a + b for a, b in zip(coroots[gamma[i]], coroots[i])] for i in g1]
+    if len(rref_int(hs)[1]) < len(hs):
+        raise ValueError("the h_i are dependent: gamma breaks condition 2")
+    for j in range(len(g1)):
+        for i in range(j + 1):
+            if sum(map(mul, hs[j], cs[i])) + sum(map(mul, hs[i], cs[j])):
+                raise ValueError("condition-3 system is inconsistent")
+    return comb(L.nh + 1 - len(g1), 2)
+
+
 def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
                       gamma: dict) -> dict:
     """All skew t_h with condition 3: particular solution plus kernel basis.
@@ -217,7 +249,8 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
     Returns {"pairs": index pairs, "particular": dict, "basis": [dicts],
     "dimension": int}.  Tensors are over the extended Cartan; index nh
     (reported as D_INDEX) is the scaling direction.  The particular
-    solution is d-free whenever the d-free subsystem is consistent.
+    solution is d-free whenever the d-free subsystem is consistent.  The
+    kernel is Lambda^2(W), as `th_dimension` argues, which counts it alone.
     """
     L = affine_diagram_data(sigma)
     gmap = {int(a): int(b) for a, b in gamma.items()}
@@ -231,12 +264,6 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
                 key = (a if a < nh else D_INDEX, b if b < nh else D_INDEX)
                 out[key] = c
         return out
-
-    if not rows:
-        basis = [[Q(1) if k == t else Q(0) for k in range(len(pairs))]
-                 for t in range(len(pairs))]
-        return {"pairs": pairs, "particular": {}, "basis": [to_dict(b) for b in basis],
-                "dimension": len(pairs)}
 
     # One fraction-free reduction of [rows | rhs] gives the kernel and a
     # particular solution x, zero off the pivot columns.  If x is d-free it
@@ -448,7 +475,9 @@ def build_twist(q: BDQuadruple) -> Laurent2:
     """t_Q = t_h + sum over Phi_1^+ and j >= 1 of b_{-a} wedge theta^j(b_a)."""
     rep = validate(q)
     if not rep["valid"]:
-        raise ValueError("invalid quadruple: %r" % (rep,))
+        exc = ValueError("invalid quadruple: %r" % (rep,))
+        exc.report = rep            # so that a caller need not validate again
+        raise exc
     L = q.algebra()
     theta = ThetaMap(L, q.gamma1, q.gamma_map)
     out = embed_t_h(L, q.t_h_dict)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_solution_space
+from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_dimension, th_solution_space
 from .cartan import CartanType
 from .linalg import in_span, map_sending
 from .loop import SigmaType, affine_diagram_data
@@ -300,11 +300,11 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
             continue
         for gamma in _isometric_maps(L, g1):
             try:
-                th = th_solution_space(L.sigma, g1, frozenset(gamma.values()), gamma)
+                dim = th_dimension(L.sigma, g1, frozenset(gamma.values()), gamma)
             except ValueError:
-                continue   # no t_h exists: not a quadruple after all
+                continue   # empty condition-3 family; never for an isometric, escaping gamma
             return {"gamma1": sorted(g1), "gamma2": sorted(gamma.values()),
-                    "gamma": gamma, "t_h_dimension": th["dimension"]}
+                    "gamma": gamma, "t_h_dimension": dim}
     return None
 
 

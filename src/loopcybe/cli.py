@@ -96,12 +96,14 @@ def cmd_verify_cybe(args) -> int:
     if args.degree_bound < 0:
         raise UsageError("--degree-bound must be >= 0")
     q = serialize.quadruple_from_json(_load_json(args.input))
-    report = bd.validate(q)
-    if not report["valid"]:
-        _emit({"error": "invalid quadruple", "report": serialize.validation_json(report)})
+    try:
+        t = bd.build_twist(q)           # validates q once
+    except ValueError as exc:
+        if not hasattr(exc, "report"):
+            raise
+        _emit({"error": "invalid quadruple", "report": serialize.validation_json(exc.report)})
         return 1
     L = q.algebra()
-    t = bd.build_twist(q)
     r = r0(L) + from_loop_tensor(L, t)
     verdict = verify_cybe(r)
     # operator agreement at the requested degree bound
@@ -144,11 +146,10 @@ def cmd_export(args) -> int:
         out = []
         for rep in reps:
             g1, g2, gm = rep["triple"]
-            space = bd.th_solution_space(sigma, g1, g2, dict(gm))
             out.append({"gamma1": sorted(g1), "gamma2": sorted(g2),
                         "gamma": {str(a): b for a, b in gm},
                         "orbit_size": rep["orbit_size"],
-                        "t_h_dimension": space["dimension"]})
+                        "t_h_dimension": bd.th_dimension(sigma, g1, g2, dict(gm))})
         _write(args.output, {"sigma": serialize.sigma_json(sigma), "orbits": out})
         return 0
     if args.what == "structure":

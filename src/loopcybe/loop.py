@@ -674,6 +674,12 @@ class AffineDiagramData:
         self.affine_cartan = affine_cartan
         self.marks = marks
         self.m = m
+        # (node functionals on (h^nu, d) with alpha_i(d) = s_i, node coroots),
+        # scaled to integers by one common denominator, for `bd.th_dimension`
+        funcs = [list(w) + [Q(x)] for w, x in zip(node_weights, sigma.s)]
+        d = lcm(*(x.denominator for row in [*funcs, *node_coroots] for x in row))
+        self.integer_nodes = tuple([[int(x * d) for x in r] for r in rows]
+                                   for rows in (funcs, node_coroots))
 
 
 _DIAGRAM_CACHE: dict = {}

@@ -35,7 +35,9 @@ and `error-verify-A2-d` (exit 2) on a valid one whose t_h has entries on
 the scaling direction d, which a twist cannot embed.  They, and the digest
 of `export --what catalog --type E7 --s 1,0,0,0,0,0,0,0` in `DIGESTS`,
 were written by the code that still validated a quadruple twice per
-`verify-cybe` and ran one condition-3 solve per catalog orbit.  A change
+`verify-cybe` and ran one condition-3 solve per catalog orbit; so was
+`error-twist-A2-invalid` (exit 2), `twist` on the invalid quadruple, whose
+error object names `ValueError`.  A change
 that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -100,6 +102,7 @@ CASES = [
     ("error-r0-B3-nu", ["r0", "--type", "B3", "--nu", "1,0,2"]),
     ("verify-A2-invalid", ["verify-cybe", "-i", "quad_invalid.json"]),
     ("error-verify-A2-d", ["verify-cybe", "-i", "quad_th_d.json"]),
+    ("error-twist-A2-invalid", ["twist", "-i", "quad_invalid.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.

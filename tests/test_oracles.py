@@ -15,6 +15,9 @@ implementations, kept here unchanged in substance:
 - `fraction_th_solution_space` builds the condition-3 system in Fraction
   coordinates and solves it with three generic `rref`s: the d-free `solve`,
   the full `solve` when that fails, and `kernel_basis`;
+- `th_solution_space` itself, the one Bareiss solve of the condition-3
+  system, is the oracle of `th_dimension`, which counts the family from
+  Cartan's lemma: both give the same dimension, or both raise;
 - `unpruned_isometric_maps` enumerates every injective isometry of the
   Fraction coroot Gram on Gamma_1 and tests orbit escape only on completed
   maps;
@@ -31,11 +34,14 @@ dicts (values, types and key order) and the same sequence of maps.
 
 import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
 import loopcybe.bd as bd
 import loopcybe.classify as cl
+from loopcybe import cli
+from test_golden import CASES, expected
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
@@ -225,6 +231,89 @@ def test_th_solution_space_matches_fraction_oracle_e6():
     for _ in range(30):
         sigma = rng.choice(gradings)
         assert_same_space(sigma, rng.choice(reps[sigma])["triple"])
+
+
+def solved_or_counted(fn, sigma, g1, g2, gamma):
+    """The dimension `fn` reports, or None when it raises ValueError."""
+    try:
+        out = fn(sigma, g1, g2, gamma)
+    except ValueError:
+        return None
+    return out["dimension"] if isinstance(out, dict) else out
+
+
+def assert_same_count(sigma, g1, g2, gamma):
+    want = solved_or_counted(bd.th_solution_space, sigma, g1, g2, gamma)
+    got = solved_or_counted(bd.th_dimension, sigma, g1, g2, gamma)
+    assert got == want, (sigma, sorted(g1), gamma)
+    return got
+
+
+# (label, nu, affine nodes): every valid triple at every mark-1 grading
+COUNT_DIAGRAMS = [("A1", None, 2), ("A2", None, 3), ("A3", None, 4), ("A4", None, 5),
+                  ("B2", None, 3), ("B3", None, 4), ("C2", None, 3), ("C3", None, 4),
+                  ("G2", None, 3), ("A3", (2, 1, 0), 3), ("D4", (2, 1, 3, 0), 3)]
+
+
+@pytest.mark.parametrize("label,nu,nodes", COUNT_DIAGRAMS,
+                         ids=[diagram_id(c) for c in COUNT_DIAGRAMS])
+def test_th_dimension_matches_solution_space(label, nu, nodes):
+    for sigma in mark1_gradings(label, nu, nodes):
+        triples = cl.enumerate_triples(affine_diagram_data(sigma))
+        assert triples
+        for g1, g2, gm in triples:
+            dim = assert_same_count(sigma, g1, g2, dict(gm))
+            assert dim == (nodes - len(g1)) * (nodes - len(g1) - 1) // 2
+
+
+@pytest.mark.parametrize("label,nodes", [("B2", 3), ("G2", 3), ("C3", 4)])
+def test_th_dimension_raises_with_solution_space_off_isometries(label, nodes):
+    """Every injective gamma whose orbits escape (condition 2) but that
+    breaks condition 1: neither the count nor the solve finds a t_h."""
+    for sigma in mark1_gradings(label, None, nodes):
+        G = affine_diagram_data(sigma).coroot_gram
+        seen = 0
+        for mask in range(1, 2 ** nodes - 1):
+            g1 = frozenset(i for i in range(nodes) if mask >> i & 1)
+            for image in permutations(range(nodes), len(g1)):
+                gamma = dict(zip(sorted(g1), image))
+                if any(bd._orbit_escapes(gamma, g1, i) is None for i in g1):
+                    continue
+                if all(G[gamma[i]][gamma[j]] == G[i][j] for i in g1 for j in g1):
+                    continue
+                assert assert_same_count(sigma, g1, frozenset(image), gamma) is None
+                seen += 1
+        assert seen
+
+
+def test_th_dimension_matches_solution_space_e6():
+    sigma = SigmaType.make("E6", [1] + [0] * 6)
+    reps = cl.enumerate_representatives(sigma)
+    assert len(reps) == 300
+    for rep in reps:
+        g1, g2, gm = rep["triple"]
+        assert assert_same_count(sigma, g1, g2, dict(gm)) is not None
+
+
+@pytest.mark.parametrize("gamma", [{1: 1}, {1: 2, 2: 1}, {0: 3, 1: 1}],
+                         ids=["fixed-point", "2-cycle", "fixed-point-in-chain"])
+def test_th_dimension_rejects_trapped_gamma(gamma):
+    """A fixed point or a 2-cycle makes the h_i dependent: condition 2."""
+    sigma = SigmaType.make("A3", [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="condition 2"):
+        bd.th_dimension(sigma, set(gamma), set(gamma.values()), gamma)
+
+
+@pytest.mark.parametrize("name", ["catalog-E6", "catalog-D4-order3", "census-BCD-6"])
+def test_catalog_and_census_never_solve(name, monkeypatch, capsys):
+    """Catalogs and the census count the condition-3 family: their golden
+    output comes out with the solve refused."""
+    def refuse(*args):
+        raise AssertionError("th_solution_space called")
+
+    monkeypatch.setattr(bd, "th_solution_space", refuse)
+    monkeypatch.setattr(cl, "th_solution_space", refuse)
+    assert (cli.main(dict(CASES)[name]), capsys.readouterr().out) == expected(name)
 
 
 ISOMETRY_DIAGRAMS = [("A3", None, 4), ("A5", None, 6), ("B3", None, 4), ("B5", None, 6),
