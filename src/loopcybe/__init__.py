@@ -13,7 +13,7 @@ from .tensors import (TwoPointTensor, casimir_components, cobracket, contraction
                       cybe, r0, residue_operator, skew, taylor, twist_residual,
                       verify_cybe)
 from .bd import (BDQuadruple, ThetaMap, build_rq, build_twist, canonical_t_h,
-                 cayley, th_solution_space, validate, w_isotropy)
+                 cayley, th_dimension, th_solution_space, validate, w_isotropy)
 from .classify import (act, diagram_automorphisms, enumerate_representatives,
                        equivalence_witness, parabolic_restriction_check,
                        quasi_trig_reachable, type_census)
