@@ -41,12 +41,12 @@ import pytest
 import loopcybe.bd as bd
 import loopcybe.classify as cl
 from loopcybe import cli
-from test_golden import CASES, expected
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
 from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
                            affine_node_count, loop_algebra)
+from test_golden import CASES, expected
 
 
 def ad_trace_killing_gram(alg):
