@@ -324,7 +324,8 @@ class ThetaMap:
 
     Acts on root vectors of the subalgebra generated by the Gamma_1 node
     triples; maps the node coroots H_i to H_{gamma(i)} and kills the
-    B-orthogonal complement in the Cartan.
+    B-orthogonal complement in the Cartan.  The library takes its maps
+    from `theta_map`, which builds each one once.
     """
 
     def __init__(self, L: TwistedLoopAlgebra, gamma1: frozenset, gamma: dict):
@@ -407,6 +408,21 @@ class ThetaMap:
         raise AssertionError("theta is not nilpotent within the expected bound")
 
 
+_THETA_CACHE: dict = {}
+
+
+def theta_map(L: TwistedLoopAlgebra, gamma1: Iterable[int], gamma: dict) -> ThetaMap:
+    """The ThetaMap of (L, Gamma_1, gamma), built once per process.
+
+    Every caller with the same data gets the same map: it is shared, never
+    mutate it.
+    """
+    key = (L, frozenset(gamma1), tuple(sorted(gamma.items())))
+    if key not in _THETA_CACHE:
+        _THETA_CACHE[key] = ThetaMap(L, key[1], gamma)
+    return _THETA_CACHE[key]
+
+
 def _power(theta: ThetaMap, f: LoopElement, k: int) -> LoopElement:
     for _ in range(k):
         f = theta.apply(f)
@@ -434,17 +450,16 @@ def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
     Closes `simple` under adding a simple root while the sum stays a real
     root.  Maps each simple root to None and every other root r to the pair
     (r', s) it was reached from, r = r' + s; r' comes before r in the dict.
+    The roots are extended in the order they are found, each once.
     """
     roots = dict.fromkeys(simple)
-    changed = True
-    while changed:
-        changed = False
-        for (w, k) in list(roots):
-            for (sw, sk) in simple:
-                new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
-                if new not in roots and _find_root_slot(L, *new) is not None:
-                    roots[new] = ((w, k), (sw, sk))
-                    changed = True
+    found = list(roots)
+    for (w, k) in found:            # grows while it is read
+        for (sw, sk) in simple:
+            new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
+            if new not in roots and _find_root_slot(L, *new) is not None:
+                roots[new] = ((w, k), (sw, sk))
+                found.append(new)
     return roots
 
 
@@ -479,7 +494,7 @@ def build_twist(q: BDQuadruple) -> Laurent2:
         exc.report = rep            # so that a caller need not validate again
         raise exc
     L = q.algebra()
-    theta = ThetaMap(L, q.gamma1, q.gamma_map)
+    theta = theta_map(L, q.gamma1, q.gamma_map)
     out = embed_t_h(L, q.t_h_dict)
     for (w, k) in phi1_positive_roots(L, q.gamma1):
         sid = _find_root_slot(L, w, k)
@@ -497,18 +512,19 @@ def build_rq(q: BDQuadruple):
     R_{t_h} = pi_h/2 + pi_- + Psi(t_h) plus the two theta series.
     """
     L = q.algebra()
-    theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
-    inv_gamma = {b: a for a, b in q.gamma_map.items()}
-    theta_bwd = ThetaMap(L, q.gamma2, inv_gamma)
+    theta_fwd = theta_map(L, q.gamma1, q.gamma_map)
+    theta_bwd = theta_map(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
     r_th = residue_operator(L, embed_t_h(L, q.t_h_dict))
 
     def act(f: LoopElement) -> LoopElement:
         plus, minus, _ = L.split(f)
-        out = r_th(f)
+        out = r_th(f)           # a new element: the series go into its terms
         for img in theta_bwd.series(minus):
-            out = out + img
+            for key, c in img.terms.items():
+                add_term(out.terms, key, c)
         for img in theta_fwd.series(plus):
-            out = out - img
+            for key, c in img.terms.items():
+                add_term(out.terms, key, -c)
         return out
 
     return act
@@ -623,8 +639,8 @@ def gluing_check(q: BDQuadruple, d: int = 3) -> bool:
     """
     L = q.algebra()
     rq = build_rq(q)
-    theta_fwd = ThetaMap(L, q.gamma1, q.gamma_map)
-    theta_bwd = ThetaMap(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
+    theta_fwd = theta_map(L, q.gamma1, q.gamma_map)
+    theta_bwd = theta_map(L, q.gamma2, {b: a for a, b in q.gamma_map.items()})
     psi = contraction(L, embed_t_h(L, q.t_h_dict))
 
     for f in L.basis_up_to(d):
@@ -768,7 +784,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
         finite_wedges = t2_add(finite_wedges, wedge(L, b, bminus))
     acc = acc + from_loop_tensor(L, finite_wedges)
     acc = acc + from_loop_tensor(L, t2_scale(embed_t_h(L, q.t_h_dict), Q(-2)))
-    theta = ThetaMap(L, q.gamma1, q.gamma_map)
+    theta = theta_map(L, q.gamma1, q.gamma_map)
     tw: Laurent2 = {}
     for (w, k) in phi1_positive_roots(L, q.gamma1):
         sid = _find_root_slot(L, w, k)

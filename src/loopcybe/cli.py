@@ -109,7 +109,7 @@ def cmd_verify_cybe(args) -> int:
     # operator agreement at the requested degree bound
     rq = bd.build_rq(q)
     rt = residue_operator(L, t)
-    agree = all((rq(f) - rt(f)).is_zero() for f in L.basis_up_to(args.degree_bound))
+    agree = all(rq(f) == rt(f) for f in L.basis_up_to(args.degree_bound))
     verdict["operators"] = "agree" if agree else "disagree"
     _emit(verdict)
     ok = verdict["cybe"] == "zero" and verdict["skew"] == "zero" and agree

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
@@ -171,9 +172,12 @@ class TwistedLoopAlgebra:
         self.field = ScalarField(1 if self.nu_order <= 2 else self.nu_order)
         self._decomp_cache: dict = {}
         self._chev_slot_cache: dict = {}
-        # columns: the simple roots of the fixed subalgebra on the fixed Cartan
-        self._pi_inverse = mat_inverse([[w[t] for w in self.node_weights[1:]]
-                                        for t in range(self.nh)])
+        # columns: the simple roots of the fixed subalgebra on the fixed Cartan;
+        # its inverse is kept as an int matrix over one common denominator
+        inv = mat_inverse([[w[t] for w in self.node_weights[1:]] for t in range(self.nh)])
+        den = lcm(*(x.denominator for row in inv for x in row))
+        self._pi_inverse = ([[int(x * den) for x in row] for row in inv], den)
+        self._alpha0 = [_as_int(x) for x in self.node_weights[0]]
         # the orbit sums of the simple coroots span the fixed Cartan
         self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
@@ -274,14 +278,20 @@ class TwistedLoopAlgebra:
     # -------------------------------------------------------------- structure
 
     def decompose_pair(self, weight: Weight, k: int) -> list:
-        """Integer coefficients of the nu-root (weight, k) over Pi."""
+        """Integer coefficients of the nu-root (weight, k) over Pi, in int
+        arithmetic; a coefficient that is not an integer raises."""
         key = (weight, k)
         if key in self._decomp_cache:
             return self._decomp_cache[key]
-        c0 = k  # alpha_0 carries nu-degree 1, all other nodes degree 0
-        rest = [w - c0 * a0 for w, a0 in zip(weight, self.node_weights[0])]
-        out = [c0] + [_as_int(sum(x * y for x, y in zip(row, rest) if y))
-                      for row in self._pi_inverse]
+        # alpha_0 carries nu-degree 1, all other nodes degree 0
+        rest = [_as_int(w) - k * a0 for w, a0 in zip(weight, self._alpha0)]
+        rows, den = self._pi_inverse
+        out = [k]
+        for row in rows:
+            c, rem = divmod(sum(map(mul, row, rest)), den)
+            if rem:
+                raise AssertionError("expected an integer, got %s" % Q(c * den + rem, den))
+            out.append(c)
         self._decomp_cache[key] = out
         return out
 

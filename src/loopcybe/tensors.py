@@ -13,7 +13,11 @@ Conventions:
 
 The Yang-Baxter verifier clears denominators and works on exact Laurent
 tensors; `cybe` output is CYB(r) multiplied by
-((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).
+((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).  `cybe` and
+`cyb_of_laurent` run one pass of `_cyb_terms`: it sums the three partial
+brackets of CYB one at a time and drains each straight into one output
+dict, times its factor (x_p/x_q)^m - 1 for `cybe`, and zeros are dropped
+once, at the end.
 
 `contraction` is the one Psi(a (x) b) = B(b, -) a in the package: the
 residue operator R_t = pi_h/2 + pi_- + Psi(t), the residue operator R_Q of
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Optional
 
 from .chevalley import add_term, vec_add as t2_add, vec_scale as t2_scale
@@ -206,24 +209,19 @@ def r0(L: TwistedLoopAlgebra) -> TwoPointTensor:
 # ------------------------------------------------------------------- brackets
 
 
-def _bracket_into(alg, acc: Laurent3, d: tuple, i: int, j: int, pos: int, rest: tuple, c) -> None:
-    """acc += c * x^d * (bracket of basis i,j placed at leg `pos`, rest at others)."""
-    br = alg.bracket_basis(i, j)
-    if not br:
-        return
-    for t, ct in br.items():
-        legs = list(rest)
-        legs.insert(pos, t)
-        add_term(acc, d + tuple(legs), c * ct)
+def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
+    """[t12, t13] D23 + [t12, t23] D13 + [t13, t23] D12 in one pass.
 
-
-def _cyb_parts(alg, t: Laurent2):
-    """Yield the partial sums [t12, t13], [t12, t23], [t13, t23] of CYB(t).
-
+    D_pq = (x_p/x_q)^m - 1, or 1 when m = 0, which gives CYB(t) itself.
     Each term x^a y^b (u (x) v) of t is bucketed by its first leg u and by
-    its second leg v.  A partial sum brackets one bucket against another,
-    so it visits a pair of terms only when the bracket of their legs is
-    nonzero, and looks each bracket up once per call.
+    its second leg v.  A partial sum takes the left terms one bucket at a
+    time, by the leg that stays outside the bracket, and brackets each
+    against the right buckets, by their bracket leg: it visits a pair of
+    terms only when the bracket of their legs is nonzero, and looks each
+    bracket up once per call.  Entries from two left buckets never meet, so
+    a bucket's accumulator is drained as soon as it is full: each entry
+    goes to the tensor position of its bracket leg, times D_pq, straight
+    into the one output dict.  Zero entries are kept.
     """
     first: dict = {}        # u -> [(degree of u, degree of v, v, c)]
     second: dict = {}       # v -> [(degree of v, degree of u, u, c)]
@@ -231,29 +229,37 @@ def _cyb_parts(alg, t: Laurent2):
         first.setdefault(i, []).append((a, b, j, c))
         second.setdefault(j, []).append((b, a, i, c))
     brackets: dict = {}
-    for part, (left, right) in enumerate(((first, first), (second, first), (second, second))):
-        # keyed (bracket degree, left other degree, right other degree,
-        #        bracket leg, left other leg, right other leg)
-        acc: dict = {}
-        for u, lterms in left.items():
-            for v, rterms in right.items():
-                br = brackets.get((u, v))
-                if br is None:
-                    br = brackets[(u, v)] = list(alg.bracket_basis(u, v).items())
-                if not br:
-                    continue
-                for d1, e1, p, c1 in lterms:
+    out: Laurent3 = {}
+    # (left terms by their outer leg, right terms by their bracket leg)
+    for part, (left, right) in enumerate(((second, first), (first, first), (first, second))):
+        for p, lterms in left.items():
+            # keyed (bracket degree, left outer degree, right outer degree,
+            #        bracket leg, right outer leg)
+            acc: dict = {}
+            for e1, d1, u, c1 in lterms:
+                for v, rterms in right.items():
+                    br = brackets.get((u, v))
+                    if br is None:
+                        br = brackets[(u, v)] = list(alg.bracket_basis(u, v).items())
+                    if not br:
+                        continue
                     for d2, e2, q, c2 in rterms:
                         c = c1 * c2
                         for w, cw in br:
-                            key = (d1 + d2, e1, e2, w, p, q)
+                            key = (d1 + d2, e1, e2, w, q)
                             acc[key] = acc.get(key, 0) + c * cw
-        if part == 0:       # [t12, t13]: bracket on leg 1, degree in x1
-            yield {k: c for k, c in acc.items() if c}
-        elif part == 1:     # [t12, t23]: bracket on leg 2, degree in x2
-            yield {(e1, d, e2, p, w, q): c for (d, e1, e2, w, p, q), c in acc.items() if c}
-        else:               # [t13, t23]: bracket on leg 3, degree in x3
-            yield {(e1, e2, d, p, q, w): c for (d, e1, e2, w, p, q), c in acc.items() if c}
+            # The bracket sits on leg 1, 2, 3 in parts 0, 1, 2.  In each
+            # part D_pq raises the earlier of the two outer legs by x^m and
+            # lowers the later one by x^-m.
+            for (d, e1, e2, w, q), c in acc.items():
+                if not c:
+                    continue
+                for s, sc in ((m, c), (0, -c)) if m else ((0, c),):
+                    a, b = e1 + s, e2 - s
+                    key = ((d, a, b, w, p, q) if part == 0 else
+                           (a, d, b, p, w, q) if part == 1 else (a, b, d, p, q, w))
+                    out[key] = out.get(key, 0) + sc
+    return out
 
 
 def _integral(t: Laurent2) -> tuple:
@@ -269,14 +275,17 @@ def _integral(t: Laurent2) -> tuple:
 
 
 def _unscaled(t: Laurent3, den) -> Laurent3:
-    """Divide a bilinear result over `_integral` coefficients by den^2."""
-    return t if den is None else {k: Q(c, den * den) for k, c in t.items()}
+    """Drop the zero entries of a bilinear result over `_integral`
+    coefficients and divide the others by den^2."""
+    if den is None:
+        return {k: c for k, c in t.items() if c}
+    return {k: Q(c, den * den) for k, c in t.items() if c}
 
 
 def cyb_of_laurent(alg, t: Laurent2) -> Laurent3:
     """CYB(t) for a finite two-leg Laurent tensor (no poles)."""
     n, den = _integral(t)
-    return _unscaled(reduce(t2_add, _cyb_parts(alg, n), {}), den)
+    return _unscaled(_cyb_terms(alg, n), den)
 
 
 def alt_cyclic(t: Laurent3) -> Laurent3:
@@ -310,9 +319,7 @@ def cybe(r: TwoPointTensor) -> Laurent3:
     + [N13, N23] D12, where D_pq = (x_p/x_q)^m - 1.
     """
     n, den = _integral(r.cleared())
-    cleared = (laurent3_mul_clear(part, r.m, [pair]) for part, pair
-               in zip(_cyb_parts(r.L.alg, n), ((1, 2), (0, 2), (0, 1))))
-    return _unscaled(reduce(t2_add, cleared, {}), den)
+    return _unscaled(_cyb_terms(r.L.alg, n, r.m), den)
 
 
 def skew(r: TwoPointTensor) -> TwoPointTensor:
@@ -327,7 +334,8 @@ SYMBOLIC_DIM_LIMIT = 24
 def verify_cybe(r: TwoPointTensor) -> dict:
     """CYBE and skew verdicts, both symbolic and exact at every dim g.
 
-    `evaluate_cybe_at` is kept apart from this check as a point oracle.
+    The point oracle `evaluate_cybe_at` of `tests/test_oracles.py` checks
+    `cybe` from outside this module.
     """
     return {"cybe": "zero" if not cybe(r) else "nonzero",
             "skew": "zero" if skew(r).is_zero() else "nonzero", "mode": "symbolic"}
@@ -415,8 +423,9 @@ def twist_defect(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTens
 # ------------------------------------------------------------- residue action
 
 
-def contraction(L: TwistedLoopAlgebra, t: Laurent2):
-    """Psi(t), with Psi(a (x) b) = B(b, -) a, as a callable on loop elements.
+def _contraction_terms(L: TwistedLoopAlgebra, t: Laurent2):
+    """Psi(t) as `add(out, f)`, which adds the terms of Psi(t)(f) into the
+    terms dict `out` and returns it.
 
     The terms of t are grouped by their second leg (slot, degree); a term
     (s, k) of f meets only the legs (u, -k) with u in `L.slot_pairing[s]`.
@@ -425,67 +434,41 @@ def contraction(L: TwistedLoopAlgebra, t: Laurent2):
     for (first, second), c in tensor_to_slots(L, t).items():
         by_second.setdefault(second, []).append((first, c))
 
-    def psi(f: LoopElement) -> LoopElement:
-        out: dict = {}
+    def add(out: dict, f: LoopElement) -> dict:
         for (s, k), c in f.terms.items():
             for u, kappa in L.slot_pairing[s]:
                 for first, ct in by_second.get((u, -k), ()):
                     add_term(out, first, ct * c * kappa)
-        return LoopElement(L, out)
+        return out
 
-    return psi
+    return add
+
+
+def contraction(L: TwistedLoopAlgebra, t: Laurent2):
+    """Psi(t), with Psi(a (x) b) = B(b, -) a, as a callable on loop elements."""
+    add = _contraction_terms(L, t)
+    return lambda f: LoopElement(L, add({}, f))
 
 
 def residue_operator(L: TwistedLoopAlgebra, t: Laurent2):
-    """R_t = pi_h/2 + pi_- + Psi(t) as a callable on loop elements."""
-    psi = contraction(L, t)
+    """R_t = pi_h/2 + pi_- + Psi(t) as a callable on loop elements.
+
+    Each call fills one terms dict: half the Cartan part of f and its
+    negative-root part, as `L.split` divides f, then Psi(t)(f) added in.
+    """
+    add_psi = _contraction_terms(L, t)
 
     def act(f: LoopElement) -> LoopElement:
-        _, minus, cart = L.split(f)
-        return cart.scale(Q(1, 2)) + minus + psi(f)
+        out: dict = {}
+        for key, c in f.terms.items():
+            sid, k = key
+            if L.slots[sid].positive is None and k == 0:
+                out[key] = c * Q(1, 2)
+            elif not L.root_positive(sid, k):
+                out[key] = c
+        return LoopElement(L, add_psi(out, f))
 
     return act
-
-
-def residue_oracle(L: TwistedLoopAlgebra, r: TwoPointTensor, f: LoopElement) -> LoopElement:
-    """res_{y=0}[ psi(r(z,y))(f(y)) / y ] computed by truncated series.
-
-    Independent of `residue_operator`: expands the pole as a geometric
-    series in (y/z)^m and reads off the y^0 coefficient exactly.
-    """
-    if f.is_zero():
-        return L.zero()
-    degs = f.degrees()
-    lo = min(degs)
-    # accumulate raw degree -> g-vector and convert once (single Chevalley
-    # legs need not be graded, but the total is)
-    raw: dict = {}
-    # poly part: term x^a y^b u (x) v acts as kappa(v, f_{-b}) z^a u
-    fparts = f.chev_parts()
-    for (a, b, i, j), c in r.poly.items():
-        vf = fparts.get(-b)
-        if vf:
-            val = L.alg.killing({j: Q(1)}, vf)
-            if val:
-                add_term(raw.setdefault(a, {}), i, c * val)
-    # pole part: 1/((z/y)^m - 1) = sum_{l>=1} (y/z)^{lm}
-    m = L.m
-    for k, pk in enumerate(r.pole_num):
-        lmax = max(0, k - lo) // m + 1
-        for (i, j), c in pk.items():
-            for l in range(1, lmax + 1):
-                # (z/y)^k (y/z)^{lm} u (x) v  ->  z^{k-lm} y^{lm-k} u (x) v,
-                # so the residue pairs the f-part of degree k - lm
-                vf = fparts.get(k - m * l)
-                if vf:
-                    val = L.alg.killing({j: Q(1)}, vf)
-                    if val:
-                        add_term(raw.setdefault(k - m * l, {}), i, c * val)
-    acc = L.zero()
-    for deg, vec in raw.items():
-        if vec:
-            acc = acc + L.from_chev(deg, vec)
-    return acc
 
 
 # ---------------------------------------------------------------- Taylor data
@@ -503,48 +486,3 @@ def taylor(r: TwoPointTensor, order: int) -> list:
         for (i, j), c in pk.items():
             add_term(out[j_ord], (-j_ord, i, j), c)
     return out
-
-
-# ------------------------------------------------------ point-wise evaluation
-
-def evaluate_cybe_at(r: TwoPointTensor, pts: tuple) -> dict:
-    """CYB(r)(x1,x2,x3) evaluated exactly at rational points.
-
-    Points must avoid x_i^m = x_j^m.  Returns a sparse g^3 tensor.
-    """
-    x1, x2, x3 = (Q(p) for p in pts)
-    m = r.m
-    for a, b in ((x1, x2), (x1, x3), (x2, x3)):
-        if a ** m == b ** m:
-            raise ValueError("points must satisfy x_i^m != x_j^m")
-
-    def value(x, y) -> GTensor2:
-        out: GTensor2 = {}
-        for (dx, dy, i, j), c in r.poly.items():
-            out[(i, j)] = out.get((i, j), 0) + c * x ** dx * y ** dy
-        den = (x / y) ** m - 1
-        for k, pk in enumerate(r.pole_num):
-            f = (x / y) ** k / den
-            for (i, j), c in pk.items():
-                out[(i, j)] = out.get((i, j), 0) + c * f
-        return {k: v for k, v in out.items() if v}
-
-    v12, v13, v23 = value(x1, x2), value(x1, x3), value(x2, x3)
-    alg = r.L.alg
-    acc: dict = {}
-
-    def brk(t1: GTensor2, t2: GTensor2, mode: str) -> None:
-        for (i, j), c1 in t1.items():
-            for (k, l), c2 in t2.items():
-                c = c1 * c2
-                if mode == "12,13":
-                    _bracket_into(alg, acc, (0, 0, 0), i, k, 0, (j, l), c)
-                elif mode == "12,23":
-                    _bracket_into(alg, acc, (0, 0, 0), j, k, 1, (i, l), c)
-                else:
-                    _bracket_into(alg, acc, (0, 0, 0), j, l, 2, (i, k), c)
-
-    brk(v12, v13, "12,13")
-    brk(v12, v23, "12,23")
-    brk(v13, v23, "13,23")
-    return {k[3:]: v for k, v in acc.items() if v}

@@ -26,7 +26,14 @@ implementations, kept here unchanged in substance:
   the fixed Cartan;
 - `chevalley_form` pairs two loop elements through their Chevalley
   coordinates (`chev_parts` and `alg.killing`), where the library reads
-  the cached `slot_pairing` of the loop algebra.
+  the cached `slot_pairing` of the loop algebra;
+- `evaluate_cybe_at` evaluates CYB(r) exactly at rational points, one
+  bracket per pair of terms (`_bracket_into`), against the symbolic
+  `cybe`; `residue_oracle` reads R_t off a truncated series of r0 + t,
+  against `residue_operator` and `build_rq` (both used by
+  `tests/test_tensors.py`);
+- `sweep_root_closure` closes a set of simple roots by full sweeps over
+  every root found so far, where `bd._root_closure` extends each root once.
 
 They must agree with the library exactly: the same Gram matrices, the same
 dicts (values, types and key order) and the same sequence of maps.
@@ -42,11 +49,11 @@ import loopcybe.bd as bd
 import loopcybe.classify as cl
 from loopcybe import cli
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
-from loopcybe.chevalley import chevalley_algebra
+from loopcybe.chevalley import add_term, chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
 from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
                            affine_node_count, loop_algebra)
-from test_golden import CASES, expected
+from test_golden import CASES, GOLDEN, expected
 
 
 def ad_trace_killing_gram(alg):
@@ -465,3 +472,175 @@ def test_slot_form_matches_chevalley_oracle(label, s, nu):
             assert (got, type(got)) == (want, type(want)), (f, g)
             types.add(type(got).__name__)
     assert types == ({"Fraction", "CycNumber"} if L.nu_order == 3 else {"Fraction"})
+
+
+# ------------------------------------------------- CYB and residue oracles
+
+
+def _bracket_into(alg, acc, d, i, j, pos, rest, c):
+    """acc += c * x^d * (bracket of basis i,j placed at leg `pos`, rest at others)."""
+    br = alg.bracket_basis(i, j)
+    if not br:
+        return
+    for t, ct in br.items():
+        legs = list(rest)
+        legs.insert(pos, t)
+        add_term(acc, d + tuple(legs), c * ct)
+
+
+def evaluate_cybe_at(r, pts):
+    """CYB(r)(x1,x2,x3) evaluated exactly at rational points.
+
+    Points must avoid x_i^m = x_j^m.  Returns a sparse g^3 tensor.
+    """
+    x1, x2, x3 = (Q(p) for p in pts)
+    m = r.m
+    for a, b in ((x1, x2), (x1, x3), (x2, x3)):
+        if a ** m == b ** m:
+            raise ValueError("points must satisfy x_i^m != x_j^m")
+
+    def value(x, y):
+        out = {}
+        for (dx, dy, i, j), c in r.poly.items():
+            out[(i, j)] = out.get((i, j), 0) + c * x ** dx * y ** dy
+        den = (x / y) ** m - 1
+        for k, pk in enumerate(r.pole_num):
+            f = (x / y) ** k / den
+            for (i, j), c in pk.items():
+                out[(i, j)] = out.get((i, j), 0) + c * f
+        return {k: v for k, v in out.items() if v}
+
+    v12, v13, v23 = value(x1, x2), value(x1, x3), value(x2, x3)
+    alg = r.L.alg
+    acc = {}
+
+    def brk(t1, t2, mode):
+        for (i, j), c1 in t1.items():
+            for (k, l), c2 in t2.items():
+                c = c1 * c2
+                if mode == "12,13":
+                    _bracket_into(alg, acc, (0, 0, 0), i, k, 0, (j, l), c)
+                elif mode == "12,23":
+                    _bracket_into(alg, acc, (0, 0, 0), j, k, 1, (i, l), c)
+                else:
+                    _bracket_into(alg, acc, (0, 0, 0), j, l, 2, (i, k), c)
+
+    brk(v12, v13, "12,13")
+    brk(v12, v23, "12,23")
+    brk(v13, v23, "13,23")
+    return {k[3:]: v for k, v in acc.items() if v}
+
+
+def residue_oracle(L, r, f):
+    """res_{y=0}[ psi(r(z,y))(f(y)) / y ] computed by truncated series.
+
+    Independent of `residue_operator`: expands the pole as a geometric
+    series in (y/z)^m and reads off the y^0 coefficient exactly.
+    """
+    if f.is_zero():
+        return L.zero()
+    lo = min(f.degrees())
+    # accumulate raw degree -> g-vector and convert once (single Chevalley
+    # legs need not be graded, but the total is)
+    raw = {}
+    # poly part: term x^a y^b u (x) v acts as kappa(v, f_{-b}) z^a u
+    fparts = f.chev_parts()
+    for (a, b, i, j), c in r.poly.items():
+        vf = fparts.get(-b)
+        if vf:
+            val = L.alg.killing({j: Q(1)}, vf)
+            if val:
+                add_term(raw.setdefault(a, {}), i, c * val)
+    # pole part: 1/((z/y)^m - 1) = sum_{l>=1} (y/z)^{lm}
+    m = L.m
+    for k, pk in enumerate(r.pole_num):
+        lmax = max(0, k - lo) // m + 1
+        for (i, j), c in pk.items():
+            for l in range(1, lmax + 1):
+                # (z/y)^k (y/z)^{lm} u (x) v  ->  z^{k-lm} y^{lm-k} u (x) v,
+                # so the residue pairs the f-part of degree k - lm
+                vf = fparts.get(k - m * l)
+                if vf:
+                    val = L.alg.killing({j: Q(1)}, vf)
+                    if val:
+                        add_term(raw.setdefault(k - m * l, {}), i, c * val)
+    acc = L.zero()
+    for deg, vec in raw.items():
+        if vec:
+            acc = acc + L.from_chev(deg, vec)
+    return acc
+
+
+# ---------------------------------------------------------------- theta maps
+
+
+def sweep_root_closure(L, simple):
+    """Close `simple` under adding a simple root, by full sweeps until one
+    adds nothing; each new root maps to the pair (r', s) it came from."""
+    roots = dict.fromkeys(simple)
+    changed = True
+    while changed:
+        changed = False
+        for (w, k) in list(roots):
+            for (sw, sk) in simple:
+                new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
+                if new not in roots and bd._find_root_slot(L, *new) is not None:
+                    roots[new] = ((w, k), (sw, sk))
+                    changed = True
+    return roots
+
+
+# (label, s, nu): untwisted, the principal A2 grading, order 2 and order 3
+CLOSURE_DIAGRAMS = [("A3", (1, 0, 0, 0), None), ("B3", (1, 0, 0, 0), None),
+                    ("C3", (1, 0, 0, 0), None), ("G2", (1, 0, 0), None),
+                    ("A4", (1, 0, 0, 0, 0), None), ("A2", (1, 1, 1), None),
+                    ("A3", (1, 0, 0), (2, 1, 0)), ("D4", (1, 0, 0), (2, 1, 3, 0))]
+
+
+@pytest.mark.parametrize("label,s,nu", CLOSURE_DIAGRAMS,
+                         ids=["%s-%s" % (diagram_id((label, nu, None)), "".join(map(str, s)))
+                              for label, s, nu in CLOSURE_DIAGRAMS])
+def test_root_closure_matches_sweep_oracle(label, s, nu):
+    """The same items in the same order, on the Gamma_1 and Gamma_2 of every
+    valid triple: seeded with the node pairs, as `ThetaMap` seeds it, and
+    with the plus roots alone, as `phi1_positive_roots` seeds it."""
+    sigma = SigmaType.make(label, s, nu)
+    L = loop_algebra(sigma)
+    gens = L.generators()
+    node_sets = {g for g1, g2, _ in cl.enumerate_triples(affine_diagram_data(sigma))
+                 for g in (g1, g2)}
+    assert len(node_sets) > 1
+    for nodes in node_sets:
+        pairs = [bd._root_key(L, gens[i][key]) for i in sorted(nodes)
+                 for key in ("plus", "minus")]
+        plus = [bd._root_key(L, gens[i]["plus"]) for i in sorted(nodes)]
+        for seeds in (pairs, plus):
+            got = list(bd._root_closure(L, seeds).items())
+            assert got == list(sweep_root_closure(L, seeds).items()), sorted(nodes)
+
+
+def test_theta_map_is_shared_and_keyed_on_gamma():
+    """One map per (L, Gamma_1, gamma): equal data share it, and a gamma
+    with the same Gamma_1 gets its own, sending e_1 to e_gamma(1)."""
+    L = loop_algebra(SigmaType.make("A3", [1, 0, 0, 0]))
+    gens = L.generators()
+    for target in (2, 3, 0):
+        theta = bd.theta_map(L, {1}, {1: target})
+        assert theta is bd.theta_map(L, frozenset({1}), {1: target})
+        assert theta.apply(gens[1]["plus"]) == gens[target]["plus"]
+
+
+def test_verify_cybe_builds_two_theta_maps(monkeypatch, capsys):
+    """build_twist, build_rq forward and backward: the forward map is built once."""
+    built = []
+    build = bd.ThetaMap._build
+
+    def counting(self):
+        built.append((self.gamma1, self.gamma))
+        build(self)
+
+    monkeypatch.setattr(bd, "_THETA_CACHE", {})
+    monkeypatch.setattr(bd.ThetaMap, "_build", counting)
+    monkeypatch.chdir(GOLDEN)
+    assert (cli.main(dict(CASES)["verify-B4"]), capsys.readouterr().out) == expected("verify-B4")
+    assert built == [({0, 1}, {0: 1, 1: 3}), ({1, 3}, {1: 0, 3: 1})]

@@ -6,10 +6,10 @@ import pytest
 from loopcybe.loop import LoopElement, SigmaType, loop_algebra
 from loopcybe.tensors import (alt_cyclic, casimir_components, cobracket,
                               constant_tensor, cybe, cyb_of_laurent,
-                              evaluate_cybe_at, from_loop_tensor, r0,
-                              residue_operator, residue_oracle, skew, t2_add,
-                              t2_scale, taylor, tensor_of_elements,
+                              from_loop_tensor, r0, residue_operator, skew,
+                              t2_add, t2_scale, taylor, tensor_of_elements,
                               twist_residual, wedge, zero_tensor)
+from test_oracles import evaluate_cybe_at, residue_oracle
 
 ALL_SIGMAS = [("A1", [1, 0], None), ("A1", [1, 1], None), ("A2", [1, 0, 0], None),
               ("A2", [1, 1, 1], None), ("B2", [1, 0, 0], None), ("A2", [1, 0], [1, 0])]
@@ -182,6 +182,20 @@ def test_cybe_kernel_matches_reference(label, s, nu, gamma):
         assert (not got) == solves
         assert got == _reference_cybe(r)
     assert cyb_of_laurent(L.alg, t) == _reference_cyb_of_laurent(L.alg, t)
+
+
+def test_cybe_kernel_matches_reference_on_order_3():
+    """D4^(3): the kernel on CycNumber coefficients, dict for dict the n^2
+    loop, for CYB(t_Q) and for the cleared CYB of t_Q alone (r0 + t_Q
+    would take seconds)."""
+    L, t = _kernel_twist("D4", [1, 0, 0], [2, 1, 3, 0], {0: 2})
+    assert L.nu_order == 3
+    assert "CycNumber" in {type(c).__name__ for c in t.values()}
+    got = cyb_of_laurent(L.alg, t)
+    assert got and got == _reference_cyb_of_laurent(L.alg, t)
+    r = from_loop_tensor(L, t)
+    got = cybe(r)
+    assert got and got == _reference_cybe(r)
 
 
 def test_kernel_b4_witness_twist_residual_and_point_oracle():
