@@ -217,11 +217,11 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
     its second leg v.  A partial sum takes the left terms one bucket at a
     time, by the leg that stays outside the bracket, and brackets each
     against the right buckets, by their bracket leg: it visits a pair of
-    terms only when the bracket of their legs is nonzero, and looks each
-    bracket up once per call.  Entries from two left buckets never meet, so
-    a bucket's accumulator is drained as soon as it is full: each entry
-    goes to the tensor position of its bracket leg, times D_pq, straight
-    into the one output dict.  Zero entries are kept.
+    terms only when the bracket of their legs is nonzero, and computes the
+    bracket of two basis vectors once per call.  Entries from two left
+    buckets never meet, so a bucket's accumulator is drained as soon as it
+    is full: each entry goes to the tensor position of its bracket leg,
+    times D_pq, straight into the one output dict.  Zero entries are kept.
     """
     first: dict = {}        # u -> [(degree of u, degree of v, v, c)]
     second: dict = {}       # v -> [(degree of v, degree of u, u, c)]
