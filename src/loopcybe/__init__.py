@@ -2,7 +2,7 @@
 equation on twisted loop algebras, their twists, and their classification.
 
 The package is float-free end to end: scalars are rationals (or elements
-of a small cyclotomic field), tensors are sparse dictionaries, and every
+of Q(zeta_3) for order-3 twists), tensors are sparse dictionaries, and every
 identity is checked symbolically or at exact rational points.
 """
 

@@ -324,8 +324,10 @@ class ThetaMap:
 
     Acts on root vectors of the subalgebra generated by the Gamma_1 node
     triples; maps the node coroots H_i to H_{gamma(i)} and kills the
-    B-orthogonal complement in the Cartan.  The library takes its maps
-    from `theta_map`, which builds each one once.
+    B-orthogonal complement in the Cartan.  `positive_roots` lists the
+    positive roots of that subalgebra, Phi_1^+, sorted, as (weight, degree)
+    keys.  The library takes its maps from `theta_map`, which builds each
+    one once.
     """
 
     def __init__(self, L: TwistedLoopAlgebra, gamma1: frozenset, gamma: dict):
@@ -343,16 +345,20 @@ class ThetaMap:
             for key in ("plus", "minus"):
                 src = gens[i][key]
                 self._root_images[_root_key(L, src)] = (src, gens[self.gamma[i]][key])
+        positive = {_root_key(L, gens[i]["plus"]) for i in self.gamma1}
         # a root r = r' + s gets the image [theta(e_s), theta(e_r')] / N,
-        # where [e_s, e_r'] = N e_r
+        # where [e_s, e_r'] = N e_r; r is positive exactly when r' is
         for (w, k), path in _root_closure(L, list(self._root_images)).items():
             if path is None:
                 continue
+            if path[0] in positive:
+                positive.add((w, k))
             src_r, img_r = self._root_images[path[0]]
             src_s, img_s = self._root_images[path[1]]
             base = LoopElement(L, {(_find_root_slot(L, w, k), k): Q(1)})
             ratio = _element_ratio(L.bracket(src_s, src_r), base)
             self._root_images[(w, k)] = (base, L.bracket(img_s, img_r).scale(1 / ratio))
+        self.positive_roots = sorted(positive)
         # Cartan action: t_i -> t_{gamma(i)}, zero on the orthocomplement
         self._build_cartan()
 
@@ -466,12 +472,6 @@ def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
 # ------------------------------------------------------------------- twists
 
 
-def phi1_positive_roots(L: TwistedLoopAlgebra, gamma1: frozenset) -> list:
-    """Positive roots of the span of Gamma_1, as (weight, degree) pairs."""
-    gens = L.generators()
-    return sorted(_root_closure(L, [_root_key(L, gens[i]["plus"]) for i in sorted(gamma1)]))
-
-
 def embed_t_h(L: TwistedLoopAlgebra, t_h: dict) -> Laurent2:
     """t_h as a two-leg loop tensor (d-free part required)."""
     out: Laurent2 = {}
@@ -496,7 +496,7 @@ def build_twist(q: BDQuadruple) -> Laurent2:
     L = q.algebra()
     theta = theta_map(L, q.gamma1, q.gamma_map)
     out = embed_t_h(L, q.t_h_dict)
-    for (w, k) in phi1_positive_roots(L, q.gamma1):
+    for (w, k) in theta.positive_roots:
         sid = _find_root_slot(L, w, k)
         b, bminus = L.root_vector_pair(sid, k)
         for img in theta.series(b):
@@ -786,7 +786,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
     acc = acc + from_loop_tensor(L, t2_scale(embed_t_h(L, q.t_h_dict), Q(-2)))
     theta = theta_map(L, q.gamma1, q.gamma_map)
     tw: Laurent2 = {}
-    for (w, k) in phi1_positive_roots(L, q.gamma1):
+    for (w, k) in theta.positive_roots:
         sid = _find_root_slot(L, w, k)
         b, bminus = L.root_vector_pair(sid, k)
         for img in theta.series(b):

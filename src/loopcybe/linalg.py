@@ -2,7 +2,7 @@
 
 Matrices are lists of lists of field elements (Fraction or CycNumber);
 everything is duck-typed through the arithmetic operators, so the same
-row reduction (`rref`) serves Q and Q(zeta_N).  It does one field
+row reduction (`rref`) serves Q and Q(zeta_3).  It does one field
 operation per entry update, which is fine for the small solves of the
 Cartan-level code.  `rref_int` is the one reduction for large systems over
 Q: callers scale their rows to integers and it eliminates on Python ints

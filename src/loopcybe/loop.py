@@ -27,7 +27,7 @@ from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
 from .linalg import kernel_basis, mat_inverse, rref_int, solve
-from .scalars import Q, ScalarField
+from .scalars import CycNumber, Q, zeta
 from .value import Value
 
 Weight = tuple  # values of a functional on the fixed Cartan basis
@@ -169,7 +169,6 @@ class TwistedLoopAlgebra:
         self.nu_order = lcm(*map(len, self.orbits))
         self.nu_cols = (lift_diagram_automorphism(self.alg, self.nu_perm)
                         if self.nu_order > 1 else None)
-        self.field = ScalarField(1 if self.nu_order <= 2 else self.nu_order)
         self._decomp_cache: dict = {}
         self._chev_slot_cache: dict = {}
         # columns: the simple roots of the fixed subalgebra on the fixed Cartan;
@@ -191,7 +190,6 @@ class TwistedLoopAlgebra:
     def _build_slots(self) -> None:
         alg = self.alg
         r = self.nu_order
-        F = self.field
         slots: list[Slot] = []
 
         def new_slot(j: int, weight: Weight, vec: Vec, positive, cartan=False) -> None:
@@ -227,7 +225,7 @@ class TwistedLoopAlgebra:
                 wt = self._weight_of_root(rho)
                 pos = is_positive(rho)
                 for j in range(r):
-                    vecs = _eigen_kernel(mat, F, j, r)
+                    vecs = _eigen_kernel(mat, j, r)
                     for v in vecs:
                         chev = {}
                         for c, idx in enumerate(idxs):
@@ -244,7 +242,7 @@ class TwistedLoopAlgebra:
                     rr = idxs.index(tgt)
                     mat[rr][c] = Q(1)
                 for j in range(r):
-                    vecs = _eigen_kernel(mat, F, j, r)
+                    vecs = _eigen_kernel(mat, j, r)
                     for v in vecs:
                         chev = {idxs[c]: v[c] for c in range(len(idxs)) if v[c] != 0}
                         new_slot(j, zero_w, chev, None, cartan=(j == 0))
@@ -597,13 +595,14 @@ def _restrict(rs: RootSystem, orbits: list, r: Root) -> Weight:
     return tuple(Q(sum(rs.pairing(r, i) for i in orbit)) for orbit in orbits)
 
 
-def _eigen_kernel(mat: list, F: ScalarField, j: int, r: int) -> list:
-    """Basis of the zeta_r^j eigenspace of a small rational matrix."""
-    lam = ScalarField(r).zeta(j)  # rational for r <= 2, else in Q(zeta_r)
+def _eigen_kernel(mat: list, j: int, r: int) -> list:
+    """Basis of the zeta_r^j eigenspace of a small rational matrix, over Q
+    for r <= 2 and over Q(zeta_3) for r = 3."""
+    one = Q(1) if r <= 2 else CycNumber(1)
+    lam = zeta(r, j)
     n = len(mat)
-    a = [[F.of(mat[i][k]) - lam * F.one() * (1 if i == k else 0) for k in range(n)]
-         for i in range(n)]
-    return kernel_basis(a, F.of(0), F.of(1))
+    a = [[one * mat[i][k] - (lam if i == k else 0) for k in range(n)] for i in range(n)]
+    return kernel_basis(a, one * 0, one)
 
 
 def _as_int(q) -> int:

@@ -1,19 +1,16 @@
-"""Exact scalar arithmetic: rationals and cyclotomic fields Q(zeta_N).
+"""Exact scalar arithmetic: rationals and the field Q(zeta_3).
 
 Every computation in this package is float-free.  Plain rationals are
-`fractions.Fraction`; the few places that need a genuine root of unity
-(order-3 diagram automorphisms) use `CycNumber`, an element of
-Q[x]/Phi_N(x) with Fraction coefficients.  `ScalarField(N)` bundles the
-conductor together with constructors, so callers can stay agnostic about
-whether they are working over Q (N = 1, and +/-1 for N = 2) or a proper
-extension.
+`fractions.Fraction`.  A diagram automorphism has order 1, 2 or 3, and only
+order 3 (D4 triality) needs a root of unity outside Q: there the package
+uses `CycNumber`, a + b zeta_3 with Fraction coordinates a and b, where
+zeta_3^2 = -1 - zeta_3.  `zeta(r, j)` gives zeta_r^j for the three orders.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .value import Value
@@ -22,251 +19,109 @@ Q = Fraction
 
 Scalar = Union[Fraction, "CycNumber"]
 
-
-def _poly_trim(cs: list[Q]) -> tuple[Q, ...]:
-    end = len(cs)
-    while end > 0 and cs[end - 1] == 0:
-        end -= 1
-    return tuple(cs[:end])
+_ZERO = Q(0)
 
 
-def _poly_mul(a: tuple[Q, ...], b: tuple[Q, ...]) -> tuple[Q, ...]:
-    if not a or not b:
-        return ()
-    out = [Q(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: tuple[Q, ...], b: tuple[Q, ...]) -> tuple[tuple[Q, ...], tuple[Q, ...]]:
-    """(quotient, remainder) of a / b over the rationals."""
-    rem = list(a)
-    quo = [Q(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b) and _poly_trim(rem):
-        rem = list(_poly_trim(rem))
-        if len(rem) < len(b):
-            break
-        c = rem[-1] / lead
-        k = len(rem) - len(b)
-        quo[k] = c
-        for j, cb in enumerate(b):
-            rem[k + j] -= c * cb
-        rem = list(_poly_trim(rem))
-    return _poly_trim(quo), _poly_trim(rem)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[Q, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
-    num: tuple[Q, ...] = tuple([Q(-1)] + [Q(0)] * (n - 1) + [Q(1)])
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_poly(d))
-            assert not rem
-    return num
+def parts(x) -> tuple:
+    """(a, b) with x = a + b zeta_3, for a CycNumber, a Fraction or an int."""
+    if isinstance(x, CycNumber):
+        return (x.coeffs + (_ZERO, _ZERO))[:2]
+    return x, _ZERO
 
 
 class CycNumber(Value):
-    """Element of Q(zeta_N) as a polynomial in zeta_N modulo Phi_N."""
+    """a + b zeta_3 in Q(zeta_3); `coeffs` is (a, b) with trailing zeros trimmed."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, conductor: int, coeffs: tuple[Q, ...]):
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)  # length < deg Phi_N, trailing zeros trimmed
-
-    @staticmethod
-    def of(value, conductor: int = 1) -> "CycNumber":
-        q = Q(value)
-        return CycNumber(conductor, (q,) if q else ())
-
-    @staticmethod
-    def zeta(conductor: int, power: int = 1) -> "CycNumber":
-        """zeta_N^power, reduced modulo Phi_N."""
-        phi = cyclotomic_poly(conductor)
-        power %= conductor
-        mono = [Q(0)] * (power + 1)
-        mono[power] = Q(1)
-        _, rem = _poly_divmod(_poly_trim(mono), phi)
-        return CycNumber(conductor, rem)
-
-    def _coerce(self, other) -> "CycNumber":
-        if isinstance(other, CycNumber):
-            if other.conductor != self.conductor:
-                raise ValueError("mixed conductors %d and %d" % (self.conductor, other.conductor))
-            return other
-        return CycNumber.of(other, self.conductor)
+    def __init__(self, a=0, b=0):
+        a, b = Q(a), Q(b)
+        object.__setattr__(self, "coeffs", (a, b) if b else (a,) if a else ())
 
     def __add__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        cs = [Q(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(o.coeffs):
-            cs[i] += c
-        return CycNumber(self.conductor, _poly_trim(cs))
+        a, b = parts(self)
+        c, d = parts(other)
+        return CycNumber(a + c, b + d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.conductor, tuple(-c for c in self.coeffs))
+        a, b = parts(self)
+        return CycNumber(-a, -b)
 
     def __sub__(self, other) -> "CycNumber":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "CycNumber":
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        prod = _poly_mul(self.coeffs, o.coeffs)
-        _, rem = _poly_divmod(prod, cyclotomic_poly(self.conductor))
-        return CycNumber(self.conductor, rem)
+        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2, and z^2 = -1 - z
+        a, b = parts(self)
+        c, d = parts(other)
+        bd = b * d
+        return CycNumber(a * c - bd, a * d + b * c - bd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        return _cyc_inverse(self)
+        """1/(a + b z) = (a - b - b z)/(a^2 - ab + b^2), the norm in the denominator."""
+        a, b = parts(self)
+        norm = a * a - a * b + b * b
+        if not norm:
+            raise ZeroDivisionError("inverse of zero in Q(zeta_3)")
+        return CycNumber((a - b) / norm, -b / norm)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * _cyc_inverse(o)
+    def __truediv__(self, other) -> "CycNumber":
+        return self * CycNumber(*parts(other)).inverse()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * _cyc_inverse(self)
+    def __rtruediv__(self, other) -> "CycNumber":
+        return self.inverse() * other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycNumber):
-            return self.conductor == other.conductor and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return Q(other) == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == Q(other)
+            return self.coeffs == ((Q(other),) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Q(0))
-        return hash((self.conductor, self.coeffs))
+        # a rational value hashes as its Fraction, to which it is equal
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def to_fraction(self) -> Q:
-        if not self.coeffs:
-            return Q(0)
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        raise ValueError("not a rational number: %r" % (self,))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Cyc(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("%s*z%d" % (c, self.conductor))
-            else:
-                terms.append("%s*z%d^%d" % (c, self.conductor, i))
+        a, b = parts(self)
+        terms = ([str(a)] if a else []) + (["%s*z3" % b] if b else [])
         return "Cyc(%s)" % " + ".join(terms)
 
 
-def _cyc_inverse(x: CycNumber) -> CycNumber:
-    if not x.coeffs:
-        raise ZeroDivisionError("inverse of zero in Q(zeta)")
-    phi = cyclotomic_poly(x.conductor)
-    # Extended Euclid on (phi, x): maintain s with s*x = r (mod phi).
-    r0, r1 = list(phi), list(x.coeffs)
-    s0, s1 = [Q(0)], [Q(1)]
-
-    def trim(v: list[Q]) -> list[Q]:
-        return list(_poly_trim(v))
-
-    while trim(r1):
-        r1 = trim(r1)
-        q, r = _poly_divmod(tuple(trim(r0)), tuple(r1))
-        qs1 = _poly_mul(q, tuple(trim(s1)))
-        n = max(len(s0), len(qs1))
-        new_s = [Q(0)] * n
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(qs1):
-            new_s[i] -= c
-        r0, s0, r1, s1 = r1, s1, list(r), new_s
-    # Now r0 is a nonzero constant gcd, and s0 * x = r0 (mod phi).
-    g = trim(r0)[0]
-    inv = [c / g for c in s0]
-    _, rem = _poly_divmod(tuple(trim(inv)), phi)
-    return CycNumber(x.conductor, rem)
-
-
-class ScalarField:
-    """The field Q(zeta_N): plain rationals when N <= 2.
-
-    Invariants: arithmetic is exact and equality is decidable.  N = 1
-    degenerates to Q; N = 2 also embeds in Q since zeta_2 = -1.
-    """
-
-    def __init__(self, conductor: int = 1):
-        if conductor < 1:
-            raise ValueError("conductor must be a positive integer")
-        self.conductor = conductor
-
-    @property
-    def is_rational(self) -> bool:
-        return self.conductor <= 2
-
-    def zero(self) -> Scalar:
-        return Q(0) if self.is_rational else CycNumber.of(0, self.conductor)
-
-    def one(self) -> Scalar:
-        return Q(1) if self.is_rational else CycNumber.of(1, self.conductor)
-
-    def of(self, value) -> Scalar:
-        return Q(value) if self.is_rational else CycNumber.of(value, self.conductor)
-
-    def zeta(self, power: int = 1) -> Scalar:
-        """Primitive N-th root of unity raised to `power`."""
-        if self.conductor == 1:
-            return Q(1)
-        if self.conductor == 2:
-            return Q(-1) ** (power % 2)
-        return CycNumber.zeta(self.conductor, power)
-
-    def __repr__(self) -> str:
-        return "ScalarField(Q)" if self.conductor == 1 else "ScalarField(Q(zeta_%d))" % self.conductor
-
-
-def as_fraction(x: Scalar) -> Q:
-    """Coerce a scalar known to be rational back to a Fraction."""
-    if isinstance(x, CycNumber):
-        return x.to_fraction()
-    return Q(x)
+def zeta(r: int, j: int = 1) -> Scalar:
+    """zeta_r^j for r = 1, 2, 3, the orders of diagram automorphisms:
+    a Fraction for r <= 2 and a CycNumber for r = 3."""
+    if r == 3:
+        return (CycNumber(1), CycNumber(0, 1), CycNumber(-1, -1))[j % 3]
+    if r not in (1, 2):
+        raise ValueError("no diagram automorphism has order %d" % r)
+    return Q(-1) ** (j % r)
 
 
 def frac_str(q: Scalar) -> str:
     """Serialize a rational exactly, e.g. '3/4' or '-2'.
 
-    A rational-valued CycNumber serializes as its rational value; a genuinely
-    cyclotomic one raises ValueError.
+    A rational-valued CycNumber serializes as its rational value; a
+    CycNumber with a zeta_3 part raises ValueError.
     """
-    q = as_fraction(q)
+    if isinstance(q, CycNumber):
+        if len(q.coeffs) > 1:
+            raise ValueError("not a rational number: %r" % (q,))
+        q = parts(q)[0]
+    q = Q(q)
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 

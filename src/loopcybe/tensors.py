@@ -13,11 +13,12 @@ Conventions:
 
 The Yang-Baxter verifier clears denominators and works on exact Laurent
 tensors; `cybe` output is CYB(r) multiplied by
-((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).  `cybe` and
-`cyb_of_laurent` run one pass of `_cyb_terms`: it sums the three partial
-brackets of CYB one at a time and drains each straight into one output
-dict, times its factor (x_p/x_q)^m - 1 for `cybe`, and zeros are dropped
-once, at the end.
+((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).  `cybe` calls
+`cyb_of_laurent`, which runs `_cyb_terms` on int coefficients only: once
+for a rational tensor, three times for one over Q(zeta_3).  `_cyb_terms`
+sums the three partial brackets of CYB one at a time and drains each
+straight into one output dict, times its factor (x_p/x_q)^m - 1 for
+`cybe`, and zeros are dropped once, at the end.
 
 `contraction` is the one Psi(a (x) b) = B(b, -) a in the package: the
 residue operator R_t = pi_h/2 + pi_- + Psi(t), the residue operator R_Q of
@@ -32,6 +33,7 @@ from typing import Iterable, Optional
 
 from .chevalley import add_term, vec_add as t2_add, vec_scale as t2_scale
 from .loop import LoopElement, TwistedLoopAlgebra
+from .scalars import CycNumber, parts
 
 Q = Fraction
 
@@ -262,30 +264,41 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
     return out
 
 
-def _integral(t: Laurent2) -> tuple:
-    """(den * t, den) with integer coefficients, or (t, None) if t is not rational.
+def cyb_of_laurent(alg, t: Laurent2, m: int = 0) -> Laurent3:
+    """CYB(t) for a finite two-leg Laurent tensor (no poles), or with m > 0
+    the sum of its partial brackets times D_pq as `_cyb_terms` gives it.
 
-    The bracket loop then runs on ints, many times faster than on Fractions;
-    cyclotomic coefficients (order-3 twists) are left as they are.
+    The bracket loop sees int coefficients only: den * t = A + B zeta_3
+    with int tensors A and B.  A rational t has B empty and takes one run,
+    on A.  Otherwise CYB is quadratic and zeta_3^2 = -1 - zeta_3, so with
+    C = CYB(A), D = CYB(B) and S = CYB(A + B),
+    CYB(A + B zeta_3) = (C - D) + (S - C - 2D) zeta_3.  Zeros are dropped
+    and the result is divided by den^2.
     """
-    if not all(isinstance(c, (int, Q)) for c in t.values()):
-        return t, None
-    den = math.lcm(*(c.denominator for c in t.values()))
-    return {k: int(c * den) for k, c in t.items()}, den
-
-
-def _unscaled(t: Laurent3, den) -> Laurent3:
-    """Drop the zero entries of a bilinear result over `_integral`
-    coefficients and divide the others by den^2."""
-    if den is None:
-        return {k: c for k, c in t.items() if c}
-    return {k: Q(c, den * den) for k, c in t.items() if c}
-
-
-def cyb_of_laurent(alg, t: Laurent2) -> Laurent3:
-    """CYB(t) for a finite two-leg Laurent tensor (no poles)."""
-    n, den = _integral(t)
-    return _unscaled(_cyb_terms(alg, n), den)
+    a: Laurent2 = {}
+    b: Laurent2 = {}
+    for k, c in t.items():
+        x, y = parts(c)
+        if x:
+            a[k] = x
+        if y:
+            b[k] = y
+    den = math.lcm(*(c.denominator for c in a.values()), *(c.denominator for c in b.values()))
+    a = {k: int(c * den) for k, c in a.items()}
+    sq = den * den
+    C = _cyb_terms(alg, a, m)
+    if not b:
+        return {k: Q(c, sq) for k, c in C.items() if c}
+    b = {k: int(c * den) for k, c in b.items()}
+    D = _cyb_terms(alg, b, m)
+    S = _cyb_terms(alg, t2_add(a, b), m)
+    out: Laurent3 = {}
+    for k in {**C, **D, **S}:
+        c, d = C.get(k, 0), D.get(k, 0)
+        x, y = c - d, S.get(k, 0) - c - 2 * d
+        if x or y:
+            out[k] = CycNumber(Q(x, sq), Q(y, sq))
+    return out
 
 
 def alt_cyclic(t: Laurent3) -> Laurent3:
@@ -318,8 +331,7 @@ def cybe(r: TwoPointTensor) -> Laurent3:
     With N = r(x, y) ((x/y)^m - 1) this is [N12, N13] D23 + [N12, N23] D13
     + [N13, N23] D12, where D_pq = (x_p/x_q)^m - 1.
     """
-    n, den = _integral(r.cleared())
-    return _unscaled(_cyb_terms(r.L.alg, n, r.m), den)
+    return cyb_of_laurent(r.L.alg, r.cleared(), r.m)
 
 
 def skew(r: TwoPointTensor) -> TwoPointTensor:

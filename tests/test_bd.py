@@ -7,9 +7,8 @@ import loopcybe.bd as bd
 from loopcybe.bd import (BDQuadruple, D_INDEX, ThetaMap, build_rq, build_twist,
                          canonical_t_h, cayley, embed_t_h, gluing_check,
                          manin_identity_sides, manin_t_skew_check,
-                         phi1_positive_roots, quasi_trig_rearranged,
-                         quasi_trig_tensor, th_solution_space, validate,
-                         w0_samples, w_isotropy)
+                         quasi_trig_rearranged, quasi_trig_tensor,
+                         th_solution_space, validate, w0_samples, w_isotropy)
 from loopcybe.loop import LoopElement, SigmaType, loop_algebra
 from loopcybe.tensors import (cybe, from_loop_tensor, r0, residue_operator,
                               skew, t2_add, twist_residual, wedge)
@@ -156,7 +155,7 @@ def test_twist_invariance_under_root_vector_rescaling(sl3_loop):
     random.seed(13)
     for _ in range(10):
         out = embed_t_h(L, q.t_h_dict)
-        for (w, k) in phi1_positive_roots(L, q.gamma1):
+        for (w, k) in theta.positive_roots:
             sid = bd._find_root_slot(L, w, k)
             b, bminus = L.root_vector_pair(sid, k)
             c = Q(random.randint(1, 9), random.randint(1, 9))

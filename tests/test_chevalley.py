@@ -209,12 +209,11 @@ def test_d4_triality_multiplicities():
     assert len(kernel_basis(fix, Q(0), Q(1))) == 14
     assert len(kernel_basis(quad, Q(0), Q(1))) == 14  # 7 + 7 over Q(zeta_3)
     # over the honest cyclotomic field: the zeta_3 eigenspace is 7-dim
-    from loopcybe.scalars import ScalarField
-    F = ScalarField(3)
-    z = F.zeta()
-    mz = [[F.of(m[i][j]) - (z if i == j else F.of(0)) for j in range(dim)]
+    from loopcybe.scalars import CycNumber, zeta
+    z = zeta(3)
+    mz = [[CycNumber(m[i][j]) - (z if i == j else 0) for j in range(dim)]
           for i in range(dim)]
-    assert len(kernel_basis(mz, F.of(0), F.of(1))) == 7
+    assert len(kernel_basis(mz, CycNumber(0), CycNumber(1))) == 7
 
 
 def test_lift_rejects_bad_permutation():

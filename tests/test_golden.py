@@ -37,7 +37,13 @@ of `export --what catalog --type E7 --s 1,0,0,0,0,0,0,0` in `DIGESTS`,
 were written by the code that still validated a quadruple twice per
 `verify-cybe` and ran one condition-3 solve per catalog orbit; so was
 `error-twist-A2-invalid` (exit 2), `twist` on the invalid quadruple, whose
-error object names `ValueError`.  A change
+error object names `ValueError`.  The last three pin the one order-3
+diagram automorphism, D4 triality nu = (2, 1, 3, 0) graded by s = (1, 0, 0),
+on the quadruple `quad_d4_order3.json` (Gamma_1 = {0}, gamma: 0 -> 2,
+t_h = h_1 (x) h_2 / 72): `verify-D4-order3` (exit 0), and
+`error-r0-D4-order3` and `error-twist-D4-order3` (exit 2), whose tensors have
+coefficients in Q(zeta_3) that no fraction string holds.  They were written
+by the code that still did arithmetic in a generic Q[x]/Phi_N.  A change
 that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -103,6 +109,9 @@ CASES = [
     ("verify-A2-invalid", ["verify-cybe", "-i", "quad_invalid.json"]),
     ("error-verify-A2-d", ["verify-cybe", "-i", "quad_th_d.json"]),
     ("error-twist-A2-invalid", ["twist", "-i", "quad_invalid.json"]),
+    ("verify-D4-order3", ["verify-cybe", "-i", "quad_d4_order3.json"]),
+    ("error-r0-D4-order3", ["r0", "--type", "D4", "--s", "1,0,0", "--nu", "2,1,3,0"]),
+    ("error-twist-D4-order3", ["twist", "-i", "quad_d4_order3.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.

@@ -603,20 +603,25 @@ CLOSURE_DIAGRAMS = [("A3", (1, 0, 0, 0), None), ("B3", (1, 0, 0, 0), None),
 def test_root_closure_matches_sweep_oracle(label, s, nu):
     """The same items in the same order, on the Gamma_1 and Gamma_2 of every
     valid triple: seeded with the node pairs, as `ThetaMap` seeds it, and
-    with the plus roots alone, as `phi1_positive_roots` seeds it."""
+    with the plus roots alone.  The `positive_roots` of a theta map on those
+    nodes are the plus-seeded closure, sorted."""
     sigma = SigmaType.make(label, s, nu)
     L = loop_algebra(sigma)
     gens = L.generators()
-    node_sets = {g for g1, g2, _ in cl.enumerate_triples(affine_diagram_data(sigma))
-                 for g in (g1, g2)}
-    assert len(node_sets) > 1
-    for nodes in node_sets:
+    gammas: dict = {}        # one gamma for each node set
+    for g1, g2, gm in cl.enumerate_triples(affine_diagram_data(sigma)):
+        gammas.setdefault(g1, dict(gm))
+        gammas.setdefault(g2, {b: a for a, b in dict(gm).items()})
+    assert len(gammas) > 1
+    for nodes, gamma in gammas.items():
         pairs = [bd._root_key(L, gens[i][key]) for i in sorted(nodes)
                  for key in ("plus", "minus")]
         plus = [bd._root_key(L, gens[i]["plus"]) for i in sorted(nodes)]
         for seeds in (pairs, plus):
             got = list(bd._root_closure(L, seeds).items())
             assert got == list(sweep_root_closure(L, seeds).items()), sorted(nodes)
+        want = sorted(sweep_root_closure(L, plus))
+        assert bd.ThetaMap(L, nodes, gamma).positive_roots == want, sorted(nodes)
 
 
 def test_theta_map_is_shared_and_keyed_on_gamma():

@@ -8,7 +8,7 @@ from loopcybe.tensors import (alt_cyclic, casimir_components, cobracket,
                               constant_tensor, cybe, cyb_of_laurent,
                               from_loop_tensor, r0, residue_operator, skew,
                               t2_add, t2_scale, taylor, tensor_of_elements,
-                              twist_residual, wedge, zero_tensor)
+                              twist_residual, verify_cybe, wedge, zero_tensor)
 from test_oracles import evaluate_cybe_at, residue_oracle
 
 ALL_SIGMAS = [("A1", [1, 0], None), ("A1", [1, 1], None), ("A2", [1, 0, 0], None),
@@ -186,8 +186,8 @@ def test_cybe_kernel_matches_reference(label, s, nu, gamma):
 
 def test_cybe_kernel_matches_reference_on_order_3():
     """D4^(3): the kernel on CycNumber coefficients, dict for dict the n^2
-    loop, for CYB(t_Q) and for the cleared CYB of t_Q alone (r0 + t_Q
-    would take seconds)."""
+    loop, for CYB(t_Q) and for the cleared CYB of t_Q alone; r0 + t_Q solves
+    the CYBE and r0 + 2 t_Q does not."""
     L, t = _kernel_twist("D4", [1, 0, 0], [2, 1, 3, 0], {0: 2})
     assert L.nu_order == 3
     assert "CycNumber" in {type(c).__name__ for c in t.values()}
@@ -196,6 +196,8 @@ def test_cybe_kernel_matches_reference_on_order_3():
     r = from_loop_tensor(L, t)
     got = cybe(r)
     assert got and got == _reference_cybe(r)
+    assert verify_cybe(r0(L) + r) == {"cybe": "zero", "skew": "zero", "mode": "symbolic"}
+    assert cybe(r0(L) + from_loop_tensor(L, t2_scale(t, 2)))
 
 
 def test_kernel_b4_witness_twist_residual_and_point_oracle():
