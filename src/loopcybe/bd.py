@@ -29,8 +29,8 @@ from typing import Iterable, Optional
 
 from .chevalley import add_term
 from .linalg import kernel_basis, map_sending, mat_inverse, mat_mul, rref_int, span_equal
-from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, Weight, _element_ratio,
-                   _int_row, affine_diagram_data, loop_algebra)
+from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, _element_ratio, _int_row,
+                   affine_diagram_data, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
                       from_loop_tensor, r0, residue_operator, t2_add,
                       t2_scale, twist_defect, wedge)
@@ -355,7 +355,7 @@ class ThetaMap:
                 positive.add((w, k))
             src_r, img_r = self._root_images[path[0]]
             src_s, img_s = self._root_images[path[1]]
-            base = LoopElement(L, {(_find_root_slot(L, w, k), k): Q(1)})
+            base = LoopElement(L, {(L.root_slot(w, k), k): Q(1)})
             ratio = _element_ratio(L.bracket(src_s, src_r), base)
             self._root_images[(w, k)] = (base, L.bracket(img_s, img_r).scale(1 / ratio))
         self.positive_roots = sorted(positive)
@@ -440,16 +440,6 @@ def _root_key(L: TwistedLoopAlgebra, f: LoopElement):
     return L.slots[sid].weight, k
 
 
-def _find_root_slot(L: TwistedLoopAlgebra, w: Weight, k: int) -> Optional[int]:
-    if all(v == 0 for v in w):
-        return None
-    for j in range(L.nu_order):
-        for sid in L._by_weight.get((w, j), []):
-            if (k - L.slots[sid].sigma_class) % L.m == 0:
-                return sid
-    return None
-
-
 def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
     """The roots spanned by the given simple roots, as (weight, degree) keys.
 
@@ -463,7 +453,7 @@ def _root_closure(L: TwistedLoopAlgebra, simple: list) -> dict:
     for (w, k) in found:            # grows while it is read
         for (sw, sk) in simple:
             new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
-            if new not in roots and _find_root_slot(L, *new) is not None:
+            if new not in roots and L.root_slot(*new) is not None:
                 roots[new] = ((w, k), (sw, sk))
                 found.append(new)
     return roots
@@ -497,7 +487,7 @@ def build_twist(q: BDQuadruple) -> Laurent2:
     theta = theta_map(L, q.gamma1, q.gamma_map)
     out = embed_t_h(L, q.t_h_dict)
     for (w, k) in theta.positive_roots:
-        sid = _find_root_slot(L, w, k)
+        sid = L.root_slot(w, k)
         b, bminus = L.root_vector_pair(sid, k)
         for img in theta.series(b):
             out = t2_add(out, wedge(L, bminus, img))
@@ -779,7 +769,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
     acc = TwoPointTensor(L, poly, pole)
     finite_wedges: Laurent2 = {}
     for beta in L.alg.rs.positive_roots:
-        sid = _find_root_slot(L, L._weight_of_root(beta), 0)
+        sid = L.root_slot(L._weight_of_root(beta), 0)
         b, bminus = L.root_vector_pair(sid, 0)
         finite_wedges = t2_add(finite_wedges, wedge(L, b, bminus))
     acc = acc + from_loop_tensor(L, finite_wedges)
@@ -787,7 +777,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
     theta = theta_map(L, q.gamma1, q.gamma_map)
     tw: Laurent2 = {}
     for (w, k) in theta.positive_roots:
-        sid = _find_root_slot(L, w, k)
+        sid = L.root_slot(w, k)
         b, bminus = L.root_vector_pair(sid, k)
         for img in theta.series(b):
             tw = t2_add(tw, t2_scale(wedge(L, img, bminus), 2))

@@ -13,6 +13,12 @@ derivation for every nu: `affine_diagram_data` reads it off the root
 system and nu alone, without structure constants, and the loop algebra
 adopts its fields.  Tests compare against the tabulated matrices and
 against the diagram read off the slots of the full loop algebra.
+
+Elements are held in slot coordinates; tensors and the JSON output stay in
+Chevalley coordinates.  The one change of basis between the two is the
+cached table `TwistedLoopAlgebra.chev_slots` (Chevalley index -> slot
+coordinates), built with one matrix inverse per restricted weight and
+read by `slot_coords`; the other direction is `Slot.vec`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
                      check_diagram_automorphism, is_positive, killing_cartan, neg)
 from .chevalley import (ChevalleyAlgebra, Vec, add_term, chevalley_algebra,
                         lift_diagram_automorphism, vec_scale)
-from .linalg import kernel_basis, mat_inverse, rref_int, solve
+from .linalg import kernel_basis, mat_inverse, rref_int
 from .scalars import CycNumber, Q, zeta
 from .value import Value
 
@@ -170,7 +176,6 @@ class TwistedLoopAlgebra:
         self.nu_cols = (lift_diagram_automorphism(self.alg, self.nu_perm)
                         if self.nu_order > 1 else None)
         self._decomp_cache: dict = {}
-        self._chev_slot_cache: dict = {}
         # columns: the simple roots of the fixed subalgebra on the fixed Cartan;
         # its inverse is kept as an int matrix over one common denominator
         inv = mat_inverse([[w[t] for w in self.node_weights[1:]] for t in range(self.nh)])
@@ -248,13 +253,13 @@ class TwistedLoopAlgebra:
                         new_slot(j, zero_w, chev, None, cartan=(j == 0))
 
         self.slots = slots
-        # lookup: (weight, nu_class) -> slot indices
+        # lookup: restricted weight -> slot indices, across nu-classes
         self._by_weight: dict = {}
         for s in slots:
-            self._by_weight.setdefault((s.weight, s.nu_class), []).append(s.index)
-        for (w, j), ids in self._by_weight.items():
-            if any(v != 0 for v in w) and len(ids) != 1:
-                raise AssertionError("root space (%s, %d) not one-dimensional" % (w, j))
+            self._by_weight.setdefault(s.weight, []).append(s.index)
+        for w, ids in self._by_weight.items():
+            if any(w) and len({slots[sid].nu_class for sid in ids}) != len(ids):
+                raise AssertionError("a root space of weight %s is not one-dimensional" % (w,))
 
     @cached_property
     def h_slots(self) -> list:
@@ -263,7 +268,7 @@ class TwistedLoopAlgebra:
         Each h_basis vector is checked to be one Cartan slot with coefficient
         1, so fixed-Cartan coordinates are read straight off slot terms.
         """
-        parts = [self._decompose_gvec(hv) for hv in self.h_basis]
+        parts = [self.slot_coords(hv) for hv in self.h_basis]
         if any(list(p.values()) != [1] or not self.slots[next(iter(p))].cartan for p in parts):
             raise AssertionError("an h_basis vector is not one Cartan slot")
         return [next(iter(p)) for p in parts]
@@ -312,42 +317,38 @@ class TwistedLoopAlgebra:
     def from_chev(self, k: int, gvec: Vec) -> LoopElement:
         """z^k * (g-vector); fails if the vector is not in g^sigma_k."""
         out: dict = {}
-        for sid, c in self._decompose_gvec(gvec).items():
+        for sid, c in self.slot_coords(gvec).items():
             slot = self.slots[sid]
             if (k - slot.sigma_class) % self.m != 0:
                 raise ValueError("vector has a component outside g^sigma_%d" % k)
             out[(sid, k)] = c
         return LoopElement(self, out)
 
-    def chev_index_slots(self, i: int) -> list:
-        """Decomposition of the Chevalley basis vector e_i over slots (cached)."""
-        if i not in self._chev_slot_cache:
-            self._chev_slot_cache[i] = sorted(self._decompose_gvec({i: Q(1)}).items())
-        return self._chev_slot_cache[i]
+    @cached_property
+    def chev_slots(self) -> dict:
+        """Chevalley index i -> [(slot, coeff)], the slot coordinates of e_i.
 
-    def _decompose_gvec(self, gvec: Vec) -> dict:
+        The slots of one restricted weight are a basis of the Chevalley
+        vectors of that weight, so one matrix inverse per weight gives them.
+        """
+        out: dict = {}
+        for ids in self._by_weight.values():
+            support = sorted({i for sid in ids for i in self.slots[sid].vec})
+            inv = mat_inverse([[self.slots[sid].vec.get(i, Q(0)) for sid in ids]
+                               for i in support])
+            for col, i in enumerate(support):
+                out[i] = [(sid, row[col]) for sid, row in zip(ids, inv) if row[col] != 0]
+        return out
+
+    def slot_coords(self, gvec: Vec) -> dict:
         """Write a g-vector as a combination of slots; returns slot -> coeff."""
         out: dict = {}
-        # classify basis indices by restricted weight
-        buckets: dict = {}
-        for idx, c in gvec.items():
-            rho = self.alg.basis_root(idx)
-            w = self._weight_of_root(rho) if rho is not None else tuple([Q(0)] * self.nh)
-            buckets.setdefault(w, {})[idx] = c
-        for w, sub in buckets.items():
-            ids = [sid for j in range(self.nu_order)
-                   for sid in self._by_weight.get((w, j), [])]
-            support = sorted({i for sid in ids for i in self.slots[sid].vec})
-            if any(i not in support for i in sub):
-                raise ValueError("vector outside the slot span (weight %s)" % (w,))
-            mat = [[self.slots[sid].vec.get(i, Q(0)) for sid in ids] for i in support]
-            rhs = [sub.get(i, Q(0)) for i in support]
-            sol = solve(mat, rhs)
-            if sol is None:
-                raise ValueError("vector cannot be decomposed into slots")
-            for sid, c in zip(ids, sol):
-                if c != 0:
-                    out[sid] = c
+        for i, c in gvec.items():
+            parts = self.chev_slots.get(i)
+            if parts is None:
+                raise ValueError("%r is not a basis index of g" % (i,))
+            for sid, cs in parts:
+                add_term(out, sid, c * cs)
         return out
 
     def bracket(self, f: LoopElement, g: LoopElement) -> LoopElement:
@@ -362,7 +363,7 @@ class TwistedLoopAlgebra:
                 br = self.alg.bracket(vf, vg)
                 if not br:
                     continue
-                for sid, c in self._decompose_gvec(br).items():
+                for sid, c in self.slot_coords(br).items():
                     add_term(acc, (sid, kf + kg), c)
         return LoopElement(self, acc)
 
@@ -377,11 +378,10 @@ class TwistedLoopAlgebra:
         for slot in self.slots:
             wneg = tuple(-x for x in slot.weight)
             partners = []
-            for j in range(self.nu_order):
-                for t in self._by_weight.get((wneg, j), []):
-                    kappa = self.alg.killing(slot.vec, self.slots[t].vec)
-                    if kappa:
-                        partners.append((t, kappa))
+            for t in self._by_weight[wneg]:
+                kappa = self.alg.killing(slot.vec, self.slots[t].vec)
+                if kappa:
+                    partners.append((t, kappa))
             out.append(partners)
         return out
 
@@ -398,6 +398,20 @@ class TwistedLoopAlgebra:
         return acc
 
     # ------------------------------------------------------------------ roots
+
+    def root_slot(self, w: Weight, k: int) -> Optional[int]:
+        """The slot of the real root (w, k), or None if (w, k) is no real root.
+
+        A root space is one line (checked when the slots are built), so the
+        slots of weight w have distinct nu-classes, hence distinct degree
+        classes modulo m, and at most one of them matches k.
+        """
+        if not any(w):
+            return None
+        for sid in self._by_weight.get(w, ()):
+            if (k - self.slots[sid].sigma_class) % self.m == 0:
+                return sid
+        return None
 
     def roots_of_degree(self, k: int) -> list:
         """All sigma-roots (weight, k) at loop degree k, as slot indices."""
@@ -511,13 +525,10 @@ class TwistedLoopAlgebra:
         for i in range(len(self.node_weights)):
             w = self.node_weights[i]
             si = self.sigma.s[i]
-            j = self.node_nu_degree[i]
-            plus_ids = self._by_weight.get((w, j % self.nu_order), [])
-            assert len(plus_ids) == 1
-            minus_ids = self._by_weight.get((tuple(-x for x in w), (-j) % self.nu_order), [])
-            assert len(minus_ids) == 1
-            xp = LoopElement(self, {(plus_ids[0], si): Q(1)})
-            xm = LoopElement(self, {(minus_ids[0], -si): Q(1)})
+            plus, minus = self.root_slot(w, si), self.root_slot(neg(w), -si)
+            assert plus is not None and minus is not None
+            xp = LoopElement(self, {(plus, si): Q(1)})
+            xm = LoopElement(self, {(minus, -si): Q(1)})
             h = self.coroot_element(i)
             # scale X- so that [X+, X-] = H
             br = self.bracket(xp, xm)

@@ -20,9 +20,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chevalley import add_term
+from .classify import loop_diagram_automorphisms
 from .linalg import solve
 from .loop import LoopElement, TwistedLoopAlgebra
-from .tensors import Laurent2, TwoPointTensor, _exact_div_clear, t2_add
+from .tensors import (Laurent2, TwoPointTensor, _exact_div_clear, t2_add, tensor_from_slots,
+                      tensor_to_slots)
 
 Q = Fraction
 
@@ -57,7 +59,6 @@ def regrade_element(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
 def regrade_loop_tensor(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
                         t: Laurent2) -> Laurent2:
     """Regrade both legs of a finite two-leg loop tensor."""
-    from .tensors import tensor_from_slots, tensor_to_slots
     _check_same_family(src, dst)
     moved: dict = {}
     for ((s1, dx), (s2, dy)), c in tensor_to_slots(src, t).items():
@@ -100,16 +101,14 @@ def exponent_identity(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
             # Cartan term: exponent 0 on both sides, e^{u ad mu} fixes h
             continue
         alpha_mu = sum(w * m for w, m in zip(slot.weight, mu))
-        dual = tuple(-x for x in slot.weight)
-        dual_ids = [s for j in range(src.nu_order)
-                    for s in src._by_weight.get((dual, j), [])]
+        dual = src.slot_pairing[slot.index][0][0]     # the slot of -alpha at -k
         for t in range(-periods, periods + 1):
             nu_k = slot.nu_class + t * src.nu_order
             lhs = Q(src.s_height(slot.weight, nu_k), src.m) + alpha_mu
             rhs = Q(dst.s_height(slot.weight, nu_k), dst.m)
             match = lhs == rhs
             ok = ok and match
-            pair = (dual_ids[0] if dual_ids else slot.index, slot.index)
+            pair = (dual, slot.index)
             terms.append({"weight": slot.weight, "nu_degree": nu_k,
                           "lhs": ExponentialMonomial(pair, -lhs, lhs),
                           "rhs": ExponentialMonomial(pair, -rhs, rhs),
@@ -230,7 +229,6 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, window: int = 6) -> LoopMap:
     brackets (the affine generators generate the whole loop algebra);
     the span closure tracks images through the elimination.
     """
-    from .classify import loop_diagram_automorphisms
     if tuple(perm) not in loop_diagram_automorphisms(L):
         raise ValueError("permutation is not a diagram automorphism")
     margin = window + max(L.sigma.s) + L.m
@@ -292,20 +290,15 @@ def apply_equivalence(desc: dict, r: TwoPointTensor, window: int = 6) -> TwoPoin
     else:
         raise ValueError("unsupported equivalence family %r" % (kind,))
 
-    from .tensors import tensor_to_slots
-    from .loop import LoopElement
-
     def map_tensor(t: Laurent2) -> Laurent2:
-        out: Laurent2 = {}
+        moved: dict = {}
         for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
             left = phi.apply(LoopElement(L, {(s1, dx): Q(1)}))
             right = phi.apply(LoopElement(L, {(s2, dy): Q(1)}))
-            for ka, va in left.chev_parts().items():
-                for kb, vb in right.chev_parts().items():
-                    for p, cp in va.items():
-                        for q_, cq in vb.items():
-                            add_term(out, (ka, kb, p, q_), c * cp * cq)
-        return out
+            for x, cx in left.terms.items():
+                for y, cy in right.terms.items():
+                    add_term(moved, (x, y), c * cx * cy)
+        return tensor_from_slots(L, moved)
 
     new_poly = map_tensor(r.poly)
     pole_tensor = {(k, -k, i, j): c for k, pk in enumerate(r.pole_num)

@@ -164,8 +164,12 @@ def quadruple_from_json(data: dict) -> BDQuadruple:
     items = data.get("t_h", [])
     _expect(isinstance(items, list) and all(isinstance(it, dict) for it in items),
             "t_h must be a JSON list of objects")
-    t_h = {(_th_key_parse(it["i"], nodes - 1), _th_key_parse(it["j"], nodes - 1)):
-           parse_frac(it["val"]) for it in items}
+    t_h = {}
+    for it in items:       # an entry is the coefficient of h_i ^ h_j
+        key = (_th_key_parse(it["i"], nodes - 1), _th_key_parse(it["j"], nodes - 1))
+        _expect(key[0] != key[1], "t_h entry i = %r, j = %r pairs an index with itself"
+                % (it["i"], it["j"]))
+        t_h[key] = parse_frac(it["val"])
     return BDQuadruple.make(sigma, g1, g2, gamma, t_h)
 
 

@@ -61,8 +61,8 @@ def tensor_to_slots(L: TwistedLoopAlgebra, t: Laurent2) -> dict:
     """
     out: dict = {}
     for (dx, dy, i, j), c in t.items():
-        for s1, c1 in L.chev_index_slots(i):
-            for s2, c2 in L.chev_index_slots(j):
+        for s1, c1 in L.chev_slots[i]:
+            for s2, c2 in L.chev_slots[j]:
                 add_term(out, ((s1, dx), (s2, dy)), c * c1 * c2)
     # grading-violating components must cancel across terms
     for ((s1, dx), (s2, dy)) in out:
@@ -83,13 +83,8 @@ def tensor_from_slots(L: TwistedLoopAlgebra, st: dict) -> Laurent2:
 
 
 def tensor_of_elements(a: LoopElement, b: LoopElement) -> Laurent2:
-    out: Laurent2 = {}
-    for ka, va in a.chev_parts().items():
-        for kb, vb in b.chev_parts().items():
-            for i, ci in va.items():
-                for j, cj in vb.items():
-                    add_term(out, (ka, kb, i, j), ci * cj)
-    return out
+    return tensor_from_slots(a.algebra, {(x, y): ca * cb for x, ca in a.terms.items()
+                                         for y, cb in b.terms.items()})
 
 
 class TwoPointTensor:
@@ -183,7 +178,7 @@ def casimir_components(L: TwistedLoopAlgebra) -> dict:
     cplus: GTensor2 = {}
     cminus: GTensor2 = {}
     for (i, j), c in C.items():
-        for sid, coeff in L.chev_index_slots(i):
+        for sid, coeff in L.chev_slots[i]:
             slot = L.slots[sid]
             k = slot.sigma_class
             for gi, gc in slot.vec.items():

@@ -293,7 +293,7 @@ def test_criterion_07_cobracket_ground_truth():
         ok = ok and t2_add(d, tau) == {}
         acc = {}
         for (dx, dy, i, j), c in d.items():
-            for s1, c1 in L.chev_index_slots(i):
+            for s1, c1 in L.chev_slots[i]:
                 from loopcybe.loop import LoopElement
                 inner = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r)
                 for (a, b, p, q_), ci in inner.items():

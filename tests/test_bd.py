@@ -156,7 +156,7 @@ def test_twist_invariance_under_root_vector_rescaling(sl3_loop):
     for _ in range(10):
         out = embed_t_h(L, q.t_h_dict)
         for (w, k) in theta.positive_roots:
-            sid = bd._find_root_slot(L, w, k)
+            sid = L.root_slot(w, k)
             b, bminus = L.root_vector_pair(sid, k)
             c = Q(random.randint(1, 9), random.randint(1, 9))
             b, bminus = b.scale(c), bminus.scale(1 / c)

@@ -132,6 +132,18 @@ def test_t_h_float_val_exits_2(tmp_path):
         assert _usage_error(run(cmd, "-i", path))
 
 
+@pytest.mark.parametrize("index", [1, "d"])
+def test_t_h_entry_on_one_index_exits_2(tmp_path, index):
+    """An entry is the coefficient of h_i ^ h_j, so i == j is malformed."""
+    path = write_quad(tmp_path, "q.json", dict(VALID_A2, t_h=[{"i": index, "j": index,
+                                                              "val": "1/2"}]))
+    for argv in (["validate", "-i", path], ["twist", "-i", path],
+                 ["verify-cybe", "-i", path], ["equiv", "-a", path, "-b", path]):
+        out = run(*argv)
+        assert _usage_error(out), argv
+        assert "pairs an index with itself" in json.loads(out.stdout)["error"], argv
+
+
 def test_verify_cybe(tmp_path):
     path = write_quad(tmp_path, "q.json", VALID_A2)
     out = run("verify-cybe", "-i", path)

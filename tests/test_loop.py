@@ -141,8 +141,16 @@ def test_graded_piece_properties(sl3_principal, a2_twisted):
                     for b in L.graded_piece(k):
                         br = L.alg.bracket(a, b)
                         if br:
-                            for sid in L._decompose_gvec(br):
+                            for sid in L.slot_coords(br):
                                 assert L.slots[sid].sigma_class == (j + k) % L.m
+
+
+def test_from_chev_rejects_indices_outside_g(sl3_loop, a2_twisted):
+    """Index -1 must not wrap round to the last basis vector."""
+    for L in (sl3_loop, a2_twisted):
+        for i in (-1, L.alg.dim):
+            with pytest.raises(ValueError):
+                L.from_chev(0, {i: Q(1)})
 
 
 def test_bracket_degree_addition(sl2_loop):

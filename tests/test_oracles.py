@@ -27,6 +27,9 @@ implementations, kept here unchanged in substance:
 - `chevalley_form` pairs two loop elements through their Chevalley
   coordinates (`chev_parts` and `alg.killing`), where the library reads
   the cached `slot_pairing` of the loop algebra;
+- `solve_slot_coords` writes a g-vector over the slots with one `solve`
+  per restricted weight on every call, where the library reads the
+  cached `chev_slots` table (one matrix inverse per weight);
 - `evaluate_cybe_at` evaluates CYB(r) exactly at rational points, one
   bracket per pair of terms (`_bracket_into`), against the symbolic
   `cybe`; `residue_oracle` reads R_t off a truncated series of r0 + t,
@@ -53,6 +56,7 @@ from loopcybe.chevalley import add_term, chevalley_algebra
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
 from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
                            affine_node_count, loop_algebra)
+from loopcybe.scalars import CycNumber
 from test_golden import CASES, GOLDEN, expected
 
 
@@ -474,6 +478,61 @@ def test_slot_form_matches_chevalley_oracle(label, s, nu):
     assert types == ({"Fraction", "CycNumber"} if L.nu_order == 3 else {"Fraction"})
 
 
+def solve_slot_coords(L, gvec):
+    """Slot coordinates of a g-vector: the basis indices are bucketed by
+    restricted weight, and each bucket is one `solve` against the vectors
+    of the slots of that weight."""
+    zero = tuple([Q(0)] * L.nh)
+    buckets = {}
+    for idx, c in gvec.items():
+        rho = L.alg.basis_root(idx)
+        buckets.setdefault(L._weight_of_root(rho) if rho is not None else zero, {})[idx] = c
+    out = {}
+    for w, sub in buckets.items():
+        ids = [slot.index for slot in L.slots if slot.weight == w]
+        support = sorted({i for sid in ids for i in L.slots[sid].vec})
+        assert set(sub) <= set(support)
+        sol = solve([[L.slots[sid].vec.get(i, Q(0)) for sid in ids] for i in support],
+                    [sub.get(i, Q(0)) for i in support])
+        assert sol is not None
+        out.update((sid, c) for sid, c in zip(ids, sol) if c != 0)
+    return out
+
+
+# FORM_ALGEBRAS, D4^(2) and E6^(2)
+SLOT_COORD_ALGEBRAS = FORM_ALGEBRAS + [("D4", (1, 0, 0, 0), (0, 1, 3, 2)),
+                                       ("E6", (1, 0, 0, 0, 0), (5, 1, 4, 3, 2, 0))]
+
+
+@pytest.mark.parametrize("label,s,nu", SLOT_COORD_ALGEBRAS,
+                         ids=["%s-%s" % (diagram_id((label, nu, None)), "".join(map(str, s)))
+                              for label, s, nu in SLOT_COORD_ALGEBRAS])
+def test_slot_coords_match_solve_oracle(label, s, nu):
+    """`chev_slots` and `slot_coords` against one solve per bucket, on every
+    basis index and on seeded random g-vectors (over Q(zeta_3) at order 3);
+    the slot vectors take the coordinates back to the g-vector."""
+    L = loop_algebra(SigmaType.make(label, s, nu))
+    dim = L.alg.dim
+    for i in range(dim):
+        want = solve_slot_coords(L, {i: Q(1)})
+        assert L.chev_slots[i] == sorted(want.items()), i
+        assert L.slot_coords({i: Q(1)}) == want, i
+    rng = random.Random(1501)
+    for _ in range(20):
+        gvec = {}
+        for i in rng.sample(range(dim), min(8, dim)):
+            c = Q(rng.randint(-6, 6), rng.randint(1, 5))
+            gvec[i] = CycNumber(c, rng.randint(-2, 2)) if L.nu_order == 3 else c
+        gvec = {i: c for i, c in gvec.items() if c}
+        got = L.slot_coords(gvec)
+        assert got == solve_slot_coords(L, gvec)
+        back = {}
+        for sid, c in got.items():
+            for i, ci in L.slots[sid].vec.items():
+                add_term(back, i, c * ci)
+        assert back == gvec
+
+
 # ------------------------------------------------- CYB and residue oracles
 
 
@@ -584,7 +643,7 @@ def sweep_root_closure(L, simple):
         for (w, k) in list(roots):
             for (sw, sk) in simple:
                 new = (tuple(a + b for a, b in zip(w, sw)), k + sk)
-                if new not in roots and bd._find_root_slot(L, *new) is not None:
+                if new not in roots and L.root_slot(*new) is not None:
                     roots[new] = ((w, k), (sw, sk))
                     changed = True
     return roots

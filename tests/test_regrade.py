@@ -101,6 +101,18 @@ def test_exponent_identity_b2():
     assert rep["ok"]
 
 
+def test_exponent_identity_twisted_pairs_each_slot_with_its_dual():
+    """On A3^(2) each term is labelled (slot of -alpha at -k, slot of alpha
+    at k): the nu-classes of the two slots add up to 0."""
+    src = loop_algebra(SigmaType.make("A3", [1, 0, 0], (2, 1, 0)))
+    rep = rg.exponent_identity(src, loop_algebra(SigmaType.make("A3", [1, 1, 1], (2, 1, 0))))
+    assert rep["ok"]
+    for t in rep["terms"]:
+        dual, slot = (src.slots[i] for i in t["lhs"].slots)
+        assert dual.weight == tuple(-x for x in slot.weight)
+        assert (dual.nu_class + slot.nu_class) % src.nu_order == 0
+
+
 def test_quotient_dependence_principal():
     assert rg.quotient_dependence(r0(loop_algebra(A2_PRIN)))
     assert rg.quotient_dependence(r0(loop_algebra(A1_COX)))
