@@ -19,7 +19,7 @@ serialization, extraspecial pairs all refer to it).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .value import Value
 
@@ -230,11 +230,13 @@ def is_positive(r: Root) -> bool:
     return False
 
 
+@cache
 def build_root_system(ct: CartanType) -> RootSystem:
     """Construct the full root system by closing simple roots upward.
 
     beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0 where p is
     the length of the alpha_i-string below beta (standard string rule).
+    Built once per Cartan type; the result is shared.
     """
     a = cartan_matrix(ct)
     n = ct.rank

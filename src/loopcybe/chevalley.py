@@ -10,9 +10,13 @@ gamma = eps + eta gets N_{eps,eta} = +(p+1), and every other constant
 follows from antisymmetry, N_{-a,-b} = -N_{a,b}, the rotation rule
 N_{a,b}/(c,c) = N_{b,c}/(a,a) for a+b+c = 0, and the Jacobi identity.
 These rules are applied once, when the algebra is built: `n_table` holds
-N_{a,b} as an int for every pair of signed roots whose sum is a root, and
-every bracket reads it.  The coroot brackets [e_b, f_b] are integral too,
-so `bracket_basis` returns int coefficients throughout.
+N_{a,b} as an int for every pair of signed roots whose sum is a root.
+`n_table` is the input of `table`, the one source of brackets: row i maps
+each j with [b_i, b_j] != 0 to the int terms ((k, c), ...) of that
+bracket.  The rows are built once per Cartan type, from `n_table`, the int
+coroots [e_b, f_b] of `coroot_combo` and one int pairing row per root, and
+`bracket_basis`, `bracket`, the CYB kernel, the cobracket and the
+structure export all read them.  They are shared, so never mutate one.
 The Killing form is read off the root system, never off the table: its
 Cartan block is `cartan.killing_cartan`, the one derivation of it in the
 package, and kappa(e_b, f_b) = kappa(h_b, h_b)/2 follows by invariance.
@@ -118,35 +122,39 @@ class ChevalleyAlgebra:
 
     # ---- structure constants ----------------------------------------------
 
+    @cached_property
+    def table(self) -> tuple:
+        """Row i: {j: ((k, c), ...)} for each j with [b_i, b_j] != 0, int c.
+
+        Rows are sorted by j and terms by k.  Equal terms are one tuple.
+        Shared: never mutate a row.
+        """
+        npos, pos = self.num_pos, self.rs.root_position
+        rows: list = [dict() for _ in range(self.dim)]
+        for (x, y), c in self.n_table.items():
+            rows[pos[x]][pos[y]] = ((pos[add(x, y)], c),)
+        for b, beta in enumerate(self.rs.positive_roots):
+            h = tuple(self.coroot_combo(beta).items())
+            rows[b][b + npos] = h
+            rows[b + npos][b] = tuple((k, -c) for k, c in h)
+            for k in range(self.rank):
+                c = self.rs.pairing(beta, k)    # [h_k, e_b] = c e_b, [h_k, f_b] = -c f_b
+                for j, cj in ((b, c), (b + npos, -c)) if c else ():
+                    rows[self.h_index(k)][j] = ((j, cj),)
+                    rows[j][self.h_index(k)] = ((j, -cj),)
+        shared: dict = {}       # equal terms, one tuple
+        return tuple({j: shared.setdefault(row[j], row[j]) for j in sorted(row)} for row in rows)
+
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[b_i, b_j] on the basis, with int coefficients."""
-        nr = 2 * self.num_pos
-        roots = self.rs.all_roots
-        if i >= nr:
-            if j >= nr:
-                return {}
-            c = self.rs.pairing(roots[j], i - nr)  # [h_k, e_y]
-            return {j: c} if c else {}
-        if j >= nr:
-            c = self.rs.pairing(roots[i], j - nr)
-            return {i: -c} if c else {}
-        x, y = roots[i], roots[j]
-        n = self.n_table.get((x, y))
-        if n is not None:
-            return {self.rs.root_position[add(x, y)]: n}
-        if j - i == self.num_pos:  # [e_x, f_x]
-            return self.coroot_combo(x)
-        if i - j == self.num_pos:  # [f_y, e_y]
-            return vec_scale(self.coroot_combo(y), -1)
-        return {}
+        return dict(self.table[i].get(j, ()))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
         for i, ci in x.items():
+            row = self.table[i]
             for j, cj in y.items():
-                if i == j:
-                    continue
-                for k, ck in self.bracket_basis(i, j).items():
+                for k, ck in row.get(j, ()):
                     add_term(out, k, ci * cj * ck)
         return out
 
@@ -163,9 +171,10 @@ class ChevalleyAlgebra:
         gram = [[Q(0)] * self.dim for _ in range(self.dim)]
         for i, row in enumerate(self.cartan_gram):
             gram[h0 + i][h0:] = row
+        kc = [[int(x) for x in row] for row in self.cartan_gram]
         for beta in self.rs.positive_roots:
             h = [(i - h0, x) for i, x in self.coroot_combo(beta).items()]
-            c = sum(a * b * self.cartan_gram[i][j] for i, a in h for j, b in h) / 2
+            c = Q(sum(a * b * kc[i][j] for i, a in h for j, b in h), 2)
             ei, fi = self.e_index(beta), self.f_index(beta)
             gram[ei][fi] = gram[fi][ei] = c
         return tuple(tuple(row) for row in gram)

@@ -121,7 +121,8 @@ def frac_str(q: Scalar) -> str:
         if len(q.coeffs) > 1:
             raise ValueError("not a rational number: %r" % (q,))
         q = parts(q)[0]
-    q = Q(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Q(q)
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 

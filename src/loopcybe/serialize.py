@@ -28,13 +28,10 @@ def dumps(obj) -> str:
 
 
 def structure_table_json(alg: ChevalleyAlgebra) -> dict:
-    constants = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            br = alg.bracket_basis(i, j)
-            if br:
-                constants.append({"i": i, "j": j,
-                                  "coeffs": {str(k): frac_str(v) for k, v in sorted(br.items())}})
+    coeffs: dict = {}       # terms -> one JSON object, shared by equal brackets
+    constants = [{"i": i, "j": j, "coeffs": coeffs.get(terms) or coeffs.setdefault(
+                      terms, {str(k): str(c) for k, c in terms})}
+                 for i, row in enumerate(alg.table) for j, terms in row.items()]
     return {
         "type": str(alg.rs.cartan_type),
         "roots": [list(r) for r in alg.rs.all_roots],
@@ -110,10 +107,20 @@ def two_point_from_json(L: TwistedLoopAlgebra, data: dict) -> TwoPointTensor:
     if data["m"] != L.m:
         raise ValueError("tensor order %s does not match the algebra (m = %d)"
                          % (data["m"], L.m))
-    poly = {(t["dx"], t["dy"], t["i"], t["j"]): parse_frac(t["val"]) for t in data["poly"]}
+    dim = L.alg.dim
+
+    def key(t: dict, *degrees: str) -> tuple:
+        out = tuple(t[x] for x in (*degrees, "i", "j"))
+        _expect(all(map(_is_int, out)) and 0 <= t["i"] < dim and 0 <= t["j"] < dim,
+                "tensor entry %r needs int degrees and i, j in 0..%d" % (t, dim - 1))
+        return out
+
+    poly = {key(t, "dx", "dy"): parse_frac(t["val"]) for t in data["poly"]}
     pole = [dict() for _ in range(L.m)]
     for t in data["pole"]:
-        pole[t["k"]][(t["i"], t["j"])] = parse_frac(t["val"])
+        k, i, j = key(t, "k")
+        _expect(0 <= k < L.m, "pole index k = %r is not in 0..%d" % (k, L.m - 1))
+        pole[k][(i, j)] = parse_frac(t["val"])
     return TwoPointTensor(L, poly, pole)
 
 

@@ -213,9 +213,9 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
     Each term x^a y^b (u (x) v) of t is bucketed by its first leg u and by
     its second leg v.  A partial sum takes the left terms one bucket at a
     time, by the leg that stays outside the bracket, and brackets each
-    against the right buckets, by their bracket leg: it visits a pair of
-    terms only when the bracket of their legs is nonzero, and computes the
-    bracket of two basis vectors once per call.  Entries from two left
+    against the right buckets, by their bracket leg: it walks the nonzero
+    partners v of u in `alg.table`, so it visits a pair of terms only when
+    the bracket of their legs is nonzero.  Entries from two left
     buckets never meet, so a bucket's accumulator is drained as soon as it
     is full: each entry goes to the tensor position of its bracket leg,
     times D_pq, straight into the one output dict.  Zero entries are kept.
@@ -225,7 +225,7 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
     for (a, b, i, j), c in t.items():
         first.setdefault(i, []).append((a, b, j, c))
         second.setdefault(j, []).append((b, a, i, c))
-    brackets: dict = {}
+    table = alg.table
     out: Laurent3 = {}
     # (left terms by their outer leg, right terms by their bracket leg)
     for part, (left, right) in enumerate(((second, first), (first, first), (first, second))):
@@ -234,13 +234,8 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
             #        bracket leg, right outer leg)
             acc: dict = {}
             for e1, d1, u, c1 in lterms:
-                for v, rterms in right.items():
-                    br = brackets.get((u, v))
-                    if br is None:
-                        br = brackets[(u, v)] = list(alg.bracket_basis(u, v).items())
-                    if not br:
-                        continue
-                    for d2, e2, q, c2 in rterms:
+                for v, br in table[u].items():
+                    for d2, e2, q, c2 in right.get(v, ()):
                         c = c1 * c2
                         for w, cw in br:
                             key = (d1 + d2, e1, e2, w, q)
@@ -385,9 +380,10 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
         for kf, vf in f.chev_parts().items():
             for (dx, dy, i, j), c in tensor.items():
                 for fi, fc in vf.items():
-                    for t, ct in alg.bracket_basis(fi, i).items():
+                    row = alg.table[fi]
+                    for t, ct in row.get(i, ()):
                         add_term(target, (dx + kf, dy, t, j), c * fc * ct)
-                    for t, ct in alg.bracket_basis(fi, j).items():
+                    for t, ct in row.get(j, ()):
                         add_term(target, (dx, dy + kf, i, t), c * fc * ct)
 
     add_action(out, r.poly)
@@ -417,13 +413,17 @@ def twist_residual(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTe
 def twist_defect(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTensor] = None) -> Laurent3:
     """CYB(t) - Alt((delta_0 (x) 1) t) for a finite Laurent tensor t, uncleared."""
     r_base = base if base is not None else r0(L)
-    # (delta (x) 1) t: apply the cobracket slot-wise to the first leg
+    # (delta (x) 1) t: one cobracket per first leg (slot, degree) of t
+    by_first: dict = {}
+    for (first, (s2, dy)), c in tensor_to_slots(L, t).items():
+        by_first.setdefault(first, []).append((s2, dy, c))
     d1: Laurent3 = {}
-    for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-        delta_f = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r_base)
+    for first, seconds in by_first.items():
+        delta_f = cobracket(LoopElement(L, {first: Q(1)}), r_base)
         for (a, b, p, q_), cf in delta_f.items():
-            for j, cj in L.slots[s2].vec.items():
-                add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
+            for s2, dy, c in seconds:
+                for j, cj in L.slots[s2].vec.items():
+                    add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
     return t2_add(cyb_of_laurent(L.alg, t), alt_cyclic(d1), scale=-1)
 
 

@@ -46,6 +46,15 @@ def _is_root_by_string(rs, roots, a, b):
     return p - pairing > 0
 
 
+def test_root_system_is_built_once_per_type():
+    """The Chevalley algebra and the affine diagram data read the one cached
+    root system of their Cartan type."""
+    from loopcybe.chevalley import chevalley_algebra
+    rs = build_root_system(CartanType.parse("B3"))
+    assert build_root_system(CartanType("B", 3)) is rs
+    assert chevalley_algebra("B3").rs is rs
+
+
 def test_rank_one_trivial():
     rs = build_root_system(CartanType.parse("A1"))
     assert len(rs.all_roots) == 2

@@ -43,7 +43,11 @@ on the quadruple `quad_d4_order3.json` (Gamma_1 = {0}, gamma: 0 -> 2,
 t_h = h_1 (x) h_2 / 72): `verify-D4-order3` (exit 0), and
 `error-r0-D4-order3` and `error-twist-D4-order3` (exit 2), whose tensors have
 coefficients in Q(zeta_3) that no fraction string holds.  They were written
-by the code that still did arithmetic in a generic Q[x]/Phi_N.  A change
+by the code that still did arithmetic in a generic Q[x]/Phi_N.  The digest
+of `export --what structure --type E8` in `DIGESTS` was written by the code
+that still worked out every structure constant on each bracket, through a
+branch ladder and root pairings, and wrapped each int in a Fraction before
+printing it.  A change
 that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -122,6 +126,8 @@ DIGESTS = [
      "8d1d20daf1f0f2ac73ee9ebfbd3021f4c308fcc39f1bed13e09b1da3561173e1"),
     (["export", "--what", "catalog", "--type", "E7", "--s", "1,0,0,0,0,0,0,0"],
      "07d6299133c7c983cc1d27147eb387e97d1f0a0c4f89218f14f19e06fcd002e4"),
+    (["export", "--what", "structure", "--type", "E8"],
+     "117e7f0fc61e8593a5e1e98b6ce35b37d9871bdb7f73161e4e3f3c87b146a948"),
 ]
 
 
@@ -143,7 +149,7 @@ def test_cli_golden(name, argv):
     assert (out.returncode, out.stdout) == expected(name)
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7"])
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7", "structure-E8"])
 def test_cli_digest(argv, digest):
     out = run_case(argv)
     assert out.returncode == 0

@@ -36,12 +36,20 @@ implementations, kept here unchanged in substance:
   against `residue_operator` and `build_rq` (both used by
   `tests/test_tensors.py`);
 - `sweep_root_closure` closes a set of simple roots by full sweeps over
-  every root found so far, where `bd._root_closure` extends each root once.
+  every root found so far, where `bd._root_closure` extends each root once;
+- `oracle_bracket_basis` works out [b_i, b_j] on every call, through a
+  branch ladder over `n_table`, `coroot_combo` and `RootSystem.pairing`,
+  where the library reads the rows of the cached `alg.table`;
+- `pair_twist_defect` applies the cobracket once per slot-pair term of t,
+  where `twist_defect` applies it once per first leg.
 
 They must agree with the library exactly: the same Gram matrices, the same
-dicts (values, types and key order) and the same sequence of maps.
+dicts (values, types and key order) and the same sequence of maps.  The
+twist defects agree in values; their key order differs.
 """
 
+import json
+import os
 import random
 from fractions import Fraction as Q
 from itertools import permutations
@@ -52,11 +60,14 @@ import loopcybe.bd as bd
 import loopcybe.classify as cl
 from loopcybe import cli
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
-from loopcybe.chevalley import add_term, chevalley_algebra
+from loopcybe.chevalley import add_term, chevalley_algebra, vec_scale
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
-from loopcybe.loop import (AffineDiagramData, SigmaType, _diagram_tail, affine_diagram_data,
-                           affine_node_count, loop_algebra)
+from loopcybe.loop import (AffineDiagramData, LoopElement, SigmaType, _diagram_tail,
+                           affine_diagram_data, affine_node_count, loop_algebra)
 from loopcybe.scalars import CycNumber
+from loopcybe.serialize import quadruple_from_json
+from loopcybe.tensors import (alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
+                              t2_scale, tensor_to_slots, twist_defect, wedge)
 from test_golden import CASES, GOLDEN, expected
 
 
@@ -376,6 +387,60 @@ def test_n_table_matches_fraction_oracle(label):
     want = {(a, b): fraction_resolve_n(rs, npos, a, b)
             for a in rs.all_roots for b in rs.all_roots if rs.is_root(add(a, b))}
     assert alg.n_table == want
+
+
+def oracle_bracket_basis(alg, i, j):
+    """[b_i, b_j] on the basis, with int coefficients, worked out afresh."""
+    nr = 2 * alg.num_pos
+    roots = alg.rs.all_roots
+    if i >= nr:
+        if j >= nr:
+            return {}
+        c = alg.rs.pairing(roots[j], i - nr)  # [h_k, e_y]
+        return {j: c} if c else {}
+    if j >= nr:
+        c = alg.rs.pairing(roots[i], j - nr)
+        return {i: -c} if c else {}
+    x, y = roots[i], roots[j]
+    n = alg.n_table.get((x, y))
+    if n is not None:
+        return {alg.rs.root_position[add(x, y)]: n}
+    if j - i == alg.num_pos:  # [e_x, f_x]
+        return alg.coroot_combo(x)
+    if i - j == alg.num_pos:  # [f_y, e_y]
+        return vec_scale(alg.coroot_combo(y), -1)
+    return {}
+
+
+TABLE_TYPES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+               + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_table_matches_bracket_oracle(label):
+    """Row i holds exactly the j with [b_i, b_j] != 0, in order, each with
+    the oracle's int terms sorted by basis index."""
+    alg = chevalley_algebra(label)
+    want = [[(j, tuple(sorted(br.items()))) for j in range(alg.dim)
+             if (br := oracle_bracket_basis(alg, i, j))] for i in range(alg.dim)]
+    assert [list(row.items()) for row in alg.table] == want
+    assert all(type(c) is int for row in alg.table for terms in row.values() for _, c in terms)
+
+
+def test_table_rows_are_shared_and_left_unchanged(monkeypatch, capsys):
+    """verify-cybe, twist and the structure export of B4 all read the one
+    cached table and write none of its rows."""
+    alg = chevalley_algebra("B4")
+    table = alg.table
+    before = [dict(row) for row in table]      # the terms are tuples
+    monkeypatch.chdir(GOLDEN)
+    for name in ("verify-B4", "twist-B4"):
+        assert (cli.main(dict(CASES)[name]), capsys.readouterr().out) == expected(name)
+    assert cli.main(["export", "--what", "structure", "--type", "B4"]) == 0
+    capsys.readouterr()
+    assert chevalley_algebra("B4") is alg and alg.table is table
+    assert [dict(row) for row in table] == before
 
 
 KILLING_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -708,3 +773,53 @@ def test_verify_cybe_builds_two_theta_maps(monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
     assert (cli.main(dict(CASES)["verify-B4"]), capsys.readouterr().out) == expected("verify-B4")
     assert built == [({0, 1}, {0: 1, 1: 3}), ({1, 3}, {1: 0, 3: 1})]
+
+
+# ------------------------------------------------------------ twist defect
+
+
+def pair_twist_defect(L, t, base=None):
+    """CYB(t) - Alt((delta_0 (x) 1) t), one cobracket per slot-pair term of t."""
+    r_base = base if base is not None else r0(L)
+    d1 = {}
+    for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
+        delta_f = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r_base)
+        for (a, b, p, q_), cf in delta_f.items():
+            for j, cj in L.slots[s2].vec.items():
+                add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
+    return t2_add(cyb_of_laurent(L.alg, t), alt_cyclic(d1), scale=-1)
+
+
+# quadruples, read as JSON: a file in tests/golden/, or (type, s, gamma)
+# with its canonical t_h
+DEFECT_QUADS = [("A2", [1, 0, 0], {1: 2}), ("A2", [1, 0, 0], {1: 0, 2: 1}),
+                ("B3", [1, 0, 0, 0], {0: 1}), ("G2", [1, 0, 0], {0: 2}),
+                "quad_a3_order2.json", "quad_d4_order3.json"]
+
+
+def _defect_quad(case):
+    if isinstance(case, str):
+        with open(os.path.join(GOLDEN, case)) as fh:
+            return quadruple_from_json(json.load(fh))
+    label, s, gamma = case
+    sigma = SigmaType.make(label, s)
+    return bd.BDQuadruple.make(sigma, set(gamma), set(gamma.values()), gamma,
+                               bd.canonical_t_h(sigma, set(gamma), set(gamma.values()), gamma))
+
+
+@pytest.mark.parametrize("case", DEFECT_QUADS, ids=[c if isinstance(c, str) else
+                                                    "%s-%s" % (c[0], c[2]) for c in DEFECT_QUADS])
+def test_twist_defect_matches_per_pair_oracle(case):
+    """The oracle's values on the twist t_Q (zero), on 2 t_Q (nonzero) and on
+    t_Q plus a wedge of two sums, whose first legs each carry several terms."""
+    q = _defect_quad(case)
+    L = loop_algebra(q.sigma)
+    t = bd.build_twist(q)
+    base = r0(L)
+    basis = L.basis_up_to(1)
+    u = basis[0] + basis[len(basis) // 2].scale(Q(2, 3)) + basis[-1]
+    v = basis[1] + basis[-2].scale(-3)
+    for tt, zero in ((t, True), (t2_scale(t, 2), False), (t2_add(t, wedge(L, u, v)), None)):
+        got = twist_defect(L, tt, base)
+        assert got == pair_twist_defect(L, tt, base)
+        assert zero is None or zero == (not got)

@@ -39,6 +39,19 @@ def test_tensor_roundtrip():
     assert back == r
 
 
+@pytest.mark.parametrize("part,key,value", [
+    ("poly", "i", 99), ("poly", "j", -1), ("poly", "i", "0"), ("poly", "dx", 0.5),
+    ("pole", "j", 8), ("pole", "k", 1), ("pole", "k", -1)])
+def test_tensor_from_json_rejects_bad_indices(part, key, value):
+    """A leg outside 0..dim-1, a pole index outside 0..m-1 (m = 1 on A2 graded
+    by s = (1, 0, 0)) or a degree that is no int raises ValueError."""
+    L = loop_algebra(A2)
+    data = sz.two_point_json(r0(L))
+    data[part][0][key] = value
+    with pytest.raises(ValueError):
+        sz.two_point_from_json(L, data)
+
+
 def test_loop_element_roundtrip():
     L = loop_algebra(A2)
     f = L.basis_up_to(1)[0] + L.basis_up_to(1)[-1].scale(Q(2, 3))
