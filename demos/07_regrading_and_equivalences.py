@@ -62,7 +62,7 @@ print("rescale z -> 5/3 z: r0 unchanged?", (moved2 - r).is_zero(),
 L2 = loop_algebra(A2_STD)
 r_q = r0(L2) + from_loop_tensor(L2, build_twist(q))
 rot = (1, 2, 0)
-moved3 = apply_equivalence({"kind": "diagram", "perm": rot}, r_q, window=4)
+moved3 = apply_equivalence({"kind": "diagram", "perm": rot}, r_q)
 r_rot = r0(L2) + from_loop_tensor(L2, build_twist(act(rot, q)))
 print("diagram rotation transports r_Q to r_{theta(Q)} exactly:",
       (moved3 - r_rot).is_zero())

@@ -675,14 +675,13 @@ def manin_t_operator(L: TwistedLoopAlgebra, t: Laurent2):
     return act
 
 
-def manin_identity_sides(L: TwistedLoopAlgebra, t: Laurent2, w_triple: tuple,
-                         base: Optional[TwoPointTensor] = None) -> tuple:
+def manin_identity_sides(L: TwistedLoopAlgebra, t: Laurent2, w_triple: tuple) -> tuple:
     """Both sides of the correspondence identity for w_i in W_0.
 
     left  = script-B(w1 (x) w2 (x) w3, CYB(t) - Alt((delta (x) 1) t))
     right = -script-B([T w1 - w1, T w2 - w2], T w3 - w3)
     """
-    resid = twist_defect(L, t, base)
+    resid = twist_defect(L, t)
 
     w1, w2, w3 = w_triple
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_dimension, th_solution_space
-from .cartan import CartanType
+from .cartan import SERIES_RANKS, CartanType
 from .linalg import in_span, map_sending
 from .loop import SigmaType, affine_diagram_data
 
@@ -223,15 +223,16 @@ def _isometric_maps(L, g1: frozenset):
     yield from backtrack(0)
 
 
-def enumerate_representatives(sigma: SigmaType, cap: int = 13) -> list:
+def enumerate_representatives(sigma: SigmaType) -> list:
     """Orbit representatives of valid triples under the diagram group.
 
     Returns a list of dicts {"triple", "orbit_size"}; representatives are
-    lexicographically minimal in their orbit.
+    lexicographically minimal in their orbit.  Diagrams of more than 13
+    nodes are refused.
     """
     L = affine_diagram_data(sigma)
-    if len(L.node_weights) > cap:
-        raise ValueError("diagram exceeds the enumeration cap (%d nodes)" % cap)
+    if len(L.node_weights) > 13:
+        raise ValueError("diagram exceeds the enumeration cap (13 nodes)")
     group = loop_diagram_automorphisms(L)
     triples = enumerate_triples(L)
     seen: set = set()
@@ -308,32 +309,27 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
     return None
 
 
-_SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
-
-
-def type_census(types: Iterable[str], max_rank: int, cap: int = 17) -> list:
+def type_census(types: Iterable[str], max_rank: int) -> list:
     """Reachability verdict per extended diagram.
 
     good = every Gamma_1 admitting a valid quadruple is movable off the
     affine node; otherwise a concrete unreachable witness is reported.
-    A label is a series ("B", every rank up to max_rank) or one type ("B4").
+    A label is a series ("B", every admissible rank up to max_rank) or one
+    type ("B4").  Diagrams of more than 17 nodes are refused.
     """
     out = []
     for label in types:
         series = label[0].upper()
-        if series not in _SERIES_MIN_RANK:
+        if series not in SERIES_RANKS:
             raise ValueError("unknown series %r; the known series are %s"
-                             % (label, ", ".join(_SERIES_MIN_RANK)))
-        ranks = [int(label[1:])] if len(label) > 1 else []
-        if not ranks:
-            lo = _SERIES_MIN_RANK[series]
-            hi = {"E": 8, "F": 4, "G": 2}.get(series, max_rank)
-            ranks = [r for r in range(lo, hi + 1) if r <= max_rank]
+                             % (label, ", ".join(SERIES_RANKS)))
+        ranks = ([int(label[1:])] if len(label) > 1 else
+                 [r for r in range(1, max_rank + 1) if SERIES_RANKS[series](r)])
         for rank in ranks:
             ct = CartanType(series, rank)
             sigma = SigmaType(ct, tuple([1] + [0] * rank))
             L = affine_diagram_data(sigma)
-            if len(L.node_weights) > cap:
+            if len(L.node_weights) > 17:
                 raise ValueError("rank too large for exhaustive enumeration")
             wit = unreachable_admissible_gamma1(L)
             out.append({"type": series, "rank": rank, "good": wit is None,

@@ -10,13 +10,17 @@ says this equals hgt_{s'}/m' term by term.
 
 Regular equivalences come in the three families the classification
 proofs actually use: exp(ad n) for nilpotent n, the rescalings
-z -> a z, and diagram-automorphism-induced maps.
+z -> a z, and diagram-automorphism-induced maps.  Each is a plain
+function from loop elements to loop elements, defined at every degree;
+`apply_equivalence` reads the degree range a diagram map must reach off
+the legs of the tensor it moves.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .chevalley import add_term
@@ -45,14 +49,18 @@ def _check_same_family(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> None
         raise ValueError("regrading requires the same algebra and diagram automorphism")
 
 
+def _regrade_leg(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra, leg: tuple) -> tuple:
+    sid, k = leg
+    return sid, dst.s_height(src.slots[sid].weight, src.nu_root_degree(sid, k))
+
+
 def regrade_element(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
                     f: LoopElement) -> LoopElement:
     """G^{s'}_s: z^{hgt_s} x -> z^{hgt_{s'}} x on root vectors, identity on h."""
     _check_same_family(src, dst)
     out: dict = {}
-    for (sid, k), c in f.terms.items():
-        k2 = dst.s_height(src.slots[sid].weight, src.nu_root_degree(sid, k))
-        add_term(out, (sid, k2), c)
+    for leg, c in f.terms.items():
+        add_term(out, _regrade_leg(src, dst, leg), c)
     return LoopElement(dst, out)
 
 
@@ -60,12 +68,7 @@ def regrade_loop_tensor(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
                         t: Laurent2) -> Laurent2:
     """Regrade both legs of a finite two-leg loop tensor."""
     _check_same_family(src, dst)
-    moved: dict = {}
-    for ((s1, dx), (s2, dy)), c in tensor_to_slots(src, t).items():
-        k1 = dst.s_height(src.slots[s1].weight, src.nu_root_degree(s1, dx))
-        k2 = dst.s_height(src.slots[s2].weight, src.nu_root_degree(s2, dy))
-        add_term(moved, ((s1, k1), (s2, k2)), c)
-    return tensor_from_slots(dst, moved)
+    return _move_legs(dst, tensor_to_slots(src, t), lambda leg: {_regrade_leg(src, dst, leg): 1})
 
 
 def solve_mu(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> list:
@@ -84,13 +87,13 @@ def solve_mu(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> list:
     return sol
 
 
-def exponent_identity(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
-                      periods: int = 2) -> dict:
+def exponent_identity(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> dict:
     """Term-by-term exponent comparison of the two basic solutions.
 
-    For every root direction and degree window, checks the exact rational
-    identity hgt_s/m + alpha(mu) = hgt_{s'}/m'.  Returns a report with
-    the checked terms; "ok" is True iff every term matches.
+    For every root direction, at its nu-class and two periods either side,
+    checks the exact rational identity hgt_s/m + alpha(mu) = hgt_{s'}/m'.
+    Returns a report with the checked terms; "ok" is True iff every term
+    matches.
     """
     _check_same_family(src, dst)
     mu = solve_mu(src, dst)
@@ -102,7 +105,7 @@ def exponent_identity(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra,
             continue
         alpha_mu = sum(w * m for w, m in zip(slot.weight, mu))
         dual = src.slot_pairing[slot.index][0][0]     # the slot of -alpha at -k
-        for t in range(-periods, periods + 1):
+        for t in range(-2, 3):
             nu_k = slot.nu_class + t * src.nu_order
             lhs = Q(src.s_height(slot.weight, nu_k), src.m) + alpha_mu
             rhs = Q(dst.s_height(slot.weight, nu_k), dst.m)
@@ -122,7 +125,7 @@ def quotient_dependence(r: TwoPointTensor) -> bool:
     The pole part has this shape structurally, so only the polynomial
     part needs inspection; such tensors are functions of x/y alone.
     """
-    return all(dx + dy == 0 for (dx, dy, _, _) in r.poly)
+    return loop_tensor_balanced(r.poly)
 
 
 def loop_tensor_balanced(t: Laurent2) -> bool:
@@ -132,54 +135,33 @@ def loop_tensor_balanced(t: Laurent2) -> bool:
 # ---------------------------------------------------------- equivalence maps
 
 
-class LoopMap:
-    """A regular equivalence given by images of window basis elements."""
+def exp_ad_map(L: TwistedLoopAlgebra, n: LoopElement):
+    """exp(ad n) as a function on loop elements; n must act nilpotently.
 
-    def __init__(self, L: TwistedLoopAlgebra, images: dict, label: str):
-        self.L = L
-        self.images = images          # (slot, k) -> LoopElement
-        self.label = label
+    For nilpotent n, ad n(z) is a nilpotent matrix of size dim g at every
+    point z != 0, so ad(n)^k f vanishes by k = dim g; a series still going
+    after dim g + 1 steps means n is not nilpotent.
+    """
+    steps = L.alg.dim + 1
 
-    def apply(self, f: LoopElement) -> LoopElement:
-        out = self.L.zero()
-        for key, c in f.terms.items():
-            img = self.images.get(key)
-            if img is None:
-                raise ValueError("%s map not defined at %r (enlarge the window)"
-                                 % (self.label, key))
-            out = out + img.scale(c)
-        return out
-
-
-def exp_ad_map(L: TwistedLoopAlgebra, n: LoopElement, window: int = 6,
-               max_steps: int = 12) -> LoopMap:
-    """exp(ad n) on the degree window; n must act nilpotently."""
-    images = {}
-    for f in L.basis_up_to(window):
-        key, = f.terms
-        acc = f
-        cur = f
-        for step in range(1, max_steps + 1):
+    def phi(f: LoopElement) -> LoopElement:
+        acc = cur = f
+        for step in range(1, steps + 1):
             cur = L.bracket(n, cur)
             if cur.is_zero():
-                break
+                return acc
             acc = acc + cur.scale(Q(1, math.factorial(step)))
-        else:
-            raise ValueError("element does not act nilpotently within %d steps" % max_steps)
-        images[key] = acc
-    return LoopMap(L, images, "exp_ad")
+        raise ValueError("element does not act nilpotently within %d steps" % steps)
+
+    return phi
 
 
-def rescale_map(L: TwistedLoopAlgebra, a: Fraction, window: int = 6) -> LoopMap:
-    """mu_a: f(z) -> f(a z), i.e. z^k x -> a^k z^k x."""
+def rescale_map(L: TwistedLoopAlgebra, a: Fraction):
+    """mu_a: f(z) -> f(a z), i.e. z^k x -> a^k z^k x, as a function on loop elements."""
     a = Q(a)
     if a == 0:
         raise ValueError("rescaling must be by a nonzero scalar")
-    images = {}
-    for f in L.basis_up_to(window):
-        (sid, k), = f.terms
-        images[(sid, k)] = f.scale(a ** k)
-    return LoopMap(L, images, "rescale")
+    return lambda f: LoopElement(L, {(sid, k): c * a ** k for (sid, k), c in f.terms.items()})
 
 
 class _TrackedSpan:
@@ -194,17 +176,13 @@ class _TrackedSpan:
         self.rows: dict = {}    # pivot key -> (element, image), element[pivot] = 1
 
     def _reduce(self, v: LoopElement, img: LoopElement):
-        changed = True
-        while changed and not v.is_zero():
-            changed = False
-            for key, c in list(v.terms.items()):
-                if key in self.rows:
-                    bv, bimg = self.rows[key]
-                    v = v - bv.scale(c)
-                    img = img - bimg.scale(c)
-                    changed = True
-                    break
-        return v, img
+        while True:
+            key = next((key for key in v.terms if key in self.rows), None)
+            if key is None:
+                return v, img
+            c = v.terms[key]
+            bv, bimg = self.rows[key]
+            v, img = v - bv.scale(c), img - bimg.scale(c)
 
     def insert(self, v: LoopElement, img: LoopElement) -> bool:
         v, img = self._reduce(v, img)
@@ -218,20 +196,21 @@ class _TrackedSpan:
     def express(self, v: LoopElement) -> LoopElement:
         red, img = self._reduce(v, self.L.zero())
         if not red.is_zero():
-            raise ValueError("element outside the generated span")
+            raise AssertionError("%r is outside the span the generators closed to" % (v,))
         return img.scale(-1)
 
 
-def diagram_map(L: TwistedLoopAlgebra, perm: tuple, window: int = 6) -> LoopMap:
-    """The equivalence phi'(z^{+-s_i} X_i^pm(1)) = z^{+-s_{theta(i)}} X_{theta(i)}^pm(1).
+def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
+    """The equivalence phi'(z^{+-s_i} X_i^pm(1)) = z^{+-s_{theta(i)}} X_{theta(i)}^pm(1),
+    as a function on loop elements of degrees |k| <= degree.
 
-    Extended over the degree window by closing the generators under
-    brackets (the affine generators generate the whole loop algebra);
+    The affine generators generate the whole loop algebra: their brackets,
+    closed up to degree degree + max s + m, span every such element, and
     the span closure tracks images through the elimination.
     """
     if tuple(perm) not in loop_diagram_automorphisms(L):
         raise ValueError("permutation is not a diagram automorphism")
-    margin = window + max(L.sigma.s) + L.m
+    margin = degree + max(L.sigma.s) + L.m
     span = _TrackedSpan(L)
     gens = L.generators()
     frontier = []
@@ -248,63 +227,58 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, window: int = 6) -> LoopMap:
                 br = L.bracket(a, b)
                 if br.is_zero() or any(abs(k) > margin for (_, k) in br.terms):
                     continue
-                if span.insert(br, L.bracket(ia, ib)):
-                    new.append((br, L.bracket(ia, ib)))
+                img = L.bracket(ia, ib)
+                if span.insert(br, img):
+                    new.append((br, img))
         known.extend(new)
         frontier = new
-    images = {}
-    missing = []
-    for f in L.basis_up_to(window):
-        key, = f.terms
-        try:
-            images[key] = span.express(f)
-        except ValueError:
-            missing.append(key)
-    if missing:
-        raise AssertionError("diagram map window incomplete: %r" % (sorted(missing),))
-    return LoopMap(L, images, "diagram")
+    return span.express
 
 
 # ------------------------------------------------------- action on r-matrices
 
 
-def apply_equivalence(desc: dict, r: TwoPointTensor, window: int = 6) -> TwoPointTensor:
+def _move_legs(L: TwistedLoopAlgebra, st: dict, image) -> Laurent2:
+    """The slot tensor st = {(x, y): c} with both legs sent through `image`,
+    which gives a leg's image as a terms dict, as a Laurent tensor on L."""
+    moved: dict = {}
+    for (x, y), c in st.items():
+        for x2, cx in image(x).items():
+            for y2, cy in image(y).items():
+                add_term(moved, (x2, y2), c * cx * cy)
+    return tensor_from_slots(L, moved)
+
+
+def apply_equivalence(desc: dict, r: TwoPointTensor) -> TwoPointTensor:
     """(phi(x) (x) phi(y)) r(x, y) for a supported equivalence family.
 
     desc is {"kind": "exp_ad"|"rescale"|"diagram", ...}:
       exp_ad: {"element": LoopElement}
       rescale: {"a": rational}
       diagram: {"perm": node permutation}
-    The result is again of two-point-tensor shape: the pole numerator is
+    A diagram map is built for the largest |degree| of a leg of r.  The
+    result is again of two-point-tensor shape: the pole numerator is
     untouched and the induced finite correction is absorbed in the
     polynomial part.
     """
     L = r.L
+    pole = r.pole_tensor()
+    parts = [tensor_to_slots(L, r.poly), tensor_to_slots(L, pole)]
     kind = desc.get("kind")
     if kind == "exp_ad":
-        phi = exp_ad_map(L, desc.get("element"), window=window)
+        phi = exp_ad_map(L, desc.get("element"))
     elif kind == "rescale":
-        phi = rescale_map(L, desc.get("a"), window=window)
+        phi = rescale_map(L, desc.get("a"))
     elif kind == "diagram":
-        phi = diagram_map(L, tuple(desc.get("perm", ())), window=window)
+        degree = max((abs(k) for st in parts for legs in st for (_, k) in legs), default=0)
+        phi = diagram_map(L, tuple(desc.get("perm", ())), degree)
     else:
         raise ValueError("unsupported equivalence family %r" % (kind,))
 
-    def map_tensor(t: Laurent2) -> Laurent2:
-        moved: dict = {}
-        for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-            left = phi.apply(LoopElement(L, {(s1, dx): Q(1)}))
-            right = phi.apply(LoopElement(L, {(s2, dy): Q(1)}))
-            for x, cx in left.terms.items():
-                for y, cy in right.terms.items():
-                    add_term(moved, (x, y), c * cx * cy)
-        return tensor_from_slots(L, moved)
+    @cache                  # each leg's image is computed once per call
+    def image(leg) -> dict:
+        return phi(LoopElement(L, {leg: Q(1)})).terms
 
-    new_poly = map_tensor(r.poly)
-    pole_tensor = {(k, -k, i, j): c for k, pk in enumerate(r.pole_num)
-                   for (i, j), c in pk.items()}
-    moved = map_tensor(pole_tensor)
-    diff = t2_add(moved, pole_tensor, scale=-1)
-    correction = _exact_div_clear(L, diff)
-    return TwoPointTensor(L, t2_add(new_poly, correction),
-                          [dict(p) for p in r.pole_num])
+    new_poly, moved = (_move_legs(L, st, image) for st in parts)
+    correction = _exact_div_clear(L, t2_add(moved, pole, scale=-1))
+    return TwoPointTensor(L, t2_add(new_poly, correction), [dict(p) for p in r.pole_num])

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cache
+from typing import Iterable
 
 from .chevalley import add_term, vec_add as t2_add, vec_scale as t2_scale
 from .loop import LoopElement, TwistedLoopAlgebra
@@ -129,6 +130,10 @@ class TwoPointTensor:
                 add_term(out, (k, -k, i, j), c)
         return out
 
+    def pole_tensor(self) -> Laurent2:
+        """The pole numerator sum_k (x/y)^k P_k as {(k, -k, i, j): c}."""
+        return {(k, -k, i, j): c for k, pk in enumerate(self.pole_num) for (i, j), c in pk.items()}
+
     def tau_swapped(self) -> "TwoPointTensor":
         """tau(r(y, x)): leg swap composed with variable swap, same shape."""
         m = self.m
@@ -195,8 +200,12 @@ def casimir_components(L: TwistedLoopAlgebra) -> dict:
     return {"components": comps, "h": ch, "plus": cplus, "minus": cminus}
 
 
+@cache
 def r0(L: TwistedLoopAlgebra) -> TwoPointTensor:
-    """The basic trigonometric solution C_h/2 + C_- + pole part."""
+    """The basic trigonometric solution C_h/2 + C_- + pole part.
+
+    Built once per loop algebra and shared by every caller: never mutate it.
+    """
     cas = casimir_components(L)
     poly = t2_add({(0, 0, i, j): c / 2 for (i, j), c in cas["h"].items()},
                   {(0, 0, i, j): c for (i, j), c in cas["minus"].items()})
@@ -388,9 +397,7 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
 
     add_action(out, r.poly)
     pole_part: Laurent2 = {}
-    pole_tensor = {(k, -k, i, j): c for k, pk in enumerate(r.pole_num)
-                   for (i, j), c in pk.items()}
-    add_action(pole_part, pole_tensor)
+    add_action(pole_part, r.pole_tensor())
     quotient = _exact_div_clear(L, pole_part)
     # verify exactness: quotient * ((x/y)^m - 1) must reproduce pole_part
     if from_loop_tensor(L, quotient).cleared() != pole_part:
@@ -398,21 +405,20 @@ def cobracket(f: LoopElement, r: TwoPointTensor) -> Laurent2:
     return t2_add(out, quotient)
 
 
-def twist_residual(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTensor] = None) -> Laurent3:
+def twist_residual(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
     """CYB(t) - Alt((delta_0 (x) 1) t), cleared by the full denominator.
 
-    Zero iff t is a classical twist of the standard cobracket.  `base`
-    defaults to r0(L).
+    Zero iff t is a classical twist of the standard cobracket.
     """
     skw = t2_add(t, {(dy, dx, j, i): c for (dx, dy, i, j), c in t.items()})
     if skw:
         raise ValueError("twist candidate must be skew-symmetric")
-    return laurent3_mul_clear(twist_defect(L, t, base), L.m, [(0, 1), (0, 2), (1, 2)])
+    return laurent3_mul_clear(twist_defect(L, t), L.m, [(0, 1), (0, 2), (1, 2)])
 
 
-def twist_defect(L: TwistedLoopAlgebra, t: Laurent2, base: Optional[TwoPointTensor] = None) -> Laurent3:
+def twist_defect(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
     """CYB(t) - Alt((delta_0 (x) 1) t) for a finite Laurent tensor t, uncleared."""
-    r_base = base if base is not None else r0(L)
+    r_base = r0(L)
     # (delta (x) 1) t: one cobracket per first leg (slot, degree) of t
     by_first: dict = {}
     for (first, (s2, dy)), c in tensor_to_slots(L, t).items():

@@ -64,10 +64,11 @@ from loopcybe.chevalley import add_term, chevalley_algebra, vec_scale
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
 from loopcybe.loop import (AffineDiagramData, LoopElement, SigmaType, _diagram_tail,
                            affine_diagram_data, affine_node_count, loop_algebra)
+from loopcybe.regrade import apply_equivalence
 from loopcybe.scalars import CycNumber
-from loopcybe.serialize import quadruple_from_json
+from loopcybe.serialize import quadruple_from_json, two_point_json
 from loopcybe.tensors import (alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
-                              t2_scale, tensor_to_slots, twist_defect, wedge)
+                              t2_scale, tensor_to_slots, twist_defect, twist_residual, wedge)
 from test_golden import CASES, GOLDEN, expected
 
 
@@ -775,15 +776,33 @@ def test_verify_cybe_builds_two_theta_maps(monkeypatch, capsys):
     assert built == [({0, 1}, {0: 1, 1: 3}), ({1, 3}, {1: 0, 3: 1})]
 
 
+@pytest.mark.parametrize("quad", ["quad.json", "quad_a3_order2.json"])
+def test_r0_is_shared_and_never_mutated(quad, monkeypatch, capsys):
+    """One r0 per loop algebra (A2 and A3^(2) here): verify-cybe,
+    twist_residual, apply_equivalence and two_point_json all read it, and
+    afterwards it is the same object and equals a fresh build."""
+    monkeypatch.chdir(GOLDEN)
+    q = _defect_quad(quad)
+    L = q.algebra()
+    shared = r0(L)
+    assert cli.main(["verify-cybe", "-i", quad]) == 0
+    assert not twist_residual(L, bd.build_twist(q))
+    n = L.generators()[1]["plus"]
+    apply_equivalence({"kind": "exp_ad", "element": n}, shared)
+    two_point_json(r0(L))
+    fresh = r0.__wrapped__(L)
+    assert r0(L) is shared
+    assert (shared.poly, shared.pole_num) == (fresh.poly, fresh.pole_num)
+
+
 # ------------------------------------------------------------ twist defect
 
 
-def pair_twist_defect(L, t, base=None):
+def pair_twist_defect(L, t):
     """CYB(t) - Alt((delta_0 (x) 1) t), one cobracket per slot-pair term of t."""
-    r_base = base if base is not None else r0(L)
     d1 = {}
     for ((s1, dx), (s2, dy)), c in tensor_to_slots(L, t).items():
-        delta_f = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r_base)
+        delta_f = cobracket(LoopElement(L, {(s1, dx): Q(1)}), r0(L))
         for (a, b, p, q_), cf in delta_f.items():
             for j, cj in L.slots[s2].vec.items():
                 add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
@@ -815,11 +834,10 @@ def test_twist_defect_matches_per_pair_oracle(case):
     q = _defect_quad(case)
     L = loop_algebra(q.sigma)
     t = bd.build_twist(q)
-    base = r0(L)
     basis = L.basis_up_to(1)
     u = basis[0] + basis[len(basis) // 2].scale(Q(2, 3)) + basis[-1]
     v = basis[1] + basis[-2].scale(-3)
     for tt, zero in ((t, True), (t2_scale(t, 2), False), (t2_add(t, wedge(L, u, v)), None)):
-        got = twist_defect(L, tt, base)
-        assert got == pair_twist_defect(L, tt, base)
+        got = twist_defect(L, tt)
+        assert got == pair_twist_defect(L, tt)
         assert zero is None or zero == (not got)

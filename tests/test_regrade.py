@@ -191,16 +191,17 @@ def test_apply_unknown_family():
 
 
 def test_apply_diagram_matches_quadruple_action():
-    sigma = A2_STD
-    q = BDQuadruple.make(sigma, {1, 2}, {0, 1}, {1: 0, 2: 1},
-                         canonical_t_h(sigma, {1, 2}, {0, 1}, {1: 0, 2: 1}))
+    """The rotation sends r_Q to r_{rot(Q)}, graded by s = e_0 and principally."""
     rot = (1, 2, 0)
-    L = loop_algebra(sigma)
-    r_q = r0(L) + from_loop_tensor(L, build_twist(q))
-    moved = rg.apply_equivalence({"kind": "diagram", "perm": rot}, r_q, window=4)
-    r_q2 = r0(L) + from_loop_tensor(L, build_twist(cl.act(rot, q)))
-    assert moved == r_q2
-    assert not cybe(moved)
+    for sigma in (A2_STD, A2_PRIN):
+        q = BDQuadruple.make(sigma, {1, 2}, {0, 1}, {1: 0, 2: 1},
+                             canonical_t_h(sigma, {1, 2}, {0, 1}, {1: 0, 2: 1}))
+        L = loop_algebra(sigma)
+        r_q = r0(L) + from_loop_tensor(L, build_twist(q))
+        moved = rg.apply_equivalence({"kind": "diagram", "perm": rot}, r_q)
+        r_q2 = r0(L) + from_loop_tensor(L, build_twist(cl.act(rot, q)))
+        assert moved == r_q2
+        assert not cybe(moved)
 
 
 def test_apply_conjugates_residue_operator():
@@ -208,13 +209,64 @@ def test_apply_conjugates_residue_operator():
     from loopcybe.tensors import residue_operator
     L = loop_algebra(A1_STD)
     n = L.from_chev(1, {0: Q(1)})
-    phi = rg.exp_ad_map(L, n, window=4)
-    phi_inv = rg.exp_ad_map(L, n.scale(-1), window=4)
+    phi = rg.exp_ad_map(L, n)
+    phi_inv = rg.exp_ad_map(L, n.scale(-1))
     r_s = r0(L)
     r_t = rg.apply_equivalence({"kind": "exp_ad", "element": n}, r_s)
     rs_op = residue_operator(L, {})
     rt_op = residue_operator(L, (r_t - r_s).poly)
     for f in L.basis_up_to(2):
-        lhs = phi.apply(rs_op(phi_inv.apply(f)))
+        lhs = phi(rs_op(phi_inv(f)))
         rhs = rt_op(f)
         assert (lhs - rhs).is_zero()
+
+
+def test_rescale_and_exp_ad_past_degree_six():
+    """r0 of A7 principal (m = 8) has pole legs up to degree 7.  It is a
+    function of x/y, so rescaling fixes it; exp(ad n) moves it to another
+    skew solution with the same pole."""
+    L = loop_algebra(SigmaType.make("A7", [1] * 8))
+    r = r0(L)
+    assert rg.apply_equivalence({"kind": "rescale", "a": Q(3, 2)}, r) == r
+    n = L.generators()[1]["plus"]
+    out = rg.apply_equivalence({"kind": "exp_ad", "element": n}, r)
+    assert out.pole_num == r.pole_num and out != r
+    assert skew(out).is_zero()
+
+
+def test_exp_ad_of_principal_nilpotent():
+    """e = e_1 + ... + e_6 in sl7 is ad-nilpotent of index 13: ad(e)^12
+    f_theta is not zero.  exp(ad e) sends r0 to an exact skew solution."""
+    L = loop_algebra(SigmaType.make("A6", [1, 0, 0, 0, 0, 0, 0]))
+    gens = L.generators()
+    e = gens[1]["plus"]
+    for g in gens[2:]:
+        e = e + g["plus"]
+    r = r0(L)
+    out = rg.apply_equivalence({"kind": "exp_ad", "element": e}, r)
+    assert out.pole_num == r.pole_num
+    assert skew(out).is_zero()
+    assert not cybe(out)
+
+
+def test_diagram_swap_fixes_principal_r0():
+    """The swap of nodes 0 and 1 of B4^(1) preserves the principal grading
+    (m = 8, pole legs up to degree 7), so it fixes r0."""
+    L = loop_algebra(SigmaType.make("B4", [1] * 5))
+    r = r0(L)
+    assert rg.apply_equivalence({"kind": "diagram", "perm": (1, 0, 2, 3, 4)}, r) == r
+
+
+def test_diagram_map_commutes_with_exp_ad_past_the_generators():
+    """(phi (x) phi) exp(ad n) = exp(ad phi(n)) (phi (x) phi) on r0 of A2
+    principal, with n = z^4 e_1: the tensors moved have legs at degrees 4
+    and 8, past the degree max s + m = 4 that the affine generators reach
+    without the degree of the tensor."""
+    L = loop_algebra(A2_PRIN)
+    rot = {"kind": "diagram", "perm": (1, 2, 0)}
+    n = L.from_chev(4, {L.alg.e_index((1, 0)): Q(1)})
+    phi_n = rg.diagram_map(L, rot["perm"], 4)(n)
+    lhs = rg.apply_equivalence(rot, rg.apply_equivalence({"kind": "exp_ad", "element": n}, r0(L)))
+    rhs = rg.apply_equivalence({"kind": "exp_ad", "element": phi_n}, rg.apply_equivalence(rot, r0(L)))
+    assert lhs == rhs
+    assert lhs != r0(L)
