@@ -47,7 +47,11 @@ by the code that still did arithmetic in a generic Q[x]/Phi_N.  The digest
 of `export --what structure --type E8` in `DIGESTS` was written by the code
 that still worked out every structure constant on each bracket, through a
 branch ladder and root pairings, and wrapped each int in a Fraction before
-printing it.  A change
+printing it.  `catalog-A7` (s = e_0, 16 diagram automorphisms),
+`catalog-D4` (untwisted, s = e_0, 24 diagram automorphisms),
+`census-AEFG-16` and the digest of `export --what catalog --type A9`
+(s = e_0) were written by the code that still derived the affine diagram
+in Fractions and built every valid triple before folding orbits.  A change
 that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -116,6 +120,9 @@ CASES = [
     ("verify-D4-order3", ["verify-cybe", "-i", "quad_d4_order3.json"]),
     ("error-r0-D4-order3", ["r0", "--type", "D4", "--s", "1,0,0", "--nu", "2,1,3,0"]),
     ("error-twist-D4-order3", ["twist", "-i", "quad_d4_order3.json"]),
+    ("catalog-A7", ["export", "--what", "catalog", "--type", "A7", "--s", "1,0,0,0,0,0,0,0"]),
+    ("catalog-D4", ["export", "--what", "catalog", "--type", "D4", "--s", "1,0,0,0,0"]),
+    ("census-AEFG-16", ["census", "--types", "A,E,F,G", "--max-rank", "16"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
@@ -128,6 +135,8 @@ DIGESTS = [
      "07d6299133c7c983cc1d27147eb387e97d1f0a0c4f89218f14f19e06fcd002e4"),
     (["export", "--what", "structure", "--type", "E8"],
      "117e7f0fc61e8593a5e1e98b6ce35b37d9871bdb7f73161e4e3f3c87b146a948"),
+    (["export", "--what", "catalog", "--type", "A9", "--s", "1,0,0,0,0,0,0,0,0,0"],
+     "ba7af83953c97355065abc95dc1f8a632c8f4add2ce1d4ec357db9faadcd4c56"),
 ]
 
 
@@ -149,7 +158,8 @@ def test_cli_golden(name, argv):
     assert (out.returncode, out.stdout) == expected(name)
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7", "structure-E8"])
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7",
+                                                     "structure-E8", "catalog-A9"])
 def test_cli_digest(argv, digest):
     out = run_case(argv)
     assert out.returncode == 0
