@@ -23,13 +23,13 @@ the Cayley transform, the Cartan gluing and the Manin operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Optional
 
 from .chevalley import add_term
 from .linalg import kernel_basis, map_sending, mat_inverse, mat_mul, rref_int, span_equal
-from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, _element_ratio, _int_row,
+from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, _element_ratio,
                    affine_diagram_data, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
                       from_loop_tensor, r0, residue_operator, t2_add,
@@ -152,6 +152,12 @@ def _condition3_terms(L, gmap: dict, gamma1: frozenset):
     for i in sorted(gamma1):
         const = [(a + b) / 2 for a, b in zip(L.node_coroots[gmap[i]], L.node_coroots[i])]
         yield i, _node_functional(L, gmap[i]), _node_functional(L, i), const + [Q(0)]
+
+
+def _int_row(row: list) -> list:
+    """A row of Fractions times the least common denominator of its entries."""
+    d = lcm(*(x.denominator for x in row))
+    return [int(x * d) for x in row]
 
 
 def _pairs(n: int) -> list:

@@ -9,7 +9,10 @@ signed root, so the structure constants and coroots never need the
 Fraction `inner`.  The Killing
 form is read off the root system too, and only here: `killing_cartan`
 is its Gram on the simple coroots, from which the Chevalley algebra, the
-untwisted affine diagram and the Casimir element all take it.
+affine diagram and the Casimir element all take it.  Both run on ints:
+`build_root_system` carries each root's pairing row
+(<beta, alpha_j^vee>)_j through the closure, and `killing_cartan` sums
+products of those rows.
 
 Positive roots are ordered by height and then lexicographically; this
 ordering is canonical for the whole package (structure constants, basis
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 
 from .value import Value
 
@@ -126,11 +130,13 @@ def symmetrizer(a: list[list[int]]) -> list[Q]:
 
 
 class RootSystem:
-    def __init__(self, cartan_type: CartanType, cartan: tuple, d: tuple, positive_roots: tuple):
+    def __init__(self, cartan_type: CartanType, cartan: tuple, d: tuple, positive_roots: tuple,
+                 pairings: dict):
         self.cartan_type = cartan_type
         self.cartan = cartan                     # a[i][j] = 2(ai,aj)/(aj,aj), int rows
         self.d = d                               # half square lengths (ai,ai)/2, Fractions
         self.positive_roots = positive_roots     # height-then-lex order
+        self.pairings = pairings                 # signed root -> (<r, a_j^vee>)_j, int rows
 
     @property
     def rank(self) -> int:
@@ -148,14 +154,14 @@ class RootSystem:
 
     @cached_property
     def sq_len(self) -> dict:
-        """(r, r) as an int for each signed root r; the short roots have length 2."""
+        """(r, r) as an int for each signed root r; the short roots have length 2.
+
+        (r, alpha_i) = d_i <r, alpha_i^vee>, so (r, r) = sum r_i d_i <r, alpha_i^vee>.
+        """
         d = [int(x) for x in self.d]
         if any(x != y for x, y in zip(d, self.d)):
             raise AssertionError("half square lengths must be integers")
-        n = self.rank
-        return {r: sum(r[i] * r[j] * d[j] * self.cartan[i][j]
-                       for i in range(n) if r[i] for j in range(n) if r[j])
-                for r in self.all_roots}
+        return {r: sum(map(mul, r, map(mul, d, self.pairings[r]))) for r in self.all_roots}
 
     def is_root(self, r: Root) -> bool:
         return r in self.root_position
@@ -172,8 +178,7 @@ class RootSystem:
 
     def pairing(self, x: Root, j: int) -> int:
         """<x, alpha_j^vee> = 2(x, alpha_j)/(alpha_j, alpha_j), an integer."""
-        val = sum(ci * self.cartan[i][j] for i, ci in enumerate(x))
-        return int(val)
+        return sum(ci * self.cartan[i][j] for i, ci in enumerate(x))
 
     def height(self, r: Root) -> int:
         return sum(r)
@@ -194,14 +199,12 @@ class RootSystem:
 def killing_cartan(rs: RootSystem) -> tuple:
     """kappa(h_i, h_j) = sum over roots beta of <beta, a_i^vee> <beta, a_j^vee>.
 
-    The Killing form on the simple coroots h_i, as a tuple of Fraction rows.
-    A root and its negative add the same term, so the sum runs over the
-    positive roots and is doubled.
+    The Killing form on the simple coroots h_i, as a tuple of int rows, summed
+    from the pairing rows of the root system.  A root and its negative add
+    the same term, so the sum runs over the positive roots and is doubled.
     """
-    n = rs.rank
-    pairings = [[rs.pairing(b, i) for i in range(n)] for b in rs.positive_roots]
-    return tuple(tuple(Q(2 * sum(p[i] * p[j] for p in pairings)) for j in range(n))
-                 for i in range(n))
+    cols = list(zip(*(rs.pairings[b] for b in rs.positive_roots)))
+    return tuple(tuple(2 * sum(map(mul, x, y)) for y in cols) for x in cols)
 
 
 def check_diagram_automorphism(cartan, perm) -> None:
@@ -236,32 +239,33 @@ def build_root_system(ct: CartanType) -> RootSystem:
 
     beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0 where p is
     the length of the alpha_i-string below beta (standard string rule).
-    Built once per Cartan type; the result is shared.
+    Each root carries its int pairing row: the row of beta + alpha_i is that
+    of beta plus row i of the Cartan matrix.  Built once per Cartan type;
+    the result is shared.
     """
     a = cartan_matrix(ct)
     n = ct.rank
     d = symmetrizer(a)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simple)
-    frontier = list(simple)
+    pairings = {tuple(int(j == i) for j in range(n)): tuple(a[i]) for i in range(n)}
+    frontier = list(pairings)
     while frontier:
         new: list[Root] = []
         for beta in frontier:
+            row = pairings[beta]
             for i in range(n):
-                pairing = sum(c * a[k][i] for k, c in enumerate(beta))
                 # p = string length below beta in direction alpha_i; only
                 # positive roots are stored, which suffices: if beta != alpha_i
                 # is positive and beta - alpha_i is a root, it is positive.
+                head, c, tail = beta[:i], beta[i], beta[i + 1:]
                 p = 0
-                cur = sub(beta, simple[i])
-                while cur in roots:
+                while head + (c - p - 1,) + tail in pairings:
                     p += 1
-                    cur = sub(cur, simple[i])
-                if p - pairing > 0:
-                    cand = add(beta, simple[i])
-                    if cand not in roots:
-                        roots.add(cand)
+                if p > row[i]:
+                    cand = head + (c + 1,) + tail
+                    if cand not in pairings:
+                        pairings[cand] = add(row, a[i])
                         new.append(cand)
         frontier = new
-    ordered = sorted(roots, key=lambda r: (sum(r), r))
-    return RootSystem(ct, tuple(tuple(row) for row in a), tuple(d), tuple(ordered))
+    ordered = tuple(sorted(pairings, key=lambda r: (sum(r), r)))
+    pairings.update({neg(r): tuple(-x for x in pairings[r]) for r in ordered})
+    return RootSystem(ct, tuple(tuple(row) for row in a), tuple(d), ordered, pairings)

@@ -70,7 +70,7 @@ class ChevalleyAlgebra:
     def __init__(self, rs: RootSystem, n_table: dict, cartan_gram: tuple):
         self.rs = rs
         self.n_table = n_table          # (a, b) -> int N_{a,b}, all signed a, b with a + b a root
-        self.cartan_gram = cartan_gram  # kappa(h_i, h_j), from cartan.killing_cartan
+        self.cartan_gram = cartan_gram  # kappa(h_i, h_j) as int rows, from cartan.killing_cartan
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -138,7 +138,7 @@ class ChevalleyAlgebra:
             rows[b][b + npos] = h
             rows[b + npos][b] = tuple((k, -c) for k, c in h)
             for k in range(self.rank):
-                c = self.rs.pairing(beta, k)    # [h_k, e_b] = c e_b, [h_k, f_b] = -c f_b
+                c = self.rs.pairings[beta][k]   # [h_k, e_b] = c e_b, [h_k, f_b] = -c f_b
                 for j, cj in ((b, c), (b + npos, -c)) if c else ():
                     rows[self.h_index(k)][j] = ((j, cj),)
                     rows[j][self.h_index(k)] = ((j, -cj),)
@@ -169,9 +169,9 @@ class ChevalleyAlgebra:
         """
         h0 = self.h_index(0)
         gram = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.cartan_gram):
-            gram[h0 + i][h0:] = row
-        kc = [[int(x) for x in row] for row in self.cartan_gram]
+        kc = self.cartan_gram
+        for i, row in enumerate(kc):
+            gram[h0 + i][h0:] = map(Q, row)
         for beta in self.rs.positive_roots:
             h = [(i - h0, x) for i, x in self.coroot_combo(beta).items()]
             c = Q(sum(a * b * kc[i][j] for i, a in h for j, b in h), 2)
@@ -197,7 +197,7 @@ class ChevalleyAlgebra:
         """
         from .linalg import solve
 
-        sol = solve(self.cartan_gram, [Q(v) for v in alpha_on_h])
+        sol = solve([list(map(Q, row)) for row in self.cartan_gram], [Q(v) for v in alpha_on_h])
         if sol is None:
             raise ValueError("singular Cartan Gram matrix")
         return {self.h_index(i): c for i, c in enumerate(sol) if c}
@@ -218,7 +218,7 @@ class ChevalleyAlgebra:
             ei, fi = self.e_index(beta), self.f_index(beta)
             out[(ei, fi)] = out[(fi, ei)] = 1 / self.killing_gram[ei][fi]
         n = self.rank
-        ginv = mat_inverse(self.cartan_gram)
+        ginv = mat_inverse([list(map(Q, row)) for row in self.cartan_gram])
         for i in range(n):
             for j in range(n):
                 if ginv[i][j]:

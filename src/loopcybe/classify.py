@@ -227,33 +227,38 @@ def enumerate_representatives(sigma: SigmaType) -> list:
     """Orbit representatives of valid triples under the diagram group.
 
     Returns a list of dicts {"triple", "orbit_size"}; representatives are
-    lexicographically minimal in their orbit.  Diagrams of more than 13
-    nodes are refused.
+    lexicographically minimal in their orbit, and the list is sorted.
+    Diagrams of more than 13 nodes are refused.
+
+    A representative's Gamma_1 is the least in its Aut-orbit, so only those
+    Gamma_1 are visited.  The triples of an orbit with that Gamma_1 form one
+    orbit of its stabiliser Stab(Gamma_1), so each isometry is folded under
+    Stab(Gamma_1) alone.  Every stabiliser of a triple lies in Stab(Gamma_1),
+    so by orbit-stabiliser the orbit size is
+    [Aut : Stab(Gamma_1)] * |Stab(Gamma_1) t|, the first factor being the
+    number of images of Gamma_1.
     """
     L = affine_diagram_data(sigma)
-    if len(L.node_weights) > 13:
+    nodes = len(L.node_weights)
+    if nodes > 13:
         raise ValueError("diagram exceeds the enumeration cap (13 nodes)")
     group = loop_diagram_automorphisms(L)
-    triples = enumerate_triples(L)
-    seen: set = set()
     reps = []
-
-    def key(t):
-        g1, g2, gm = t
-        return (tuple(sorted(g1)), tuple(sorted(g2)), gm)
-
-    for t in triples:
-        if key(t) in seen:
+    for mask in range(2 ** nodes - 1):
+        g1 = tuple(i for i in range(nodes) if mask >> i & 1)
+        images = {tuple(sorted(perm[i] for i in g1)) for perm in group}
+        if min(images) != g1:
             continue
-        orbit = set()
-        for perm in group:
-            g1, g2, gm = t
-            moved = (frozenset(perm[i] for i in g1), frozenset(perm[i] for i in g2),
-                     tuple(sorted((perm[a], perm[b]) for a, b in gm)))
-            orbit.add(key(moved))
-        seen.update(orbit)
-        rep = min(orbit)
-        reps.append({"triple": rep, "orbit_size": len(orbit)})
+        stab = [perm for perm in group if tuple(sorted(perm[i] for i in g1)) == g1]
+        seen: set = set()
+        for gamma in _isometric_maps(L, frozenset(g1)):
+            if (tuple(sorted(gamma.values())), tuple(gamma.items())) in seen:
+                continue
+            orbit = {(tuple(sorted(perm[b] for b in gamma.values())),
+                      tuple(sorted((perm[a], perm[b]) for a, b in gamma.items())))
+                     for perm in stab}
+            seen |= orbit
+            reps.append({"triple": (g1, *min(orbit)), "orbit_size": len(images) * len(orbit)})
     reps.sort(key=lambda r: r["triple"])
     return reps
 

@@ -9,10 +9,11 @@ terms with k congruent to the slot's class modulo m.
 
 All affine diagram data (simple root system, affine Cartan matrix,
 marks, coroots) is derived rather than read from tables, and it has one
-derivation for every nu: `affine_diagram_data` reads it off the root
-system and nu alone, without structure constants, and the loop algebra
-adopts its fields.  Tests compare against the tabulated matrices and
-against the diagram read off the slots of the full loop algebra.
+derivation for every nu: `affine_diagram_data` reads it off the int
+pairing rows of the root system and nu alone, in int arithmetic and
+without structure constants, and the loop algebra adopts its fields.
+Tests compare against the tabulated matrices and against the diagram read
+off the slots of the full loop algebra.
 
 Elements are held in slot coordinates; tensors and the JSON output stay in
 Chevalley coordinates.  The one change of basis between the two is the
@@ -24,7 +25,7 @@ read by `slot_coords`; the other direction is `Slot.vec`.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -60,7 +61,8 @@ class SigmaType(Value):
     """Automorphism datum (s; |nu|): diagram permutation plus weights s.
 
     `nu` is a node permutation of the finite diagram (0-indexed tuple),
-    identity if None.  The derived order is m = |nu| * sum a_i s_i.
+    identity if None; an identity tuple is stored as None, so that both
+    spellings name one diagram.  The derived order is m = |nu| * sum a_i s_i.
     """
     __slots__ = ("cartan_type", "s", "nu")
 
@@ -71,7 +73,7 @@ class SigmaType(Value):
             raise ValueError("s entries must be non-negative")
         object.__setattr__(self, "cartan_type", cartan_type)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", None if nu == tuple(range(cartan_type.rank)) else nu)
 
     @staticmethod
     def make(type_label: str, s: Sequence[int], nu: Optional[Sequence[int]] = None) -> "SigmaType":
@@ -177,11 +179,13 @@ class TwistedLoopAlgebra:
                         if self.nu_order > 1 else None)
         self._decomp_cache: dict = {}
         # columns: the simple roots of the fixed subalgebra on the fixed Cartan;
-        # its inverse is kept as an int matrix over one common denominator
-        inv = mat_inverse([[w[t] for w in self.node_weights[1:]] for t in range(self.nh)])
-        den = lcm(*(x.denominator for row in inv for x in row))
-        self._pi_inverse = ([[int(x * den) for x in row] for row in inv], den)
-        self._alpha0 = [_as_int(x) for x in self.node_weights[0]]
+        # its inverse is kept as an int matrix over the one Bareiss pivot
+        nh = self.nh
+        red, pivots = rref_int([[w[t] for w in self.node_weights[1:]]
+                                + [int(t == c) for c in range(nh)] for t in range(nh)])
+        if pivots != list(range(nh)):
+            raise AssertionError("the simple roots of the fixed subalgebra are dependent")
+        self._pi_inverse = ([row[nh:] for row in red], red[0][0])
         # the orbit sums of the simple coroots span the fixed Cartan
         self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
@@ -190,7 +194,7 @@ class TwistedLoopAlgebra:
     # ------------------------------------------------------------------ setup
 
     def _weight_of_root(self, r: Root) -> Weight:
-        return _restrict(self.alg.rs, self.orbits, r)
+        return tuple(map(Q, _restrict(self.alg.rs, self.orbits, r)))
 
     def _build_slots(self) -> None:
         alg = self.alg
@@ -287,14 +291,10 @@ class TwistedLoopAlgebra:
         if key in self._decomp_cache:
             return self._decomp_cache[key]
         # alpha_0 carries nu-degree 1, all other nodes degree 0
-        rest = [_as_int(w) - k * a0 for w, a0 in zip(weight, self._alpha0)]
+        rest = [_int_ratio(w.numerator, w.denominator) - k * a0
+                for w, a0 in zip(weight, self.node_weights[0])]
         rows, den = self._pi_inverse
-        out = [k]
-        for row in rows:
-            c, rem = divmod(sum(map(mul, row, rest)), den)
-            if rem:
-                raise AssertionError("expected an integer, got %s" % Q(c * den + rem, den))
-            out.append(c)
+        out = [k] + [_int_ratio(sum(map(mul, row, rest)), den) for row in rows]
         self._decomp_cache[key] = out
         return out
 
@@ -601,9 +601,10 @@ def _perm_root(perm: tuple, r: Root) -> Root:
 
 
 def _restrict(rs: RootSystem, orbits: list, r: Root) -> Weight:
-    """The root r restricted to the fixed Cartan: its values on the orbit
+    """The root r restricted to the fixed Cartan: its int values on the orbit
     sums of the simple coroots."""
-    return tuple(Q(sum(rs.pairing(r, i) for i in orbit)) for orbit in orbits)
+    row = rs.pairings[r]
+    return tuple(sum(row[i] for i in orbit) for orbit in orbits)
 
 
 def _eigen_kernel(mat: list, j: int, r: int) -> list:
@@ -616,50 +617,12 @@ def _eigen_kernel(mat: list, j: int, r: int) -> list:
     return kernel_basis(a, one * 0, one)
 
 
-def _as_int(q) -> int:
-    q = Q(q)
-    if q.denominator != 1:
-        raise AssertionError("expected an integer, got %s" % q)
-    return int(q)
-
-
-def _int_row(row: list) -> list:
-    """A row of Fractions times the least common denominator of its entries."""
-    d = lcm(*(x.denominator for x in row))
-    return [int(x * d) for x in row]
-
-
-def _diagram_tail(h_gram: list, node_weights: list, s: tuple, nu_order: int) -> tuple:
-    """(node coroots, coroot Gram, affine Cartan, marks, m) from the node weights.
-
-    `node_weights[0]` is alpha_0, of nu-degree 1, and the rest are the simple
-    roots of the fixed subalgebra; both are functionals on the fixed Cartan,
-    whose kappa Gram is `h_gram`.  The coroots are coordinate vectors over
-    that Cartan basis.
-    """
-    nh = len(h_gram)
-    nodes = len(node_weights)
-    # t_w = h_gram^{-1} w for every node weight w, from one fraction-free
-    # reduction of [h_gram | w_0 ... w_n] with its rows scaled to integers
-    red, pivots = rref_int([_int_row(list(h_gram[r]) + [w[r] for w in node_weights])
-                            for r in range(nh)])
-    if pivots != list(range(nh)):
-        raise ValueError("singular Cartan Gram matrix")
-    coroots = [[Q(red[r][nh + k], red[r][r]) for r in range(nh)] for k in range(nodes)]
-    # (t_x, t_y) = kappa(t_x, t_y) = y(t_x)
-    gram = [[sum((x[a] * y[a] for a in range(nh) if x[a]), Q(0)) for y in node_weights]
-            for x in coroots]
-    cartan = [[_as_int(2 * gram[i][j] / gram[j][j]) for j in range(nodes)]
-              for i in range(nodes)]
-    # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
-    red, pivots = rref_int([_int_row([w[t] for w in node_weights[1:]] + [-node_weights[0][t]])
-                            for t in range(nh)])
-    if pivots != list(range(nodes - 1)):
-        raise AssertionError("marks system inconsistent")
-    marks = [1] + [_as_int(Q(red[r][-1], red[r][r])) for r in range(nodes - 1)]
-    if any(a <= 0 for a in marks):
-        raise AssertionError("marks must be positive")
-    return coroots, gram, cartan, marks, nu_order * sum(a * x for a, x in zip(marks, s))
+def _int_ratio(a: int, b: int) -> int:
+    """a / b for ints that b divides; anything else is a broken diagram."""
+    c, rem = divmod(a, b)
+    if rem:
+        raise AssertionError("expected an integer, got %s" % Q(a, b))
+    return c
 
 
 _LOOP_CACHE: dict = {}
@@ -677,29 +640,52 @@ class AffineDiagramData:
 
     This is the one derivation of the diagram, for every nu; the loop
     algebra adopts these fields, so the quadruple-condition code runs on
-    either.  `affine_cartan` is stored transposed against Kac's a_ij, there
-    as here.  `h_gram` is the Killing form on the fixed Cartan basis, the
+    either.  `h_gram` is the Killing form on the fixed Cartan basis, the
     orbit sums of the simple coroots: `cartan.killing_cartan` summed over
-    the nu-orbits.
+    the nu-orbits.  `node_weights[0]` is alpha_0, of nu-degree 1, and the
+    rest are the simple roots of the fixed subalgebra, as functionals on
+    that basis.  Both are int matrices, and so is everything derived here.
+    One fraction-free reduction of [h_gram | w_0 ... w_n] leaves every pivot
+    equal to one int p (`rref_int`), so each node coroot t_w = h_gram^{-1} w
+    is an int row over p, and so is the coroot Gram (t_x, t_y) = y(t_x).
+    They are the only Fraction fields, since only they carry a denominator.
+    `affine_cartan` is 2 (t_i, t_j) / (t_j, t_j), an exact int quotient,
+    stored transposed against Kac's a_ij, there as here.  The marks solve
+    sum a_i alpha_i = 0 on the fixed Cartan with a_0 = 1.
     """
 
-    def __init__(self, sigma: SigmaType, nh: int, h_gram: list, node_weights: list,
-                 node_coroots: list, coroot_gram: list, affine_cartan: list, marks: list, m: int):
+    def __init__(self, sigma: SigmaType, h_gram: list, node_weights: list, nu_order: int):
         self.sigma = sigma
-        self.nh = nh
+        self.nh = nh = len(h_gram)
         self.h_gram = h_gram
         self.node_weights = node_weights
-        self.node_coroots = node_coroots
-        self.coroot_gram = coroot_gram
-        self.affine_cartan = affine_cartan
-        self.marks = marks
-        self.m = m
+        nodes = len(node_weights)
+        red, pivots = rref_int([list(h_gram[r]) + [w[r] for w in node_weights]
+                                for r in range(nh)])
+        if pivots != list(range(nh)):
+            raise ValueError("singular Cartan Gram matrix")
+        p = red[0][0]
+        coroots = [[row[nh + k] for row in red] for k in range(nodes)]         # p t_k
+        gram = [[sum(map(mul, x, y)) for y in node_weights] for x in coroots]  # p (t_x, t_y)
+        self.node_coroots = [[Q(c, p) for c in row] for row in coroots]
+        self.coroot_gram = [[Q(c, p) for c in row] for row in gram]
+        self.affine_cartan = [[_int_ratio(2 * gram[i][j], gram[j][j]) for j in range(nodes)]
+                              for i in range(nodes)]
+        # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
+        red, pivots = rref_int([[w[t] for w in node_weights[1:]] + [-node_weights[0][t]]
+                                for t in range(nh)])
+        if pivots != list(range(nodes - 1)):
+            raise AssertionError("marks system inconsistent")
+        self.marks = [1] + [_int_ratio(row[-1], row[r]) for r, row in enumerate(red)]
+        if any(a <= 0 for a in self.marks):
+            raise AssertionError("marks must be positive")
+        self.m = nu_order * sum(map(mul, self.marks, sigma.s))
         # (node functionals on (h^nu, d) with alpha_i(d) = s_i, node coroots),
-        # scaled to integers by one common denominator, for `bd.th_dimension`
-        funcs = [list(w) + [Q(x)] for w, x in zip(node_weights, sigma.s)]
-        d = lcm(*(x.denominator for row in [*funcs, *node_coroots] for x in row))
-        self.integer_nodes = tuple([[int(x * d) for x in r] for r in rows]
-                                   for rows in (funcs, node_coroots))
+        # scaled to integers by the least common denominator of the coroots,
+        # for `bd.th_dimension`
+        d = lcm(*(abs(p) // gcd(c, p) for row in coroots for c in row))
+        self.integer_nodes = ([[x * d for x in (*w, si)] for w, si in zip(node_weights, sigma.s)],
+                              [[c * d // p for c in row] for row in coroots])
 
 
 _DIAGRAM_CACHE: dict = {}
@@ -735,20 +721,17 @@ def affine_diagram_data(sigma: SigmaType) -> AffineDiagramData:
         orbits = _perm_orbits(perm)
         r = lcm(*map(len, orbits))
         kc = killing_cartan(rs)
-        h_gram = [[sum((kc[i][j] for i in a for j in b), Q(0)) for b in orbits]
-                  for a in orbits]
+        h_gram = [[sum(kc[i][j] for i in a for j in b) for b in orbits] for a in orbits]
         # the roots whose restrictions are the nonzero weights of g_1
         g1 = [rho for rho in rs.all_roots if r == 1 or _perm_root(perm, rho) != rho]
         if r == 2:
             g1 += [beta for beta in (add(g, _perm_root(perm, g)) for g in rs.all_roots)
                    if rs.is_root(beta)]
         # alpha_j (one j per orbit) on the orbit sum of the h_i: the a_ji summed over it
-        simple = [tuple(Q(sum(rs.cartan[j][i] for i in orbit)) for orbit in orbits)
+        simple = [tuple(sum(rs.cartan[j][i] for i in orbit) for orbit in orbits)
                   for j, *_ in orbits]
         if r > 1:
             simple.sort()
         node_weights = [_restrict(rs, orbits, min(g1, key=sum))] + simple
-        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, len(orbits), h_gram, node_weights,
-                                                *_diagram_tail(h_gram, node_weights,
-                                                               sigma.s, r))
+        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, h_gram, node_weights, r)
     return _DIAGRAM_CACHE[key]

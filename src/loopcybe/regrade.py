@@ -79,7 +79,7 @@ def solve_mu(src: TwistedLoopAlgebra, dst: TwistedLoopAlgebra) -> list:
     """
     _check_same_family(src, dst)
     nodes = len(src.node_weights)
-    rows = [list(src.node_weights[i]) for i in range(nodes)]
+    rows = [list(map(Q, src.node_weights[i])) for i in range(nodes)]
     rhs = [Q(dst.sigma.s[i], dst.m) - Q(src.sigma.s[i], src.m) for i in range(nodes)]
     sol = solve(rows, rhs)
     if sol is None:

@@ -236,6 +236,21 @@ def test_equiv_subcommand(tmp_path):
     assert data["equivalent"] is True
 
 
+def test_identity_nu_names_the_untwisted_diagram(tmp_path):
+    """nu_perm [0, 1] on A2 is the identity: the quadruple is the one with
+    nu_perm null, equivalent to it by the identity, and echoes null."""
+    qa = write_quad(tmp_path, "a.json", VALID_A2)
+    spelled = dict(VALID_A2, diagram={"type": "A2", "s": [1, 0, 0], "nu_perm": [0, 1]})
+    qb = write_quad(tmp_path, "b.json", spelled)
+    out = run("equiv", "-a", qa, "-b", qb)
+    assert (out.returncode, json.loads(out.stdout)) == (0, {"equivalent": True,
+                                                            "witness": [0, 1, 2]})
+    twists = [run("twist", "-i", q) for q in (qa, qb)]
+    assert [t.returncode for t in twists] == [0, 0]
+    assert twists[0].stdout == twists[1].stdout
+    assert json.loads(twists[1].stdout)["quadruple"]["diagram"]["nu_perm"] is None
+
+
 def test_export_catalog():
     out = run("export", "--what", "catalog", "--type", "A1", "--s", "1,0")
     assert out.returncode == 0

@@ -59,6 +59,14 @@ def test_marks_twisted_a2():
     assert L.affine_cartan == [[2, -4], [-1, 2]]
 
 
+def test_identity_nu_is_stored_as_none():
+    """An identity nu names the untwisted diagram: one value, one cache entry."""
+    spelled, plain = SigmaType.make("A2", [1, 0, 0], [0, 1]), SigmaType.make("A2", [1, 0, 0])
+    assert spelled.nu is None and spelled == plain
+    assert affine_diagram_data(spelled) is affine_diagram_data(plain)
+    assert loop_algebra(spelled) is loop_algebra(plain)
+
+
 @pytest.mark.parametrize("label,s,nu,m", [
     ("A1", [1, 0], None, 1),       # sigma = id
     ("A1", [1, 1], None, 2),       # Coxeter

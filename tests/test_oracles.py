@@ -23,7 +23,13 @@ implementations, kept here unchanged in substance:
   maps;
 - `slot_diagram` reads the affine diagram of an outer nu off the slots of
   the full loop algebra, with the Killing form of the structure table on
-  the fixed Cartan;
+  the fixed Cartan, and derives coroots, their Gram, the affine Cartan
+  matrix and the marks by Fraction solves (`linalg.solve`), where the
+  library runs one fraction-free reduction on ints;
+- `all_triples_representatives` builds every valid triple and then folds
+  the orbits under the whole diagram group, where `enumerate_representatives`
+  visits only the least Gamma_1 of each orbit and folds under its
+  stabiliser;
 - `chevalley_form` pairs two loop elements through their Chevalley
   coordinates (`chev_parts` and `alg.killing`), where the library reads
   the cached `slot_pairing` of the loop algebra;
@@ -53,6 +59,8 @@ import os
 import random
 from fractions import Fraction as Q
 from itertools import permutations
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,8 +70,8 @@ from loopcybe import cli
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import add_term, chevalley_algebra, vec_scale
 from loopcybe.linalg import kernel_basis, rref, rref_int, solve
-from loopcybe.loop import (AffineDiagramData, LoopElement, SigmaType, _diagram_tail,
-                           affine_diagram_data, affine_node_count, loop_algebra)
+from loopcybe.loop import (LoopElement, SigmaType, affine_diagram_data, affine_node_count,
+                           loop_algebra)
 from loopcybe.regrade import apply_equivalence
 from loopcybe.scalars import CycNumber
 from loopcybe.serialize import quadruple_from_json, two_point_json
@@ -254,6 +262,62 @@ def test_th_solution_space_matches_fraction_oracle_e6():
     for _ in range(30):
         sigma = rng.choice(gradings)
         assert_same_space(sigma, rng.choice(reps[sigma])["triple"])
+
+
+def all_triples_representatives(sigma):
+    """Orbit representatives and orbit sizes, from every valid triple folded
+    under the whole diagram group; each representative is the least triple
+    of its orbit."""
+    L = affine_diagram_data(sigma)
+    group = cl.loop_diagram_automorphisms(L)
+    seen: set = set()
+    reps = []
+
+    def key(t):
+        g1, g2, gm = t
+        return (tuple(sorted(g1)), tuple(sorted(g2)), gm)
+
+    for t in cl.enumerate_triples(L):
+        if key(t) in seen:
+            continue
+        orbit = set()
+        for perm in group:
+            g1, g2, gm = t
+            moved = (frozenset(perm[i] for i in g1), frozenset(perm[i] for i in g2),
+                     tuple(sorted((perm[a], perm[b]) for a, b in gm)))
+            orbit.add(key(moved))
+        seen.update(orbit)
+        reps.append({"triple": min(orbit), "orbit_size": len(orbit)})
+    reps.sort(key=lambda r: r["triple"])
+    return reps
+
+
+# (label, s, nu): A1-A7, B2-B5, C2-C5, D4-D6, G2, F4 and E6 graded by e_0, the
+# twisted catalog diagrams, and two gradings with s_0 = 0
+REPRESENTATIVE_DIAGRAMS = (
+    [("%s%d" % (x, n), (1,) + (0,) * n, None)
+     for x, ranks in [("A", range(1, 8)), ("B", range(2, 6)), ("C", range(2, 6)),
+                      ("D", range(4, 7)), ("G", [2]), ("F", [4]), ("E", [6])]
+     for n in ranks]
+    + [("A3", (1, 0, 0), (2, 1, 0)), ("A6", (1, 0, 0, 0), (5, 4, 3, 2, 1, 0)),
+       ("D4", (1, 0, 0, 0), (0, 1, 3, 2)), ("D4", (1, 0, 0), (2, 1, 3, 0)),
+       ("E6", (1, 0, 0, 0, 0), (5, 1, 4, 3, 2, 0)),
+       ("A3", (0, 1, 0, 0), None), ("D4", (0, 0, 1, 0, 0), None)])
+
+
+@pytest.mark.parametrize("label,s,nu", REPRESENTATIVE_DIAGRAMS,
+                         ids=["%s-%s" % (diagram_id((label, nu, None)), "".join(map(str, s)))
+                              for label, s, nu in REPRESENTATIVE_DIAGRAMS])
+def test_representatives_match_all_triples_oracle(label, s, nu):
+    """The same representatives, in the same order, with the same orbit
+    sizes; the sizes add up to the number of valid triples and divide |Aut|."""
+    sigma = SigmaType.make(label, s, nu)
+    L = affine_diagram_data(sigma)
+    reps = cl.enumerate_representatives(sigma)
+    assert reps == all_triples_representatives(sigma)
+    assert sum(r["orbit_size"] for r in reps) == len(cl.enumerate_triples(L))
+    order = len(cl.loop_diagram_automorphisms(L))
+    assert all(order % r["orbit_size"] == 0 for r in reps)
 
 
 def solved_or_counted(fn, sigma, g1, g2, gamma):
@@ -472,7 +536,9 @@ def slot_diagram(L, sigma):
     The simple roots of the fixed subalgebra are its positive weights that
     are no sum of two others, and alpha_0 is the lowest weight of g_1 as a
     module over it.  The slots do not depend on the grading, so one L serves
-    every sigma of its type and nu.
+    every sigma of its type and nu.  Each coroot t_w solves h_gram t = w,
+    (t_x, t_y) = y(t_x), the Cartan entries are 2 (t_i, t_j) / (t_j, t_j),
+    and the marks solve sum a_i alpha_i = 0 with a_0 = 1, all in Fractions.
     """
     h_gram = [[L.alg.killing(a, b) for b in L.h_basis] for a in L.h_basis]
     pos_weights = {s.weight for s in L.slots if s.nu_class == 0 and s.positive is True}
@@ -488,8 +554,24 @@ def slot_diagram(L, sigma):
             if not any(tuple(a - b for a, b in zip(w, sw)) in w1 for sw in simple)]
     assert len(cand) == 1, "lowest weight of g_1 is not unique: %r" % (cand,)
     node_weights = [cand[0]] + simple
-    return AffineDiagramData(sigma, L.nh, h_gram, node_weights,
-                             *_diagram_tail(h_gram, node_weights, sigma.s, L.nu_order))
+    nodes = len(node_weights)
+    coroots = [solve(h_gram, list(w)) for w in node_weights]
+    gram = [[sum((x[a] * y[a] for a in range(L.nh)), Q(0)) for y in node_weights]
+            for x in coroots]
+    cartan = [[2 * gram[i][j] / gram[j][j] for j in range(nodes)] for i in range(nodes)]
+    rest = solve([[w[t] for w in node_weights[1:]] for t in range(L.nh)],
+                 [-node_weights[0][t] for t in range(L.nh)])
+    marks = [Q(1)] + rest
+    assert all(x.denominator == 1 for row in cartan for x in row)
+    assert all(a.denominator == 1 and a > 0 for a in marks)
+    funcs = [list(w) + [Q(x)] for w, x in zip(node_weights, sigma.s)]
+    d = lcm(*(x.denominator for row in [*funcs, *coroots] for x in row))
+    return SimpleNamespace(
+        sigma=sigma, nh=L.nh, h_gram=h_gram, node_weights=node_weights,
+        node_coroots=coroots, coroot_gram=gram, affine_cartan=cartan, marks=marks,
+        m=L.nu_order * sum(a * x for a, x in zip(marks, sigma.s)),
+        integer_nodes=tuple([[int(x * d) for x in r] for r in rows]
+                            for rows in (funcs, coroots)))
 
 
 # (label, nu): A_n^(2), D_n^(2), every order-2 and order-3 twist of D4, and E6^(2)
