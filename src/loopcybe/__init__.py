@@ -3,7 +3,8 @@ equation on twisted loop algebras, their twists, and their classification.
 
 The package is float-free end to end: scalars are rationals (or elements
 of Q(zeta_3) for order-3 twists), tensors are sparse dictionaries, and every
-identity is checked symbolically or at exact rational points.
+identity is checked symbolically or at exact rational points.  The regrading
+maps live in `loopcybe.regrade`, which the package root does not import.
 """
 
 from .cartan import CartanType, RootSystem, build_root_system
@@ -17,8 +18,6 @@ from .bd import (BDQuadruple, ThetaMap, build_rq, build_twist, canonical_t_h,
 from .classify import (act, diagram_automorphisms, enumerate_representatives,
                        equivalence_witness, parabolic_restriction_check,
                        quasi_trig_reachable, type_census)
-from .regrade import (apply_equivalence, exponent_identity, quotient_dependence,
-                      regrade_element, solve_mu)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,31 +1,38 @@
 """Command-line front end: construction, verification, classification, export.
 
-Exit codes: 0 on success (or verified), 1 on verification failure, 2 on
-usage errors (including malformed JSON, reported as a machine-readable
-error object on stdout).
+`COMMANDS` maps each command to its handler, positionals, flags, required
+fields and defaults; `-h` or `--help` prints USAGE.  Exit codes: 0 on success
+(or verified), 1 on verification failure, 2 on usage errors (a malformed
+command line or JSON file), reported as a JSON error object on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bd, classify, serialize
 from .cartan import CartanType, build_root_system
+from .chevalley import chevalley_algebra
 from .loop import SigmaType, affine_node_count, loop_algebra
 from .tensors import from_loop_tensor, r0, residue_operator, verify_cybe
 
-Q = Fraction
+USAGE = """usage: loopcybe [--degree-bound N (default 3)] COMMAND ...
+  roots TYPE [-o/--output FILE]
+  r0 --type TYPE [--s S] [--nu NU] [-o/--output FILE]
+  validate -i/--input QUAD
+  twist -i/--input QUAD [-o/--output FILE]
+  verify-cybe -i/--input QUAD
+  census --types TYPES [--max-rank N (default 8)] [-o/--output FILE]
+  equiv -a/--first QUAD -b/--second QUAD
+  export --what catalog|structure [--type TYPE (default A1)] [--s S] [--nu NU] [-o/--output FILE]
+S and NU are comma-separated ints.  A flag takes its value as --flag V or --flag=V.
+"""
 
 
 class UsageError(Exception):
     pass
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(serialize.dumps(obj))
 
 
 def _load_json(path: str) -> dict:
@@ -36,7 +43,7 @@ def _load_json(path: str) -> dict:
         raise UsageError("cannot read JSON from %r: %s" % (path, exc))
 
 
-def _write(path, obj) -> None:
+def _emit(obj, path=None) -> None:
     payload = serialize.dumps(obj)
     if path:
         with open(path, "w") as fh:
@@ -59,21 +66,21 @@ def _sigma_from_args(args) -> SigmaType:
 
 def cmd_roots(args) -> int:
     rs = build_root_system(CartanType.parse(args.type))
-    _write(args.output, {
+    _emit({
         "type": args.type,
         "rank": rs.rank,
         "cartan_matrix": [list(r) for r in rs.cartan],
         "positive_roots": [list(r) for r in rs.positive_roots],
         "count": 2 * len(rs.positive_roots),
-    })
+    }, args.output)
     return 0
 
 
 def cmd_r0(args) -> int:
     sigma = _sigma_from_args(args)
     L = loop_algebra(sigma)
-    _write(args.output, {"sigma": serialize.sigma_json(sigma),
-                         "tensor": serialize.two_point_json(r0(L))})
+    _emit({"sigma": serialize.sigma_json(sigma),
+           "tensor": serialize.two_point_json(r0(L))}, args.output)
     return 0
 
 
@@ -87,8 +94,8 @@ def cmd_validate(args) -> int:
 def cmd_twist(args) -> int:
     q = serialize.quadruple_from_json(_load_json(args.input))
     t = bd.build_twist(q)
-    _write(args.output, {"quadruple": serialize.quadruple_json(q),
-                         "twist": serialize.loop_tensor_json(t)})
+    _emit({"quadruple": serialize.quadruple_json(q),
+           "twist": serialize.loop_tensor_json(t)}, args.output)
     return 0
 
 
@@ -126,7 +133,7 @@ def cmd_census(args) -> int:
                          % (args.types, args.max_rank))
     out = [{"type": row["type"], "rank": row["rank"], "good": row["good"],
             "witness_gamma1": row["witness_gamma1"]} for row in rows]
-    _write(args.output, out)
+    _emit(out, args.output)
     return 0
 
 
@@ -150,76 +157,78 @@ def cmd_export(args) -> int:
                         "gamma": {str(a): b for a, b in gm},
                         "orbit_size": rep["orbit_size"],
                         "t_h_dimension": bd.th_dimension(sigma, g1, g2, dict(gm))})
-        _write(args.output, {"sigma": serialize.sigma_json(sigma), "orbits": out})
+        _emit({"sigma": serialize.sigma_json(sigma), "orbits": out}, args.output)
         return 0
     if args.what == "structure":
-        from .chevalley import chevalley_algebra
-        _write(args.output, serialize.structure_table_json(chevalley_algebra(args.type)))
+        _emit(serialize.structure_table_json(chevalley_algebra(args.type)), args.output)
         return 0
     raise UsageError("unknown export target %r" % (args.what,))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="loopcybe",
-                                description="Exact trigonometric CYBE toolkit")
-    p.add_argument("--degree-bound", type=int, default=3,
-                   help="degree window for operator checks (default 3)")
-    sub = p.add_subparsers(dest="command", required=True)
+_IN = {"-i": "input", "--input": "input"}
+_OUT = {"-o": "output", "--output": "output"}
+_SIGMA = {"--type": "type", "--s": "s", "--nu": "nu"}
+# command: (handler, positionals, {flag: field}, required flag fields, defaults)
+COMMANDS = {
+    "roots": (cmd_roots, ("type",), _OUT, (), {}),
+    "r0": (cmd_r0, (), {**_SIGMA, **_OUT}, ("type",), {}),
+    "validate": (cmd_validate, (), _IN, ("input",), {}),
+    "twist": (cmd_twist, (), {**_IN, **_OUT}, ("input",), {}),
+    "verify-cybe": (cmd_verify_cybe, (), _IN, ("input",), {}),
+    "census": (cmd_census, (), {"--types": "types", "--max-rank": "max_rank", **_OUT},
+               ("types",), {"max_rank": "8"}),
+    "equiv": (cmd_equiv, (), {"-a": "first", "--first": "first", "-b": "second",
+                              "--second": "second"}, ("first", "second"), {}),
+    "export": (cmd_export, (), {"--what": "what", **_SIGMA, **_OUT}, ("what",), {"type": "A1"}),
+}
 
-    sp = sub.add_parser("roots", help="root system of a simple type")
-    sp.add_argument("type")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_roots)
 
-    sp = sub.add_parser("r0", help="basic trigonometric solution")
-    sp.add_argument("--type", required=True)
-    sp.add_argument("--s", default=None, help="comma-separated weights")
-    sp.add_argument("--nu", default=None, help="comma-separated node permutation")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_r0)
-
-    sp = sub.add_parser("validate", help="check the three quadruple conditions")
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("twist", help="build the twist of a quadruple")
-    sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_twist)
-
-    sp = sub.add_parser("verify-cybe", help="verify CYBE and skew-symmetry")
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=cmd_verify_cybe)
-
-    sp = sub.add_parser("census", help="quasi-trigonometric reachability census")
-    sp.add_argument("--types", required=True, help="e.g. B or B4,D6,G2")
-    sp.add_argument("--max-rank", type=int, default=8)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_census)
-
-    sp = sub.add_parser("equiv", help="diagram-equivalence witness for two quadruples")
-    sp.add_argument("-a", "--first", required=True)
-    sp.add_argument("-b", "--second", required=True)
-    sp.set_defaults(func=cmd_equiv)
-
-    sp = sub.add_parser("export", help="export catalogs and tables")
-    sp.add_argument("--what", required=True, choices=["catalog", "structure"])
-    sp.add_argument("--type", default="A1")
-    sp.add_argument("--s", default=None)
-    sp.add_argument("--nu", default=None)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_export)
-    return p
+def parse(argv: list):
+    """The handler that COMMANDS names for a command line, and its arguments."""
+    values, flags = {"degree_bound": "3"}, {"--degree-bound": "degree_bound"}
+    name, free, args = None, [], iter(argv)
+    for arg in args:
+        if arg.startswith("-"):
+            flag, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+            if flag not in flags:
+                raise UsageError("unknown argument %r" % arg)
+            values[flags[flag]] = value if eq else next(args, None)
+            if values[flags[flag]] is None:
+                raise UsageError("argument %s expects a value" % flag)
+        elif name is None:
+            if arg not in COMMANDS:
+                raise UsageError("unknown command %r; see loopcybe --help" % arg)
+            name, (handler, positionals, flags, required, defaults) = arg, COMMANDS[arg]
+            values.update(dict.fromkeys(positionals + tuple(flags.values())), **defaults)
+            free = list(positionals)
+        elif free:
+            values[free.pop(0)] = arg
+        else:
+            raise UsageError("unexpected argument %r" % arg)
+    if name is None:
+        raise UsageError("no command; see loopcybe --help")
+    missing = [f for f in positionals + required if values[f] is None]
+    if missing:
+        raise UsageError("%s needs %s" % (name, " and ".join(
+            "/".join(f for f in flags if flags[f] == m) or m.upper() for m in missing)))
+    for field in ("degree_bound", "max_rank"):
+        try:
+            if field in values:
+                values[field] = int(values[field])
+        except ValueError:
+            raise UsageError("--%s must be an int, not %r"
+                             % (field.replace("_", "-"), values[field])) from None
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        handler, args = parse(argv)
+        return handler(args)
     except UsageError as exc:
         _emit({"error": str(exc)})
         return 2

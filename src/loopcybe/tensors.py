@@ -416,17 +416,24 @@ def twist_residual(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
     return laurent3_mul_clear(twist_defect(L, t), L.m, [(0, 1), (0, 2), (1, 2)])
 
 
+@cache
+def _delta0(L: TwistedLoopAlgebra, first: tuple) -> Laurent2:
+    """delta_0 = cobracket(-, r0) of the basis element at `first` = (slot, degree).
+
+    Built once per loop algebra and leg, like r0, and shared: never mutate it.
+    """
+    return cobracket(LoopElement(L, {first: Q(1)}), r0(L))
+
+
 def twist_defect(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
     """CYB(t) - Alt((delta_0 (x) 1) t) for a finite Laurent tensor t, uncleared."""
-    r_base = r0(L)
-    # (delta (x) 1) t: one cobracket per first leg (slot, degree) of t
+    # (delta (x) 1) t: one cached cobracket per first leg (slot, degree) of t
     by_first: dict = {}
     for (first, (s2, dy)), c in tensor_to_slots(L, t).items():
         by_first.setdefault(first, []).append((s2, dy, c))
     d1: Laurent3 = {}
     for first, seconds in by_first.items():
-        delta_f = cobracket(LoopElement(L, {first: Q(1)}), r_base)
-        for (a, b, p, q_), cf in delta_f.items():
+        for (a, b, p, q_), cf in _delta0(L, first).items():
             for s2, dy, c in seconds:
                 for j, cj in L.slots[s2].vec.items():
                     add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import loopcybe
+from loopcybe import cli
 
 CLI = [sys.executable, "-m", "loopcybe.cli"]
 # The CLI runs the package these tests imported, installed or not.
@@ -278,6 +279,31 @@ def test_catalog_s_length_follows_the_twisted_diagram():
 def test_unknown_flag_rejected():
     out = run("roots", "A1", "--frobnicate")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "A1", "--frobnicate"], ["verify-cybe"], ["census", "--types", "B", "--max-rank", "x"],
+    ["export", "--what", "bogus"], ["frob"], [], ["r0", "--type"],
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_usage_errors_emit_json(argv):
+    """A malformed command line gets the JSON error object of every usage error."""
+    assert _usage_error(run(*argv))
+
+
+def test_help_lists_every_command_and_flag():
+    out = run("--help")
+    assert out.returncode == 0 and out.stdout.startswith("usage: loopcybe")
+    assert run("census", "-h").stdout == out.stdout
+    for name, (_, _, flags, _, _) in cli.COMMANDS.items():
+        assert all(word in out.stdout for word in [name, *flags]), name
+
+
+def test_flag_equals_value_matches_spaced_form():
+    """--flag=value reads as --flag value, and a repeated flag keeps its last value."""
+    spaced = run("r0", "--type", "A2", "--s", "1,0,0")
+    assert spaced.returncode == 0
+    assert run("r0", "--type=A2", "--s=1,0,0").stdout == spaced.stdout
+    assert run("r0", "--type", "B2", "--s", "1,0,0", "--type=A2").stdout == spaced.stdout
 
 
 def test_r0_default_s_untwisted_and_twisted():

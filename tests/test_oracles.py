@@ -75,7 +75,7 @@ from loopcybe.loop import (LoopElement, SigmaType, affine_diagram_data, affine_n
 from loopcybe.regrade import apply_equivalence
 from loopcybe.scalars import CycNumber
 from loopcybe.serialize import quadruple_from_json, two_point_json
-from loopcybe.tensors import (alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
+from loopcybe.tensors import (_delta0, alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
                               t2_scale, tensor_to_slots, twist_defect, twist_residual, wedge)
 from test_golden import CASES, GOLDEN, expected
 
@@ -862,19 +862,25 @@ def test_verify_cybe_builds_two_theta_maps(monkeypatch, capsys):
 def test_r0_is_shared_and_never_mutated(quad, monkeypatch, capsys):
     """One r0 per loop algebra (A2 and A3^(2) here): verify-cybe,
     twist_residual, apply_equivalence and two_point_json all read it, and
-    afterwards it is the same object and equals a fresh build."""
+    afterwards it is the same object and equals a fresh build.  So does the
+    memoised delta_0 of each first leg that twist_residual read twice."""
     monkeypatch.chdir(GOLDEN)
     q = _defect_quad(quad)
     L = q.algebra()
     shared = r0(L)
     assert cli.main(["verify-cybe", "-i", quad]) == 0
-    assert not twist_residual(L, bd.build_twist(q))
+    t = bd.build_twist(q)
+    assert not twist_residual(L, t) and not twist_residual(L, t)
     n = L.generators()[1]["plus"]
     apply_equivalence({"kind": "exp_ad", "element": n}, shared)
     two_point_json(r0(L))
     fresh = r0.__wrapped__(L)
     assert r0(L) is shared
     assert (shared.poly, shared.pole_num) == (fresh.poly, fresh.pole_num)
+    firsts = {first for first, _ in tensor_to_slots(L, t)}
+    assert firsts
+    for first in firsts:
+        assert _delta0(L, first) == cobracket(LoopElement(L, {first: Q(1)}), fresh)
 
 
 # ------------------------------------------------------------ twist defect
