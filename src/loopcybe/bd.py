@@ -11,9 +11,10 @@ three defining conditions are:
 Condition 3 is solved over the extended Cartan h + C d, where the node
 functionals take the value s_i on the scaling direction d; this is the
 reading under which the solution-space dimension is l(l-1)/2 with
-l = |Pi \\ Gamma_1|.  Twists themselves only ever use the d-free part of
-t_h (the loop algebra has no d), and the canonical representative is the
-d-free minimum-support particular solution.
+l = |Pi \\ Gamma_1|; validation, the count and the solve read one integer
+system.  Twists only ever use the d-free part of t_h (the loop algebra has
+no d), and the canonical representative is the d-free minimum-support
+particular solution.  On the Cartan, theta is `cartan_transport`.
 
 The residue operator of a quadruple is R_{t_h} plus the two theta series,
 and `tensors.contraction` is the one Psi(a (x) b) = B(b, -) a behind it,
@@ -23,12 +24,12 @@ the Cayley transform, the Cartan gluing and the Manin operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Iterable, Optional
 
 from .chevalley import add_term
-from .linalg import kernel_basis, map_sending, mat_inverse, mat_mul, rref_int, span_equal
+from .linalg import mat_inverse, mat_mul, rref_int, span_equal
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, _element_ratio,
                    affine_diagram_data, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
@@ -137,27 +138,20 @@ def validate(q: BDQuadruple) -> dict:
     return report
 
 
-def _node_functional(L, i: int) -> tuple:
-    """alpha_i as values on (h_basis..., d); alpha_i(d) = s_i."""
-    return tuple(L.node_weights[i]) + (Q(L.sigma.s[i]),)
+def _condition3_system(L, gmap: dict, gamma1) -> list:
+    """Condition 3 as int rows: (i, h_i, c_i) for i in Gamma_1, sorted.
 
-
-def _condition3_terms(L, gmap: dict, gamma1: frozenset):
-    """Per i in Gamma_1: (i, f, g, (f (x) 1 + 1 (x) g)(C_h/2)) in extended
-    coordinates, f = alpha_{gamma(i)} and g = alpha_i.
-
-    The last entry is (f^vee + g^vee)/2 over the kappa-coroots (d-component
-    0), so the Casimir itself is never materialized.
+    On h^nu + C d, with the scale d of `L.integer_nodes`,
+    h_i = d (alpha_{gamma(i)} - alpha_i) and c_i = d (t_{gamma(i)} + t_i),
+    whose d-entry is 0.  For a skew t_h, (f (x) 1 + 1 (x) g) t_h is
+    iota_{f - g} t_h, and (f (x) 1 + 1 (x) g)(C_h/2) = (t_f + t_g)/2, so
+    condition 3 reads 2 iota_{h_i} t_h + c_i = 0.  `L` may be a
+    TwistedLoopAlgebra or light AffineDiagramData.
     """
-    for i in sorted(gamma1):
-        const = [(a + b) / 2 for a, b in zip(L.node_coroots[gmap[i]], L.node_coroots[i])]
-        yield i, _node_functional(L, gmap[i]), _node_functional(L, i), const + [Q(0)]
-
-
-def _int_row(row: list) -> list:
-    """A row of Fractions times the least common denominator of its entries."""
-    d = lcm(*(x.denominator for x in row))
-    return [int(x * d) for x in row]
+    funcs, coroots, _ = L.integer_nodes
+    return [(i, [a - b for a, b in zip(funcs[gmap[i]], funcs[i])],
+             [a + b for a, b in zip(coroots[gmap[i]], coroots[i])] + [0])
+            for i in sorted(gamma1)]
 
 
 def _pairs(n: int) -> list:
@@ -166,55 +160,39 @@ def _pairs(n: int) -> list:
     return [(a, b) for a in idx for b in idx if a < b]
 
 
-def _contract_pair(f: tuple, g: tuple, a: int, b: int, n: int) -> list:
-    """(f (x) 1 + 1 (x) g) applied to u_a (x) u_b - u_b (x) u_a; coords in C^n."""
-    out = [Q(0)] * n
-    out[b] += f[a]
-    out[a] += g[b]
-    out[a] -= f[b]
-    out[b] -= g[a]
-    return out
-
-
 def _condition3_matrix(L, gmap: dict, gamma1: frozenset):
     """(pairs, rows, rhs) of the condition-3 system over the extended skew
-    square, each block of rows scaled to integers.
+    square, on the int rows of `_condition3_system`.
 
-    Row `comp` of the block for i is component `comp` of
-    (f (x) 1 + 1 (x) g) applied to the pair basis, as in `_contract_pair`:
-    it reads h[a] at the pairs (a, comp) and -h[b] at the pairs (comp, b),
-    with h = f - g.  The block and its right-hand side are multiplied by the
-    common denominator of f, g and the Casimir term, which leaves the
-    solution set as it is.  `L` may be a TwistedLoopAlgebra or light
-    AffineDiagramData.
+    Row `comp` of the block for i is component `comp` of 2 iota_{h_i} on the
+    pair basis, iota_h (u_a (x) u_b - u_b (x) u_a) = h[a] u_b - h[b] u_a: it
+    reads 2 h[a] at the pairs (a, comp) and -2 h[b] at the pairs (comp, b).
+    Its right-hand side is -c_i[comp].
     """
-    next_ = L.nh + 1
-    pairs = _pairs(next_)
-    rows: list = []
-    rhs: list = []
-    for _, f, g, const in _condition3_terms(L, gmap, gamma1):
-        scaled = _int_row(list(f) + list(g) + const)
-        h = [a - b for a, b in zip(scaled, scaled[next_:2 * next_])]
-        for comp in range(next_):
-            rows.append([h[a] if b == comp else -h[b] if a == comp else 0
+    pairs = _pairs(L.nh + 1)
+    rows, rhs = [], []
+    for _, h, c in _condition3_system(L, gmap, gamma1):
+        for comp in range(L.nh + 1):
+            rows.append([2 * h[a] if b == comp else -2 * h[b] if a == comp else 0
                          for a, b in pairs])
-        rhs.extend(-c for c in scaled[2 * next_:])
+        rhs.extend(-x for x in c)
     return pairs, rows, rhs
 
 
-def _condition3_residual(L, gmap: dict, gamma1: frozenset,
-                         t_h: dict) -> dict:
-    """Value of (alpha_{gamma(i)} (x) 1 + 1 (x) alpha_i)(t_h + C_h/2) per i."""
+def _condition3_residual(L, gmap: dict, gamma1: frozenset, t_h: dict) -> dict:
+    """Value of (alpha_{gamma(i)} (x) 1 + 1 (x) alpha_i)(t_h + C_h/2) per i:
+    (2 iota_{h_i} t_h + c_i) / 2d on the rows of `_condition3_system`."""
     nh = L.nh
-    next_ = nh + 1
+    scale = 2 * L.integer_nodes[2]
     out = {}
-    for i, f, g, val in _condition3_terms(L, gmap, gamma1):
-        for (a, b), c in t_h.items():
+    for i, h, c in _condition3_system(L, gmap, gamma1):
+        val = list(c)
+        for (a, b), x in t_h.items():
             a = nh if a == D_INDEX else a
             b = nh if b == D_INDEX else b
-            contr = _contract_pair(f, g, a, b, next_)
-            val = [v + c * w for v, w in zip(val, contr)]
-        out[i] = val
+            val[b] += 2 * x * h[a]
+            val[a] -= 2 * x * h[b]
+        out[i] = [Q(v, scale) for v in val]
     return out
 
 
@@ -222,10 +200,9 @@ def th_dimension(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
                  gamma: dict) -> int:
     """Dimension of the condition-3 family of t_h, counted without a solve.
 
-    On V = h^nu + C d condition 3 reads iota_{h_i} t = c_i (i in Gamma_1),
-    h_i = alpha_{gamma(i)} - alpha_i, c_i = -(t_{gamma(i)} + t_i)/2 as in
-    `_condition3_terms`.  The alpha_i are independent on V (their relation
-    sum a_i alpha_i = 0 on h^nu fails at d: sum a_i s_i = m > 0), so under
+    Condition 3 reads 2 iota_{h_i} t = -c_i on the rows of
+    `_condition3_system`.  The alpha_i are independent on V = h^nu + C d
+    (sum a_i alpha_i = 0 on h^nu fails at d: sum a_i s_i = m > 0), so under
     condition 2 so are the h_i.  Cartan's lemma then makes the system
     solvable iff <h_j, c_i> + <h_i, c_j> = 0 for all i <= j, an identity
     that expands to condition 1 but is checked here on h and c; the
@@ -234,18 +211,15 @@ def th_dimension(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
     family is empty or the h_i are dependent (gamma breaks condition 2).
     """
     L = affine_diagram_data(sigma)
-    funcs, coroots = L.integer_nodes
-    g1 = sorted(gamma1)
-    hs = [[a - b for a, b in zip(funcs[gamma[i]], funcs[i])] for i in g1]
-    # -2 c_i, scaled; c has no d-part, so zip pairs it with h over h^nu alone
-    cs = [[a + b for a, b in zip(coroots[gamma[i]], coroots[i])] for i in g1]
+    system = _condition3_system(L, gamma, gamma1)
+    hs, cs = [row[1] for row in system], [row[2] for row in system]
     if len(rref_int(hs)[1]) < len(hs):
         raise ValueError("the h_i are dependent: gamma breaks condition 2")
-    for j in range(len(g1)):
+    for j in range(len(hs)):
         for i in range(j + 1):
             if sum(map(mul, hs[j], cs[i])) + sum(map(mul, hs[i], cs[j])):
                 raise ValueError("condition-3 system is inconsistent")
-    return comb(L.nh + 1 - len(g1), 2)
+    return comb(L.nh + 1 - len(hs), 2)
 
 
 def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
@@ -325,15 +299,31 @@ def canonical_t_h(sigma: SigmaType, gamma1, gamma2, gamma: dict) -> dict:
 # ------------------------------------------------------------------- theta
 
 
+def cartan_transport(L, gamma: dict) -> list:
+    """The matrix on the fixed Cartan that sends t_i to t_{gamma(i)} for i in
+    dom gamma and kills the B-orthocomplement of those t_i.
+
+    It is sum_{i,j} t_{gamma(i)} (G^{-1})_{ij} alpha_j, with G the coroot
+    Gram on dom gamma: since B(t_j, -) = alpha_j, it sends t_k to
+    t_{gamma(k)} and vanishes where every alpha_j does.  `L` may be a
+    TwistedLoopAlgebra or light AffineDiagramData.
+    """
+    dom = sorted(gamma)
+    if not dom:
+        return [[Q(0)] * L.nh for _ in range(L.nh)]
+    ginv = mat_inverse([[L.coroot_gram[i][j] for j in dom] for i in dom])
+    images = list(zip(*(L.node_coroots[gamma[i]] for i in dom)))
+    return mat_mul(images, mat_mul(ginv, [L.node_weights[j] for j in dom]))
+
+
 class ThetaMap:
     """The nilpotent partial isometry induced by gamma, extended by zero.
 
     Acts on root vectors of the subalgebra generated by the Gamma_1 node
-    triples; maps the node coroots H_i to H_{gamma(i)} and kills the
-    B-orthogonal complement in the Cartan.  `positive_roots` lists the
-    positive roots of that subalgebra, Phi_1^+, sorted, as (weight, degree)
-    keys.  The library takes its maps from `theta_map`, which builds each
-    one once.
+    triples, and on the Cartan by `cartan_transport`.  `positive_roots`
+    lists the positive roots of that subalgebra, Phi_1^+, sorted, as
+    (weight, degree) keys.  The library takes its maps from `theta_map`,
+    which builds each one once.
     """
 
     def __init__(self, L: TwistedLoopAlgebra, gamma1: frozenset, gamma: dict):
@@ -365,21 +355,7 @@ class ThetaMap:
             ratio = _element_ratio(L.bracket(src_s, src_r), base)
             self._root_images[(w, k)] = (base, L.bracket(img_s, img_r).scale(1 / ratio))
         self.positive_roots = sorted(positive)
-        # Cartan action: t_i -> t_{gamma(i)}, zero on the orthocomplement
-        self._build_cartan()
-
-    def _build_cartan(self) -> None:
-        L = self.L
-        span = [L.node_coroots[i] for i in sorted(self.gamma1)]
-        imgs = [L.node_coroots[self.gamma[i]] for i in sorted(self.gamma1)]
-        # complement: kernel of the pairing against span under the h-Gram
-        if span:
-            rows = [[sum(x * g for x, g in zip(s, L.h_gram[c])) for c in range(L.nh)]
-                    for s in span]
-            comp = kernel_basis(rows, Q(0), Q(1))
-        else:
-            comp = [[Q(1) if t == c else Q(0) for t in range(L.nh)] for c in range(L.nh)]
-        self._cartan_matrix = map_sending(span + comp, imgs + [[Q(0)] * L.nh for _ in comp])
+        self._cartan_matrix = cartan_transport(L, {i: self.gamma[i] for i in self.gamma1})
 
     def series(self, f: LoopElement):
         """Yield theta^j(f) for j = 1, 2, ... while it is nonzero (theta is nilpotent)."""
@@ -490,13 +466,18 @@ def build_twist(q: BDQuadruple) -> Laurent2:
         exc.report = rep            # so that a caller need not validate again
         raise exc
     L = q.algebra()
+    return t2_add(embed_t_h(L, q.t_h_dict), _theta_wedges(L, q))
+
+
+def _theta_wedges(L: TwistedLoopAlgebra, q: BDQuadruple) -> Laurent2:
+    """sum over Phi_1^+ and j >= 1 of b_{-a} wedge theta^j(b_a)."""
     theta = theta_map(L, q.gamma1, q.gamma_map)
-    out = embed_t_h(L, q.t_h_dict)
+    out: Laurent2 = {}
     for (w, k) in theta.positive_roots:
-        sid = L.root_slot(w, k)
-        b, bminus = L.root_vector_pair(sid, k)
+        b, bminus = L.root_vector_pair(L.root_slot(w, k), k)
         for img in theta.series(b):
-            out = t2_add(out, wedge(L, bminus, img))
+            for key, c in wedge(L, bminus, img).items():
+                add_term(out, key, c)
     return out
 
 
@@ -778,13 +759,7 @@ def quasi_trig_rearranged(q: BDQuadruple) -> TwoPointTensor:
         b, bminus = L.root_vector_pair(sid, 0)
         finite_wedges = t2_add(finite_wedges, wedge(L, b, bminus))
     acc = acc + from_loop_tensor(L, finite_wedges)
-    acc = acc + from_loop_tensor(L, t2_scale(embed_t_h(L, q.t_h_dict), Q(-2)))
-    theta = theta_map(L, q.gamma1, q.gamma_map)
-    tw: Laurent2 = {}
-    for (w, k) in theta.positive_roots:
-        sid = L.root_slot(w, k)
-        b, bminus = L.root_vector_pair(sid, k)
-        for img in theta.series(b):
-            tw = t2_add(tw, t2_scale(wedge(L, img, bminus), 2))
-    acc = acc + from_loop_tensor(L, tw)
+    # -2 t_h + 2 sum theta^j(b_a) wedge b_{-a} = -2 (t_h + the theta wedges)
+    twist = t2_add(embed_t_h(L, q.t_h_dict), _theta_wedges(L, q))
+    acc = acc + from_loop_tensor(L, t2_scale(twist, Q(-2)))
     return acc.scale(Q(-1, 2))

@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bd import BDQuadruple, D_INDEX, canonical_t_h, th_dimension, th_solution_space
+from .bd import (BDQuadruple, D_INDEX, canonical_t_h, cartan_transport, th_dimension,
+                 th_solution_space)
 from .cartan import SERIES_RANKS, CartanType
-from .linalg import in_span, map_sending
+from .linalg import in_span, mat_mul, mat_vec
 from .loop import SigmaType, affine_diagram_data
 
 Q = Fraction
@@ -56,38 +57,30 @@ def loop_diagram_automorphisms(L) -> list:
 def _theta_on_cartan(L, perm: tuple) -> list:
     """Matrix of the induced map on the fixed Cartan: t_i -> t_{perm(i)}.
 
-    Well-defined because the single relation sum a_i t_i = 0 among the
-    node coroots is preserved (marks are permutation-invariant).
+    It is `cartan_transport` on node coroots 1..n, a basis of h; it maps t_0
+    right too, since perm keeps the one relation sum a_i t_i = 0 (marks are
+    permutation-invariant).
     """
-    nodes = range(1, len(L.node_weights))
-    # node coroots 1..n form a basis of h (the relation involves node 0)
-    theta = map_sending([L.node_coroots[i] for i in nodes],
-                        [L.node_coroots[perm[i]] for i in nodes])
-    # consistency: node 0 must also map correctly
-    img0 = [sum(theta[r][t] * L.node_coroots[0][t] for t in range(L.nh))
-            for r in range(L.nh)]
-    if img0 != list(L.node_coroots[perm[0]]):
+    theta = cartan_transport(L, {i: perm[i] for i in range(1, len(L.node_weights))})
+    if mat_vec(theta, L.node_coroots[0]) != list(L.node_coroots[perm[0]]):
         raise AssertionError("diagram automorphism does not act on the Cartan")
     return theta
 
 
 def act_on_t_h(L, perm: tuple, t_h: dict) -> dict:
-    """(theta (x) theta) t_h for a d-free skew tensor over the h-basis."""
+    """(theta (x) theta) t_h = theta T theta^T for a d-free skew tensor over
+    the h-basis, T its skew matrix."""
     theta = _theta_on_cartan(L, perm)
     nh = L.nh
-    acc = [[Q(0)] * nh for _ in range(nh)]
+    skew = [[Q(0)] * nh for _ in range(nh)]
     for (a, b), c in t_h.items():
         if a == D_INDEX or b == D_INDEX:
             raise ValueError("t_h action implemented for d-free tensors only")
-        for p in range(nh):
-            for q_ in range(nh):
-                acc[p][q_] += c * (theta[p][a] * theta[q_][b] - theta[p][b] * theta[q_][a])
-    out = {}
-    for p in range(nh):
-        for q_ in range(p + 1, nh):
-            if acc[p][q_]:
-                out[(p, q_)] = acc[p][q_]
-    return out
+        skew[a][b] += c
+        skew[b][a] -= c
+    moved = mat_mul(mat_mul(theta, skew), list(zip(*theta)))
+    return {(p, q_): moved[p][q_] for p in range(nh) for q_ in range(p + 1, nh)
+            if moved[p][q_]}
 
 
 def act(perm: tuple, q: BDQuadruple) -> BDQuadruple:
@@ -305,12 +298,9 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
         if len(g1) >= nodes:
             continue
         for gamma in _isometric_maps(L, g1):
-            try:
-                dim = th_dimension(L.sigma, g1, frozenset(gamma.values()), gamma)
-            except ValueError:
-                continue   # empty condition-3 family; never for an isometric, escaping gamma
-            return {"gamma1": sorted(g1), "gamma2": sorted(gamma.values()),
-                    "gamma": gamma, "t_h_dimension": dim}
+            return {"gamma1": sorted(g1), "gamma2": sorted(gamma.values()), "gamma": gamma,
+                    "t_h_dimension": th_dimension(L.sigma, g1, frozenset(gamma.values()),
+                                                  gamma)}
     return None
 
 

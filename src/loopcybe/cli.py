@@ -1,9 +1,9 @@
 """Command-line front end: construction, verification, classification, export.
 
 `COMMANDS` maps each command to its handler, positionals, flags, required
-fields and defaults; `-h` or `--help` prints USAGE.  Exit codes: 0 on success
-(or verified), 1 on verification failure, 2 on usage errors (a malformed
-command line or JSON file), reported as a JSON error object on stdout.
+fields and defaults; `-h` or `--help` as a flag or command prints USAGE.  Exit
+codes: 0 on success (or verified), 1 on verification failure, 2 on a usage
+error (a bad command line or JSON file), as a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -184,10 +184,13 @@ COMMANDS = {
 
 
 def parse(argv: list):
-    """The handler that COMMANDS names for a command line, and its arguments."""
+    """The handler that COMMANDS names for a command line, and its arguments;
+    (None, None) if -h or --help stands where a flag or a command would."""
     values, flags = {"degree_bound": "3"}, {"--degree-bound": "degree_bound"}
     name, free, args = None, [], iter(argv)
     for arg in args:
+        if arg in ("-h", "--help"):
+            return None, None
         if arg.startswith("-"):
             flag, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
             if flag not in flags:
@@ -223,11 +226,11 @@ def parse(argv: list):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(USAGE)
-        return 0
     try:
         handler, args = parse(argv)
+        if handler is None:
+            sys.stdout.write(USAGE)
+            return 0
         return handler(args)
     except UsageError as exc:
         _emit({"error": str(exc)})

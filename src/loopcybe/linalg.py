@@ -161,14 +161,6 @@ def mat_inverse(m: Sequence[Sequence]) -> Matrix:
     return [row[n:] for row in red]
 
 
-def map_sending(cols: Sequence[Sequence], imgs: Sequence[Sequence]) -> Matrix:
-    """The matrix M with M c = i for each vector c of the basis `cols` and its image i."""
-    n = len(cols[0])
-    basis = [[c[r] for c in cols] for r in range(n)]
-    images = [[v[r] for v in imgs] for r in range(n)]
-    return mat_mul(images, mat_inverse(basis))
-
-
 def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     """Whether v lies in the row span of `basis`."""
     if not basis:

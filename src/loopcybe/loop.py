@@ -680,12 +680,12 @@ class AffineDiagramData:
         if any(a <= 0 for a in self.marks):
             raise AssertionError("marks must be positive")
         self.m = nu_order * sum(map(mul, self.marks, sigma.s))
-        # (node functionals on (h^nu, d) with alpha_i(d) = s_i, node coroots),
-        # scaled to integers by the least common denominator of the coroots,
-        # for `bd.th_dimension`
+        # (node functionals on (h^nu, d) with alpha_i(d) = s_i, node coroots,
+        # scale d): both lists times d, the least common denominator of the
+        # coroots, so ints, for `bd._condition3_system`
         d = lcm(*(abs(p) // gcd(c, p) for row in coroots for c in row))
         self.integer_nodes = ([[x * d for x in (*w, si)] for w, si in zip(node_weights, sigma.s)],
-                              [[c * d // p for c in row] for row in coroots])
+                              [[c * d // p for c in row] for row in coroots], d)
 
 
 _DIAGRAM_CACHE: dict = {}

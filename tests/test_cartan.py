@@ -1,8 +1,10 @@
 from fractions import Fraction as Q
 
 import pytest
+from sympy.liealgebras.cartan_matrix import CartanMatrix
+from sympy.liealgebras.cartan_type import CartanType as SympyCartanType
 
-from loopcybe.cartan import CartanType, add, build_root_system, is_positive, neg
+from loopcybe.cartan import CartanType, add, build_root_system, cartan_matrix, is_positive, neg
 
 
 def brute_force_closure(rs):
@@ -103,3 +105,21 @@ def test_positive_ordering_height_then_lex():
     heights = [sum(r) for r in rs.positive_roots]
     assert heights == sorted(heights)
     assert rs.positive_roots[-1] == rs.highest_root()
+
+
+# sympy 1.14 raises on A1 (IndexError) and C2 ("n cannot be less than 3"),
+# so those two are left out.  Its non-simply-laced matrices have the
+# orientation of `cartan_matrix`, so they compare untransposed.
+SYMPY_TYPES = (["A%d" % n for n in range(2, 9)] + ["B%d" % n for n in range(2, 9)]
+               + ["C%d" % n for n in range(3, 9)] + ["D%d" % n for n in range(3, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", SYMPY_TYPES)
+def test_cartan_matrix_and_root_count_match_sympy(label):
+    """An independent Lie-type oracle: sympy's Cartan matrix, entry by
+    entry, and its count of positive roots."""
+    want = CartanMatrix(label).tolist()
+    assert [list(r) for r in cartan_matrix(CartanType.parse(label))] == want
+    positive = SympyCartanType(label).positive_roots()
+    assert len(build_root_system(CartanType.parse(label)).positive_roots) == len(positive)

@@ -15,9 +15,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run(*args, inputs=None):
+def run(*args, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV,
-                          timeout=300)
+                          timeout=300, cwd=cwd)
 
 
 def write_quad(tmp_path, name, payload):
@@ -296,6 +296,18 @@ def test_help_lists_every_command_and_flag():
     assert run("census", "-h").stdout == out.stdout
     for name, (_, _, flags, _, _) in cli.COMMANDS.items():
         assert all(word in out.stdout for word in [name, *flags]), name
+
+
+def test_help_as_output_value_names_the_file(tmp_path):
+    """-h prints USAGE only where a flag or a command is expected."""
+    out = run("roots", "A1", "-o", "-h", cwd=tmp_path)
+    assert (out.returncode, out.stdout) == (0, "")
+    assert (tmp_path / "-h").read_text() == run("roots", "A1").stdout
+
+
+def test_help_as_types_value_is_no_series():
+    out = run("census", "--types", "-h")
+    assert _usage_error(out) and list(json.loads(out.stdout)) == ["error"]
 
 
 def test_flag_equals_value_matches_spaced_form():

@@ -15,6 +15,15 @@ implementations, kept here unchanged in substance:
 - `fraction_th_solution_space` builds the condition-3 system in Fraction
   coordinates and solves it with three generic `rref`s: the d-free `solve`,
   the full `solve` when that fails, and `kernel_basis`;
+  `fraction_condition3_residual` evaluates condition 3 on the same Fraction
+  terms, against the int rows that `validate` reads;
+- `complement_cartan_matrix` builds theta on the Cartan from a
+  `kernel_basis` complement and one inverse of an nh x nh basis
+  (`map_sending`), and `map_sending_theta_on_cartan` the map of a diagram
+  automorphism from node coroots 1..n, where the library sums
+  t_{gamma(i)} (G^{-1})_ij alpha_j (`bd.cartan_transport`);
+  `sum_act_on_t_h` moves t_h one coefficient at a time, where
+  `act_on_t_h` multiplies theta T theta^T;
 - `th_solution_space` itself, the one Bareiss solve of the condition-3
   system, is the oracle of `th_dimension`, which counts the family from
   Cartan's lemma: both give the same dimension, or both raise;
@@ -69,7 +78,7 @@ import loopcybe.classify as cl
 from loopcybe import cli
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import add_term, chevalley_algebra, vec_scale
-from loopcybe.linalg import kernel_basis, rref, rref_int, solve
+from loopcybe.linalg import kernel_basis, mat_inverse, mat_mul, rref, rref_int, solve
 from loopcybe.loop import (LoopElement, SigmaType, affine_diagram_data, affine_node_count,
                            loop_algebra)
 from loopcybe.regrade import apply_equivalence
@@ -165,6 +174,42 @@ def oracle_cartan_gram(alg, h_basis):
              for b in h_basis] for a in h_basis]
 
 
+def fraction_condition3_terms(L, gmap, gamma1):
+    """Per i in Gamma_1: (i, f, g, (f (x) 1 + 1 (x) g)(C_h/2)) in extended
+    coordinates (h^nu, d), f = alpha_{gamma(i)} and g = alpha_i with
+    alpha_i(d) = s_i; the last entry is (t_f + t_g)/2 with d-component 0."""
+    def functional(i):
+        return tuple(L.node_weights[i]) + (Q(L.sigma.s[i]),)
+
+    for i in sorted(gamma1):
+        const = [(a + b) / 2 for a, b in zip(L.node_coroots[gmap[i]], L.node_coroots[i])]
+        yield i, functional(gmap[i]), functional(i), const + [Q(0)]
+
+
+def fraction_contract_pair(f, g, a, b, n):
+    """(f (x) 1 + 1 (x) g) applied to u_a (x) u_b - u_b (x) u_a; coords in C^n."""
+    out = [Q(0)] * n
+    out[b] += f[a]
+    out[a] += g[b]
+    out[a] -= f[b]
+    out[b] -= g[a]
+    return out
+
+
+def fraction_condition3_residual(L, gmap, gamma1, t_h):
+    """(alpha_{gamma(i)} (x) 1 + 1 (x) alpha_i)(t_h + C_h/2) per i, in Fractions."""
+    nh = L.nh
+    out = {}
+    for i, f, g, val in fraction_condition3_terms(L, gmap, gamma1):
+        for (a, b), c in t_h.items():
+            a = nh if a == bd.D_INDEX else a
+            b = nh if b == bd.D_INDEX else b
+            contr = fraction_contract_pair(f, g, a, b, nh + 1)
+            val = [v + c * w for v, w in zip(val, contr)]
+        out[i] = val
+    return out
+
+
 def fraction_th_solution_space(sigma, gamma1, gamma2, gamma):
     L = affine_diagram_data(sigma)
     gmap = {int(a): int(b) for a, b in gamma.items()}
@@ -172,8 +217,8 @@ def fraction_th_solution_space(sigma, gamma1, gamma2, gamma):
     next_ = nh + 1
     pairs = bd._pairs(next_)
     rows, rhs = [], []
-    for _, f, g, const in bd._condition3_terms(L, gmap, frozenset(gamma1)):
-        cols = [bd._contract_pair(f, g, a, b, next_) for (a, b) in pairs]
+    for _, f, g, const in fraction_condition3_terms(L, gmap, frozenset(gamma1)):
+        cols = [fraction_contract_pair(f, g, a, b, next_) for (a, b) in pairs]
         rows.extend([col[comp] for col in cols] for comp in range(next_))
         rhs.extend(-c for c in const)
 
@@ -262,6 +307,119 @@ def test_th_solution_space_matches_fraction_oracle_e6():
     for _ in range(30):
         sigma = rng.choice(gradings)
         assert_same_space(sigma, rng.choice(reps[sigma])["triple"])
+
+
+def typed(rows):
+    """Rows of values with their types, so that 0 and Fraction(0) differ."""
+    return [[(x, type(x)) for x in row] for row in rows]
+
+
+def map_sending(cols, imgs):
+    """The matrix M with M c = i for each vector c of the basis `cols` and its image i."""
+    n = len(cols[0])
+    basis = [[c[r] for c in cols] for r in range(n)]
+    images = [[v[r] for v in imgs] for r in range(n)]
+    return mat_mul(images, mat_inverse(basis))
+
+
+def complement_cartan_matrix(L, gamma):
+    """t_i -> t_{gamma(i)} on dom gamma, zero on a kernel basis of the
+    pairing against those t_i under the h-Gram."""
+    span = [L.node_coroots[i] for i in sorted(gamma)]
+    imgs = [L.node_coroots[gamma[i]] for i in sorted(gamma)]
+    if span:
+        rows = [[sum(x * g for x, g in zip(s, L.h_gram[c])) for c in range(L.nh)]
+                for s in span]
+        comp = kernel_basis(rows, Q(0), Q(1))
+    else:
+        comp = [[Q(1) if t == c else Q(0) for t in range(L.nh)] for c in range(L.nh)]
+    return map_sending(span + comp, imgs + [[Q(0)] * L.nh for _ in comp])
+
+
+def map_sending_theta_on_cartan(L, perm):
+    """t_i -> t_{perm(i)} from the basis of node coroots 1..n; node 0 checked."""
+    nodes = range(1, len(L.node_weights))
+    theta = map_sending([L.node_coroots[i] for i in nodes],
+                        [L.node_coroots[perm[i]] for i in nodes])
+    img0 = [sum(theta[r][t] * L.node_coroots[0][t] for t in range(L.nh))
+            for r in range(L.nh)]
+    if img0 != list(L.node_coroots[perm[0]]):
+        raise AssertionError("diagram automorphism does not act on the Cartan")
+    return theta
+
+
+def sum_act_on_t_h(L, perm, t_h):
+    theta = map_sending_theta_on_cartan(L, perm)
+    nh = L.nh
+    acc = [[Q(0)] * nh for _ in range(nh)]
+    for (a, b), c in t_h.items():
+        for p in range(nh):
+            for q in range(nh):
+                acc[p][q] += c * (theta[p][a] * theta[q][b] - theta[p][b] * theta[q][a])
+    return {(p, q): acc[p][q] for p in range(nh) for q in range(p + 1, nh) if acc[p][q]}
+
+
+# (label, nu, affine nodes): the mark-1 gradings whose catalog thetas and
+# condition-3 residuals are checked
+TRANSPORT_DIAGRAMS = [("A2", None, 3), ("B3", None, 4), ("C3", None, 4), ("G2", None, 3),
+                      ("A3", (2, 1, 0), 3), ("D4", (0, 1, 3, 2), 4), ("D4", (2, 1, 3, 0), 3)]
+
+
+@pytest.mark.parametrize("label,nu,nodes", TRANSPORT_DIAGRAMS,
+                         ids=[diagram_id(c) for c in TRANSPORT_DIAGRAMS])
+def test_theta_cartan_matrix_matches_complement_oracle(label, nu, nodes):
+    """The forward and backward theta of every catalog representative act
+    on the Cartan by the same matrix, in values and types."""
+    for sigma in mark1_gradings(label, nu, nodes):
+        L = loop_algebra(sigma)
+        for rep in cl.enumerate_representatives(sigma):
+            g1, g2, gm = rep["triple"]
+            for dom, gamma in ((g1, dict(gm)), (g2, {b: a for a, b in gm})):
+                got = bd.theta_map(L, dom, gamma)._cartan_matrix
+                assert typed(got) == typed(complement_cartan_matrix(L, gamma)), (sigma, gamma)
+
+
+@pytest.mark.parametrize("label,nu,nodes", CATALOGS, ids=[diagram_id(c) for c in CATALOGS])
+def test_automorphism_on_cartan_matches_map_sending_oracle(label, nu, nodes):
+    """Every diagram automorphism: the same Cartan matrix, and the same
+    moved t_h (values, types and key order) on a seeded skew t_h."""
+    L = affine_diagram_data(SigmaType.make(label, [1] + [0] * (nodes - 1), nu))
+    rng = random.Random(nodes)
+    t_h = {(a, b): Q(rng.randint(-5, 5), rng.randint(1, 6))
+           for a in range(L.nh) for b in range(a + 1, L.nh)}
+    for perm in cl.loop_diagram_automorphisms(L):
+        assert typed(cl._theta_on_cartan(L, perm)) == typed(map_sending_theta_on_cartan(L, perm))
+        got, want = cl.act_on_t_h(L, perm, t_h), sum_act_on_t_h(L, perm, t_h)
+        assert typed(got.items()) == typed(want.items()), perm
+
+
+@pytest.mark.parametrize("label,nu,nodes", TRANSPORT_DIAGRAMS,
+                         ids=[diagram_id(c) for c in TRANSPORT_DIAGRAMS])
+def test_condition3_residual_matches_fraction_terms(label, nu, nodes):
+    """validate's residuals, on the canonical t_h of every catalog
+    representative and on it plus a seeded nonzero perturbation."""
+    rng = random.Random(20)
+    nonzero = 0
+    for sigma in mark1_gradings(label, nu, nodes):
+        L = affine_diagram_data(sigma)
+        keys = [(a, b if b < L.nh else bd.D_INDEX) for a, b in bd._pairs(L.nh + 1)]
+        for rep in cl.enumerate_representatives(sigma):
+            g1, g2, gm = rep["triple"]
+            gamma = dict(gm)
+            t_h = bd.canonical_t_h(sigma, g1, g2, gamma)
+            bumped = dict(t_h)
+            key = rng.choice(keys)
+            bumped[key] = bumped.get(key, 0) + Q(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+            for th in (t_h, bumped):
+                got = bd._condition3_residual(L, gamma, g1, th)
+                want = fraction_condition3_residual(L, gamma, g1, th)
+                assert list(got) == list(want) and typed(got.values()) == typed(want.values())
+                report = bd.validate(bd.BDQuadruple.make(sigma, g1, g2, gamma, th))
+                assert report["condition3"] == {
+                    "ok": all(not any(v) for v in want.values()),
+                    "residuals": {str(i): [str(x) for x in v] for i, v in want.items() if any(v)}}
+            nonzero += not report["condition3"]["ok"]
+    assert nonzero
 
 
 def all_triples_representatives(sigma):
@@ -509,7 +667,7 @@ def test_table_rows_are_shared_and_left_unchanged(monkeypatch, capsys):
 
 
 KILLING_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
-                 "D4", "D5", "G2", "F4", "E6"]
+                 "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
 
 
 @pytest.mark.parametrize("label", KILLING_TYPES)
@@ -571,7 +729,7 @@ def slot_diagram(L, sigma):
         node_coroots=coroots, coroot_gram=gram, affine_cartan=cartan, marks=marks,
         m=L.nu_order * sum(a * x for a, x in zip(marks, sigma.s)),
         integer_nodes=tuple([[int(x * d) for x in r] for r in rows]
-                            for rows in (funcs, coroots)))
+                            for rows in (funcs, coroots)) + (d,))
 
 
 # (label, nu): A_n^(2), D_n^(2), every order-2 and order-3 twist of D4, and E6^(2)
