@@ -29,7 +29,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .chevalley import add_term
-from .linalg import mat_inverse, mat_mul, rref_int, span_equal
+from .linalg import mat_inverse, mat_mul, rref, rref_int
 from .loop import (LoopElement, SigmaType, TwistedLoopAlgebra, _element_ratio,
                    affine_diagram_data, loop_algebra)
 from .tensors import (Laurent2, TwoPointTensor, casimir_components, contraction,
@@ -550,18 +550,16 @@ def cayley(q: BDQuadruple, d: int = 3) -> dict:
                 pred_c1.append(coords(e))                  # N_-^Gamma_1
     pred_c1.extend(psi_pm(-1))                             # h_1
     pred_c2.extend(psi_pm(+1))                             # h_2
+
+    def echelon(rows: list) -> list:
+        # the nonzero rows of the RREF: equal exactly when the spans are
+        return [r for r in rref(rows)[0] if any(x != 0 for x in r)]
+
     return {"keys": keys, "im_R_minus_id": im_rm1, "im_R": im_r,
             "predicted_c1": pred_c1, "predicted_c2": pred_c2,
-            "c1_matches": span_equal(im_rm1, pred_c1),
-            "c2_matches": span_equal(im_r, pred_c2),
+            "c1_matches": echelon(im_rm1) == echelon(pred_c1),
+            "c2_matches": echelon(im_r) == echelon(pred_c2),
             "h_gluing": cartan_gluing_matrix(L, t_h)}
-
-
-def psi_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
-    """psi(t_h) as a matrix over fixed-Cartan coordinates."""
-    psi = contraction(L, embed_t_h(L, t_h))
-    cols = [psi(h).terms for h in L.h_elements]
-    return [[col.get((sid, 0), Q(0)) for col in cols] for sid in L.h_slots]
 
 
 def cartan_gluing_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
@@ -571,7 +569,9 @@ def cartan_gluing_matrix(L: TwistedLoopAlgebra, t_h: dict) -> list:
     psi +- 1/2 is always invertible and the quotient maps of the Cayley
     transform are realized by honest matrices.
     """
-    p = psi_matrix(L, t_h)
+    psi = contraction(L, embed_t_h(L, t_h))
+    cols = [psi(h).terms for h in L.h_elements]
+    p = [[col.get((sid, 0), Q(0)) for col in cols] for sid in L.h_slots]
     plus = [[p[i][j] + (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
     minus = [[p[i][j] - (Q(1, 2) if i == j else 0) for j in range(L.nh)] for i in range(L.nh)]
     return mat_mul(plus, mat_inverse(minus))

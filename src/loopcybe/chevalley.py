@@ -62,10 +62,6 @@ def vec_scale(x: Vec, c) -> Vec:
     return {k: c * v for k, v in x.items()}
 
 
-def vec_eq(x: Vec, y: Vec) -> bool:
-    return vec_add(x, y, -1) == {}
-
-
 class ChevalleyAlgebra:
     def __init__(self, rs: RootSystem, n_table: dict, cartan_gram: tuple):
         self.rs = rs

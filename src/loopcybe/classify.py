@@ -5,7 +5,9 @@ a diagram automorphism matches their Gamma-data, conjugates gamma, and
 maps the t_h family onto the other; this module implements that decision
 procedure, orbit enumeration, and the reachability census that decides
 which twists can be moved off the affine node (the quasi-trigonometric
-question).
+question).  Every triple enumeration runs one orbit loop over Gamma_1
+(`_representatives`); the census searches one Gamma_1, the orbit of the
+affine node.
 """
 
 from __future__ import annotations
@@ -142,51 +144,35 @@ def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
 
 
 def enumerate_triples(L) -> list:
-    """All (Gamma1, Gamma2, gamma) with conditions 1-2 on the diagram."""
-    nodes = len(L.node_weights)
-    out = []
-    for mask in range(2 ** nodes):
-        g1 = frozenset(i for i in range(nodes) if mask >> i & 1)
-        if len(g1) >= nodes:
-            continue
-        for gamma in _isometric_maps(L, g1):
-            out.append((g1, frozenset(gamma.values()), tuple(sorted(gamma.items()))))
-    return sorted(out, key=lambda t: (sorted(t[0]), sorted(t[1]), t[2]))
-
-
-def _length_classes(L) -> list:
-    """Per node, the rank of its coroot length among the diagram's lengths."""
-    diag = [L.coroot_gram[i][i] for i in range(len(L.node_weights))]
-    lengths = sorted(set(diag))
-    return [lengths.index(x) for x in diag]
-
-
-def _contains_a_class(classes: list, g1) -> bool:
-    """Whether g1 contains every node of some root-length class."""
-    return any(all(j in g1 for j, c in enumerate(classes) if c == k)
-               for k in set(classes))
+    """All (Gamma1, Gamma2, gamma) with conditions 1-2 on the diagram, sorted:
+    the orbit representatives under the trivial group."""
+    identity = [tuple(range(len(L.node_weights)))]
+    return [(frozenset(g1), frozenset(g2), gm)
+            for g1, g2, gm in (r["triple"] for r in _representatives(L, identity))]
 
 
 def _isometric_maps(L, g1: frozenset):
     """Injective isometries gamma on g1 whose orbits all escape g1.
 
     gamma is an isometry of the coroot Gram exactly when it keeps each
-    node's root-length class and the affine Cartan matrix on g1: a Cartan
-    entry is 2 (t_i, t_j) / (t_j, t_j), and the class fixes (t_j, t_j).  So
-    only integers are compared.  Maps come in lexicographic order of
-    (gamma(i) for i in sorted g1).  Two prunes cut branches that yield
-    nothing, so they leave that sequence as it is:
-    - if g1 contains a whole length class, gamma maps that class injectively
-      into itself, hence permutes it, and every orbit in it is trapped;
-      no map on g1 qualifies;
+    node's coroot length and the affine Cartan matrix on g1: a Cartan
+    entry is 2 (t_i, t_j) / (t_j, t_j).  So only integers are compared.
+    Maps come in lexicographic order of (gamma(i) for i in sorted g1).  Two
+    prunes cut branches that yield nothing, so they leave that sequence as
+    it is:
+    - if g1 contains every node of one coroot length, gamma maps them
+      injectively into themselves, hence permutes them, and every orbit
+      among them is trapped; no map on g1 qualifies;
     - a partial gamma that closes a cycle inside g1 traps the orbits on
       that cycle, whatever the rest of gamma is.
     Every cycle is caught when its last edge is assigned, so each completed
     map has only escaping orbits (condition 2).
     """
     nodes = range(len(L.node_weights))
-    classes = _length_classes(L)
-    if _contains_a_class(classes, g1):
+    diag = [L.coroot_gram[i][i] for i in nodes]
+    lengths = sorted(set(diag))
+    length = [lengths.index(x) for x in diag]      # ranks: ints compare faster
+    if any(all(j in g1 for j in nodes if length[j] == k) for k in set(length)):
         return
     src = sorted(g1)
     A = L.affine_cartan
@@ -199,7 +185,7 @@ def _isometric_maps(L, g1: frozenset):
         s = src[i]
         row = A[s]
         for cand in nodes:
-            if classes[cand] != classes[s] or cand in gamma.values():
+            if length[cand] != length[s] or cand in gamma.values():
                 continue
             crow = A[cand]
             if any(row[j] != crow[a] for j, a in gamma.items()):
@@ -222,20 +208,25 @@ def enumerate_representatives(sigma: SigmaType) -> list:
     Returns a list of dicts {"triple", "orbit_size"}; representatives are
     lexicographically minimal in their orbit, and the list is sorted.
     Diagrams of more than 13 nodes are refused.
+    """
+    L = affine_diagram_data(sigma)
+    if len(L.node_weights) > 13:
+        raise ValueError("diagram exceeds the enumeration cap (13 nodes)")
+    return _representatives(L, loop_diagram_automorphisms(L))
 
-    A representative's Gamma_1 is the least in its Aut-orbit, so only those
+
+def _representatives(L, group: list) -> list:
+    """Orbit representatives of valid triples under `group`, with orbit sizes.
+
+    A representative's Gamma_1 is the least in its orbit, so only those
     Gamma_1 are visited.  The triples of an orbit with that Gamma_1 form one
     orbit of its stabiliser Stab(Gamma_1), so each isometry is folded under
     Stab(Gamma_1) alone.  Every stabiliser of a triple lies in Stab(Gamma_1),
     so by orbit-stabiliser the orbit size is
-    [Aut : Stab(Gamma_1)] * |Stab(Gamma_1) t|, the first factor being the
+    [group : Stab(Gamma_1)] * |Stab(Gamma_1) t|, the first factor being the
     number of images of Gamma_1.
     """
-    L = affine_diagram_data(sigma)
     nodes = len(L.node_weights)
-    if nodes > 13:
-        raise ValueError("diagram exceeds the enumeration cap (13 nodes)")
-    group = loop_diagram_automorphisms(L)
     reps = []
     for mask in range(2 ** nodes - 1):
         g1 = tuple(i for i in range(nodes) if mask >> i & 1)
@@ -282,25 +273,18 @@ def unreachable_admissible_gamma1(L) -> Optional[dict]:
     """A Gamma_1 supporting a valid quadruple that no automorphism moves
     off the affine node, or None.
 
-    Unreachability means Gamma_1 contains the whole automorphism orbit of
-    node 0, so only supersets of that orbit are scanned.  When that orbit
-    already contains a whole root-length class (C_n: the long nodes {0, n}),
-    no superset carries a quadruple and the answer is None at once.
+    Unreachability means Gamma_1 contains O, the automorphism orbit of
+    node 0, and O alone decides.  A map gamma on some Gamma_1 containing O
+    restricts to an injective isometry on O, and each of its orbits leaves
+    O, because gamma's path from a node of O is simple and leaves Gamma_1.
+    So O carries a map exactly when some Gamma_1 containing O does, and the
+    witness is O with the first map on it.
     """
-    group = loop_diagram_automorphisms(L)
-    orbit0 = sorted({perm.index(0) for perm in group})
-    if _contains_a_class(_length_classes(L), orbit0):
-        return None    # every scanned Gamma_1 contains a trapped class
-    nodes = len(L.node_weights)
-    rest = [i for i in range(nodes) if i not in orbit0]
-    for mask in range(2 ** len(rest)):
-        g1 = frozenset(orbit0) | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-        if len(g1) >= nodes:
-            continue
-        for gamma in _isometric_maps(L, g1):
-            return {"gamma1": sorted(g1), "gamma2": sorted(gamma.values()), "gamma": gamma,
-                    "t_h_dimension": th_dimension(L.sigma, g1, frozenset(gamma.values()),
-                                                  gamma)}
+    g1 = frozenset(perm.index(0) for perm in loop_diagram_automorphisms(L))
+    for gamma in _isometric_maps(L, g1):
+        g2 = frozenset(gamma.values())
+        return {"gamma1": sorted(g1), "gamma2": sorted(g2), "gamma": gamma,
+                "t_h_dimension": th_dimension(L.sigma, g1, g2, gamma)}
     return None
 
 

@@ -20,13 +20,9 @@ Row = list
 Matrix = list
 
 
-def mat_copy(m: Sequence[Sequence]) -> Matrix:
-    return [list(r) for r in m]
-
-
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = mat_copy(m)
+    a = [list(r) for r in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -172,10 +168,3 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
             f = w[pc]
             w = [x - f * y for x, y in zip(w, red[r])]
     return all(x == 0 for x in w)
-
-
-def span_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    """Whether two row spans coincide (exact, via canonical RREF)."""
-    ra = [row for row in rref(a)[0] if any(x != 0 for x in row)] if a else []
-    rb = [row for row in rref(b)[0] if any(x != 0 for x in row)] if b else []
-    return ra == rb

@@ -152,15 +152,6 @@ class TwoPointTensor:
         return TwoPointTensor(self.L, poly, pole)
 
 
-def zero_tensor(L: TwistedLoopAlgebra) -> TwoPointTensor:
-    return TwoPointTensor(L, {}, [dict() for _ in range(L.m)])
-
-
-def constant_tensor(L: TwistedLoopAlgebra, t: GTensor2) -> TwoPointTensor:
-    return TwoPointTensor(L, {(0, 0, i, j): c for (i, j), c in t.items() if c},
-                          [dict() for _ in range(L.m)])
-
-
 def from_loop_tensor(L: TwistedLoopAlgebra, t: Laurent2) -> TwoPointTensor:
     return TwoPointTensor(L, dict(t), [dict() for _ in range(L.m)])
 

@@ -35,10 +35,15 @@ implementations, kept here unchanged in substance:
   the fixed Cartan, and derives coroots, their Gram, the affine Cartan
   matrix and the marks by Fraction solves (`linalg.solve`), where the
   library runs one fraction-free reduction on ints;
-- `all_triples_representatives` builds every valid triple and then folds
-  the orbits under the whole diagram group, where `enumerate_representatives`
+- `all_triples_representatives` builds every valid triple from every
+  proper Gamma_1 and its unpruned maps (`all_triples`), and then folds the
+  orbits under the whole diagram group, where `enumerate_representatives`
   visits only the least Gamma_1 of each orbit and folds under its
   stabiliser;
+- `superset_scan_unreachable` scans every Gamma_1 that contains the orbit O
+  of node 0 for an unpruned map, where the census searches O alone; the
+  lemma that licenses this (a map restricts to a map on every subset of
+  Gamma_1) is tested on its own, on the unpruned maps;
 - `chevalley_form` pairs two loop elements through their Chevalley
   coordinates (`chev_parts` and `alg.killing`), where the library reads
   the cached `slot_pairing` of the loop algebra;
@@ -422,6 +427,15 @@ def test_condition3_residual_matches_fraction_terms(label, nu, nodes):
     assert nonzero
 
 
+def all_triples(L):
+    """Every valid triple, from every proper Gamma_1 and its unpruned maps."""
+    nodes = len(L.node_weights)
+    for mask in range(2 ** nodes - 1):
+        g1 = frozenset(i for i in range(nodes) if mask >> i & 1)
+        for gamma in unpruned_isometric_maps(L, g1):
+            yield g1, frozenset(gamma.values()), tuple(sorted(gamma.items()))
+
+
 def all_triples_representatives(sigma):
     """Orbit representatives and orbit sizes, from every valid triple folded
     under the whole diagram group; each representative is the least triple
@@ -435,7 +449,7 @@ def all_triples_representatives(sigma):
         g1, g2, gm = t
         return (tuple(sorted(g1)), tuple(sorted(g2)), gm)
 
-    for t in cl.enumerate_triples(L):
+    for t in all_triples(L):
         if key(t) in seen:
             continue
         orbit = set()
@@ -576,6 +590,51 @@ def test_isometric_maps_match_unpruned_oracle(label, nu, nodes):
         new = [list(g.items()) for g in cl._isometric_maps(L, g1)]
         old = [list(g.items()) for g in unpruned_isometric_maps(L, g1)]
         assert new == old, (label, nu, sorted(g1))
+
+
+@pytest.mark.parametrize("label,nu,nodes", ISOMETRY_DIAGRAMS,
+                         ids=[diagram_id(c) for c in ISOMETRY_DIAGRAMS])
+def test_isometric_maps_restrict_to_subsets(label, nu, nodes):
+    """Conditions 1-2 pass to subsets: a map on Gamma_1, restricted to
+    Gamma_1 minus one node, is a map there.  The census rests on this."""
+    L = affine_diagram_data(SigmaType.make(label, [1] + [0] * (nodes - 1), nu))
+    maps = {}
+    for mask in range(2 ** nodes):
+        g1 = frozenset(i for i in range(nodes) if mask >> i & 1)
+        maps[g1] = [tuple(g.items()) for g in unpruned_isometric_maps(L, g1)]
+    for g1, found in maps.items():
+        for items in found:
+            for x in g1:
+                assert tuple((a, b) for a, b in items if a != x) in maps[g1 - {x}], \
+                    (label, nu, items, x)
+
+
+def superset_scan_unreachable(L):
+    """The census by scanning every Gamma_1 that contains O, the orbit of
+    node 0, in mask order, and returning the first with an unpruned map."""
+    orbit0 = sorted({perm.index(0) for perm in cl.loop_diagram_automorphisms(L)})
+    nodes = len(L.node_weights)
+    rest = [i for i in range(nodes) if i not in orbit0]
+    for mask in range(2 ** len(rest)):
+        g1 = frozenset(orbit0) | {rest[i] for i in range(len(rest)) if mask >> i & 1}
+        if len(g1) >= nodes:
+            continue
+        for gamma in unpruned_isometric_maps(L, g1):
+            return {"gamma1": sorted(g1), "gamma2": sorted(gamma.values()), "gamma": gamma,
+                    "t_h_dimension": bd.th_dimension(L.sigma, g1, frozenset(gamma.values()),
+                                                     gamma)}
+    return None
+
+
+def test_census_matches_superset_scan_oracle():
+    """Every census row, witness dict included (key order too), from the scan
+    over all supersets of O: O alone decides."""
+    rows = cl.type_census(["A", "B", "C", "D", "E", "F", "G"], 10)
+    assert len(rows) == 41
+    for row in rows:
+        sigma = SigmaType.make("%s%d" % (row["type"], row["rank"]), [1] + [0] * row["rank"])
+        want = superset_scan_unreachable(affine_diagram_data(sigma))
+        assert repr(row["witness"]) == repr(want), row
 
 
 def test_rref_int_matches_rref():

@@ -4,12 +4,21 @@ from fractions import Fraction as Q
 import pytest
 
 from loopcybe.loop import LoopElement, SigmaType, loop_algebra
-from loopcybe.tensors import (alt_cyclic, casimir_components, cobracket,
-                              constant_tensor, cybe, cyb_of_laurent,
-                              from_loop_tensor, r0, residue_operator, skew,
-                              t2_add, t2_scale, taylor, tensor_of_elements,
-                              twist_residual, verify_cybe, wedge, zero_tensor)
+from loopcybe.tensors import (TwoPointTensor, alt_cyclic, casimir_components, cobracket,
+                              cybe, cyb_of_laurent, from_loop_tensor, r0,
+                              residue_operator, skew, t2_add, t2_scale, taylor,
+                              tensor_of_elements, twist_residual, verify_cybe, wedge)
 from test_oracles import evaluate_cybe_at, residue_oracle
+
+
+def zero_tensor(L):
+    return TwoPointTensor(L, {}, [dict() for _ in range(L.m)])
+
+
+def constant_tensor(L, t):
+    return TwoPointTensor(L, {(0, 0, i, j): c for (i, j), c in t.items() if c},
+                          [dict() for _ in range(L.m)])
+
 
 ALL_SIGMAS = [("A1", [1, 0], None), ("A1", [1, 1], None), ("A2", [1, 0, 0], None),
               ("A2", [1, 1, 1], None), ("B2", [1, 0, 0], None), ("A2", [1, 0], [1, 0])]
