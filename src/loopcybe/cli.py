@@ -4,11 +4,13 @@
 fields and defaults; `-h` or `--help` as a flag or command prints USAGE.  Exit
 codes: 0 on success (or verified), 1 on verification failure, 2 on a usage
 error (a bad command line or JSON file), as a JSON error object on stdout.
+`main(argv)` returns the code; `run`, the command itself, exits with it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -240,5 +242,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run `main` on sys.argv, flush stdout and stderr, and exit with its code
+    at once, skipping interpreter teardown.  A failed flush raises instead."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -206,11 +206,14 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
 
     The affine generators generate the whole loop algebra: their brackets,
     closed up to degree degree + max s + m, span every such element, and
-    the span closure tracks images through the elimination.
+    the span closure tracks images through the elimination.  Each closure
+    element has one weight and one degree, so a pair is bracketed only when
+    some slot has the weight and degree its bracket would have.
     """
     if tuple(perm) not in loop_diagram_automorphisms(L):
         raise ValueError("permutation is not a diagram automorphism")
     margin = degree + max(L.sigma.s) + L.m
+    grades = {(tuple(map(int, s.weight)), s.sigma_class) for s in L.slots}
     span = _TrackedSpan(L)
     gens = L.generators()
     frontier = []
@@ -218,18 +221,22 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
         for key_name in ("plus", "minus", "h"):
             src, dst = g[key_name], gens[perm[i]][key_name]
             if span.insert(src, dst):
-                frontier.append((src, dst))
+                sid, k = next(iter(src.terms))
+                frontier.append((src, dst, tuple(map(int, L.slots[sid].weight)), k))
     known = list(frontier)
     while frontier:
         new = []
-        for (a, ia) in frontier:
-            for (b, ib) in known:
+        for (a, ia, wa, ka) in frontier:
+            for (b, ib, wb, kb) in known:
+                w, k = tuple(x + y for x, y in zip(wa, wb)), ka + kb
+                if abs(k) > margin or (w, k % L.m) not in grades:
+                    continue
                 br = L.bracket(a, b)
-                if br.is_zero() or any(abs(k) > margin for (_, k) in br.terms):
+                if br.is_zero():
                     continue
                 img = L.bracket(ia, ib)
                 if span.insert(br, img):
-                    new.append((br, img))
+                    new.append((br, img, w, k))
         known.extend(new)
         frontier = new
     return span.express

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .bd import BDQuadruple, D_INDEX
 from .chevalley import ChevalleyAlgebra
-from .loop import LoopElement, SigmaType, TwistedLoopAlgebra
+from .loop import SigmaType, TwistedLoopAlgebra
 from .scalars import frac_str, parse_frac
 from .tensors import Laurent2, TwoPointTensor
-
-Q = Fraction
 
 
 def dumps(obj) -> str:
@@ -37,7 +34,7 @@ def structure_table_json(alg: ChevalleyAlgebra) -> dict:
         "roots": [list(r) for r in alg.rs.all_roots],
         "labels": [alg.basis_label(i) for i in range(alg.dim)],
         "constants": constants,
-        "killing_gram": [[frac_str(x) for x in row] for row in alg.killing_gram],
+        "killing_gram": [[frac_str(x) if x else "0" for x in row] for row in alg.killing_gram],
     }
 
 
@@ -75,21 +72,6 @@ def sigma_from_json(data: dict) -> SigmaType:
     _expect(nu is None or sorted(nu) == list(range(rank)),
             "nu_perm must be a permutation of 0..%d" % (rank - 1))
     return sigma
-
-
-def loop_element_json(f: LoopElement) -> list:
-    out = []
-    for (sid, k), c in sorted(f.terms.items()):
-        q = Q(c)
-        out.append({"k": k, "basis": sid, "num": q.numerator, "den": q.denominator})
-    return out
-
-
-def loop_element_from_json(L: TwistedLoopAlgebra, data: list) -> LoopElement:
-    terms = {}
-    for item in data:
-        terms[(int(item["basis"]), int(item["k"]))] = Q(item["num"], item["den"])
-    return L.element(terms)
 
 
 # ------------------------------------------------------------------- tensors

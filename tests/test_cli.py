@@ -334,3 +334,71 @@ def test_export_structure_table():
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["killing_gram"][2][2] == "8"
+
+
+# ------------------------------------------------------------ the exit path
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+E7_STRUCTURE = ["export", "--what", "structure", "--type", "E7"]
+
+
+def test_large_output_reaches_the_pipe_whole(capsys):
+    """The E7 structure table is larger than a pipe buffer, so bytes
+    left unflushed at exit would show as a truncated stdout."""
+    assert cli.main(E7_STRUCTURE) == 0
+    expected = capsys.readouterr().out
+    out = run(*E7_STRUCTURE)
+    assert out.returncode == 0
+    assert len(expected) > 4 * 65536        # four 64 KiB pipe buffers
+    assert out.stdout == expected
+
+
+def test_output_file_is_complete_and_stdout_empty(tmp_path, capsys):
+    assert cli.main(E7_STRUCTURE) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "e7.json"
+    out = run(*E7_STRUCTURE, "-o", str(path))
+    assert (out.returncode, out.stdout) == (0, "")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("name,argv,code", [
+    ("verify-A2", ["verify-cybe", "-i", "quad.json"], 0),
+    ("verify-A2-invalid", ["verify-cybe", "-i", "quad_invalid.json"], 1),
+    ("error-census-Z", ["census", "--types", "Z"], 2)])
+def test_exit_codes_pass_through(name, argv, code):
+    with open(os.path.join(GOLDEN, "cases.json")) as fh:
+        assert json.load(fh)[name] == code
+    assert run(*argv, cwd=GOLDEN).returncode == code
+
+
+def test_main_returns_the_code_in_process(capsys):
+    code = cli.main(["census", "--types", "Z"])
+    assert type(code) is int and code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert cli.main(["roots", "A1"]) == 0
+
+
+def test_run_flushes_then_exits_with_the_code(monkeypatch, capsys):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["loopcybe", "census", "--types", "Z"])
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.run()
+    assert exits == [2] and "error" in capsys.readouterr().out
+
+
+def test_run_raises_on_a_failed_flush_and_never_exits(monkeypatch):
+    class Closed:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError
+
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["loopcybe", "roots", "A1"])
+    monkeypatch.setattr(sys, "stdout", Closed())
+    monkeypatch.setattr(os, "_exit", exits.append)
+    with pytest.raises(BrokenPipeError):
+        cli.run()
+    assert exits == []
