@@ -12,7 +12,8 @@ is its Gram on the simple coroots, from which the Chevalley algebra, the
 affine diagram and the Casimir element all take it.  Both run on ints:
 `build_root_system` carries each root's pairing row
 (<beta, alpha_j^vee>)_j through the closure, and `killing_cartan` sums
-products of those rows.
+products of those rows.  `RootSystem.codes` gives each signed root one
+int, so that the structure constants add roots as ints.
 
 Positive roots are ordered by height and then lexicographically; this
 ordering is canonical for the whole package (structure constants, basis
@@ -151,6 +152,18 @@ class RootSystem:
     def root_position(self) -> dict:
         """Each signed root -> its position in `all_roots`."""
         return {r: k for k, r in enumerate(self.all_roots)}
+
+    @cached_property
+    def codes(self) -> tuple:
+        """One int per signed root, in `all_roots` order: sum r_i B**i.
+
+        B = 4 M + 1 with M the largest coefficient of a root.  A sum or
+        difference of two roots has coefficients in [-2M, 2M], inside
+        (-B/2, B/2), so it has one code and codes add as the roots do; the
+        code of -r is minus the code of r.
+        """
+        base = 4 * max(self.highest_root()) + 1
+        return tuple(sum(c * base ** i for i, c in enumerate(r)) for r in self.all_roots)
 
     @cached_property
     def sq_len(self) -> dict:

@@ -9,20 +9,25 @@ convention: for each non-simple positive gamma the minimal decomposition
 gamma = eps + eta gets N_{eps,eta} = +(p+1), and every other constant
 follows from antisymmetry, N_{-a,-b} = -N_{a,b}, the rotation rule
 N_{a,b}/(c,c) = N_{b,c}/(a,a) for a+b+c = 0, and the Jacobi identity.
-These rules are applied once, when the algebra is built: `n_table` holds
-N_{a,b} as an int for every pair of signed roots whose sum is a root.
-`n_table` is the input of `table`, the one source of brackets: row i maps
-each j with [b_i, b_j] != 0 to the int terms ((k, c), ...) of that
-bracket.  The rows are built once per Cartan type, from `n_table`, the int
-coroots [e_b, f_b] of `coroot_combo` and one int pairing row per root, and
-`bracket_basis`, `bracket`, the CYB kernel, the cobracket and the
-structure export all read them.  They are shared, so never mutate one.
-The Killing form is read off the root system, never off the table: its
-Cartan block is `cartan.killing_cartan`, the one derivation of it in the
-package, and kappa(e_b, f_b) = kappa(h_b, h_b)/2 follows by invariance.
-So all downstream normalization (coroots, Casimir, twists) is genuinely
-the Killing normalization rather than a rescaled invariant form; the tests
-check it against exact ad-traces of the table.
+These rules are applied once per Cartan type, on first use, and each part
+of the algebra is built only when something reads it.  `n_codes` holds
+N_{a,b} as an int for every pair of signed roots whose sum is a root, keyed
+by the int root codes of `RootSystem.codes`, so a root sum is an int sum;
+`n_table` is the same table keyed by root tuples.  `n_codes` is the input
+of `table`, the one source of brackets: row i maps each j with
+[b_i, b_j] != 0 to the int terms ((k, c), ...) of that bracket.  The rows
+are built from `n_codes`, the int coroots [e_b, f_b] of `coroot_combo` and
+one int pairing row per root, and `bracket_basis`, `bracket`, the CYB
+kernel, the cobracket and the structure export all read them.  They are
+shared, so never mutate one.  The Killing form is read off the root
+system, never off the table: its Cartan block is `cartan.killing_cartan`,
+the one derivation of it in the package, and kappa(e_b, f_b) =
+kappa(h_b, h_b)/2 (`root_kappa`) follows by invariance.  So all
+downstream normalization (coroots, Casimir, twists) is genuinely the
+Killing normalization rather than a rescaled invariant form; the tests
+check it against exact ad-traces of the table.  The Casimir element reads
+only those two parts, so `r0` builds neither the constants, the table nor
+the dense `killing_gram`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .cartan import (CartanType, Root, RootSystem, add, build_root_system,
+from .cartan import (CartanType, Root, RootSystem, build_root_system,
                      check_diagram_automorphism, is_positive, killing_cartan, neg, sub)
 
 Q = Fraction
@@ -63,9 +68,8 @@ def vec_scale(x: Vec, c) -> Vec:
 
 
 class ChevalleyAlgebra:
-    def __init__(self, rs: RootSystem, n_table: dict, cartan_gram: tuple):
+    def __init__(self, rs: RootSystem, cartan_gram: tuple):
         self.rs = rs
-        self.n_table = n_table          # (a, b) -> int N_{a,b}, all signed a, b with a + b a root
         self.cartan_gram = cartan_gram  # kappa(h_i, h_j) as int rows, from cartan.killing_cartan
 
     # ---- basis bookkeeping -------------------------------------------------
@@ -119,27 +123,44 @@ class ChevalleyAlgebra:
     # ---- structure constants ----------------------------------------------
 
     @cached_property
+    def n_codes(self) -> dict:
+        """(a, b) -> int N_{a,b} on the root codes of `rs.codes`."""
+        return _build_constants(self.rs)
+
+    @cached_property
+    def n_table(self) -> dict:
+        """(a, b) -> int N_{a,b} for all signed roots a, b with a + b a root.
+
+        Keys are the root tuples of `rs.all_roots`, shared, not copies.
+        """
+        root = dict(zip(self.rs.codes, self.rs.all_roots))
+        return {(root[a], root[b]): n for (a, b), n in self.n_codes.items()}
+
+    @cached_property
     def table(self) -> tuple:
         """Row i: {j: ((k, c), ...)} for each j with [b_i, b_j] != 0, int c.
 
         Rows are sorted by j and terms by k.  Equal terms are one tuple.
         Shared: never mutate a row.
         """
-        npos, pos = self.num_pos, self.rs.root_position
+        npos, h0 = self.num_pos, self.h_index(0)
+        pos = {x: k for k, x in enumerate(self.rs.codes)}
         rows: list = [dict() for _ in range(self.dim)]
-        for (x, y), c in self.n_table.items():
-            rows[pos[x]][pos[y]] = ((pos[add(x, y)], c),)
+        shared: dict = {}       # (k, c) -> ((k, c),): equal terms, one tuple
+        term = shared.setdefault
+        for (x, y), c in self.n_codes.items():
+            t = (pos[x + y], c)
+            rows[pos[x]][pos[y]] = term(t, (t,))
         for b, beta in enumerate(self.rs.positive_roots):
             h = tuple(self.coroot_combo(beta).items())
             rows[b][b + npos] = h
             rows[b + npos][b] = tuple((k, -c) for k, c in h)
-            for k in range(self.rank):
-                c = self.rs.pairings[beta][k]   # [h_k, e_b] = c e_b, [h_k, f_b] = -c f_b
+            for k, c in enumerate(self.rs.pairings[beta]):
+                # [h_k, e_b] = c e_b, [h_k, f_b] = -c f_b
                 for j, cj in ((b, c), (b + npos, -c)) if c else ():
-                    rows[self.h_index(k)][j] = ((j, cj),)
-                    rows[j][self.h_index(k)] = ((j, -cj),)
-        shared: dict = {}       # equal terms, one tuple
-        return tuple({j: shared.setdefault(row[j], row[j]) for j in sorted(row)} for row in rows)
+                    rows[h0 + k][j] = term((j, cj), ((j, cj),))
+                    rows[j][h0 + k] = term((j, -cj), ((j, -cj),))
+        return tuple(dict(sorted(row.items())) for row in rows)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[b_i, b_j] on the basis, with int coefficients."""
@@ -161,19 +182,29 @@ class ChevalleyAlgebra:
         """The Killing form on the whole basis, dense, with Fraction entries.
 
         The Cartan block is `cartan_gram`.  Off it only kappa(e_b, f_b) is
-        nonzero; by invariance it is kappa(h_b, h_b)/2 with h_b = [e_b, f_b].
+        nonzero: `root_kappa`.
         """
-        h0 = self.h_index(0)
+        h0, npos = self.h_index(0), self.num_pos
         gram = [[Q(0)] * self.dim for _ in range(self.dim)]
-        kc = self.cartan_gram
-        for i, row in enumerate(kc):
+        for i, row in enumerate(self.cartan_gram):
             gram[h0 + i][h0:] = map(Q, row)
+        for b, c in enumerate(self.root_kappa):
+            gram[b][b + npos] = gram[b + npos][b] = c
+        return tuple(tuple(row) for row in gram)
+
+    @cached_property
+    def root_kappa(self) -> tuple:
+        """kappa(e_b, f_b) for each positive root b, as Fractions.
+
+        By invariance it is kappa(h_b, h_b)/2, with h_b = [e_b, f_b] from
+        `coroot_combo` and kappa on the Cartan from `cartan_gram`.
+        """
+        h0, kc = self.h_index(0), self.cartan_gram
+        out = []
         for beta in self.rs.positive_roots:
             h = [(i - h0, x) for i, x in self.coroot_combo(beta).items()]
-            c = Q(sum(a * b * kc[i][j] for i, a in h for j, b in h), 2)
-            ei, fi = self.e_index(beta), self.f_index(beta)
-            gram[ei][fi] = gram[fi][ei] = c
-        return tuple(tuple(row) for row in gram)
+            out.append(Q(sum(a * b * kc[i][j] for i, a in h for j, b in h), 2))
+        return tuple(out)
 
     def killing(self, x: Vec, y: Vec) -> Q:
         acc = Q(0)
@@ -205,14 +236,15 @@ class ChevalleyAlgebra:
     def casimir(self) -> dict:
         """Casimir element sum b_a (x) b^a over kappa-dual bases.
 
-        Returned as a sparse g (x) g tensor {(i, j): coeff}.
+        Returned as a sparse g (x) g tensor {(i, j): coeff}.  It reads
+        `root_kappa` and `cartan_gram`, not the dense `killing_gram`.
         """
         from .linalg import mat_inverse
 
         out: dict = {}
-        for beta in self.rs.positive_roots:
-            ei, fi = self.e_index(beta), self.f_index(beta)
-            out[(ei, fi)] = out[(fi, ei)] = 1 / self.killing_gram[ei][fi]
+        npos = self.num_pos
+        for b, c in enumerate(self.root_kappa):
+            out[(b, b + npos)] = out[(b + npos, b)] = 1 / c
         n = self.rank
         ginv = mat_inverse([list(map(Q, row)) for row in self.cartan_gram])
         for i in range(n):
@@ -233,53 +265,48 @@ def _exact_div(a: int, b: int) -> int:
 def _build_constants(rs: RootSystem) -> dict:
     """N_{a,b} for every pair of signed roots with a + b a root, as ints.
 
-    The extraspecial recursion runs over the positive roots by height; each
-    constant it fixes fills its whole triple a + b + c = 0 and the negated
-    triple, so the Jacobi step only reads constants already in the table.
-    Keys are the root tuples of `rs.all_roots`, shared, not copies.
+    Keys are pairs of root codes (`rs.codes`), so a root sum is an int sum
+    and -a is the code of the negated root.  The extraspecial recursion runs
+    over the positive roots by height; each constant it fixes fills its
+    whole triple a + b + c = 0 and the negated triple, so the Jacobi step
+    only reads constants already in the table.
     """
-    roots = rs.all_roots
+    codes = rs.codes
     num_pos = len(rs.positive_roots)
-    intern = {r: r for r in roots}
-    opp = {r: roots[(k + num_pos) % len(roots)] for k, r in enumerate(roots)}
-    sq = rs.sq_len
+    sq = {x: rs.sq_len[r] for x, r in zip(codes, rs.all_roots)}
+    order = {x: k for k, x in enumerate(codes[:num_pos])}
     table: dict = {}
 
-    def put(a: Root, b: Root, n: int) -> None:
-        c = opp[intern[add(a, b)]]
+    def put(a: int, b: int, n: int) -> None:
+        c = -a - b
         # N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
         for x, y, v in ((a, b, n), (b, c, _exact_div(n * sq[a], sq[c])),
                         (c, a, _exact_div(n * sq[b], sq[c]))):
             table[x, y] = v
             table[y, x] = -v
-            table[opp[x], opp[y]] = -v
-            table[opp[y], opp[x]] = v
+            table[-x, -y] = -v
+            table[-y, -x] = v
 
-    order = {r: k for k, r in enumerate(rs.positive_roots)}
-    for gamma in rs.positive_roots:
-        if sum(gamma) < 2:
+    for g, gamma in enumerate(codes[:num_pos]):
+        if sum(rs.positive_roots[g]) < 2:
             continue
         # decompositions of gamma into ordered pairs of positive roots
-        decomps = []
-        for alpha in rs.positive_roots:
-            if order[alpha] > order[gamma]:
-                break
-            beta = intern.get(sub(gamma, alpha))
-            if beta is not None and is_positive(beta) and order[alpha] < order[beta]:
-                decomps.append((alpha, beta))
+        decomps = [(alpha, gamma - alpha) for k, alpha in enumerate(codes[:g])
+                   if order.get(gamma - alpha, -1) > k]
         eps, eta = decomps[0]  # extraspecial: minimal first component
-        put(eps, eta, rs.p_value(eps, eta) + 1)
-        m_eps = opp[eps]
+        p = 1                  # the eps-string below eta has p - 1 roots
+        while eta - p * eps in sq:
+            p += 1
+        put(eps, eta, p)
         for alpha, beta in decomps[1:]:
             # Jacobi on (e_{-eps}, e_alpha, e_beta):
             #   N_{-eps,a} N_{a-eps,b} + N_{b,-eps} N_{b-eps,a} + N_{a,b} N_{g,-eps} = 0
             acc = 0
-            a_eps, b_eps = sub(alpha, eps), sub(beta, eps)
-            if a_eps in intern:
-                acc += table[m_eps, alpha] * table[a_eps, beta]
-            if b_eps in intern:
-                acc += table[beta, m_eps] * table[b_eps, alpha]
-            put(alpha, beta, _exact_div(-acc, table[gamma, m_eps]))
+            if alpha - eps in sq:
+                acc += table[-eps, alpha] * table[alpha - eps, beta]
+            if beta - eps in sq:
+                acc += table[beta, -eps] * table[beta - eps, alpha]
+            put(alpha, beta, _exact_div(-acc, table[gamma, -eps]))
     return table
 
 
@@ -292,7 +319,7 @@ def chevalley_algebra(ct: CartanType | str) -> ChevalleyAlgebra:
         ct = CartanType.parse(ct)
     if ct not in _ALG_CACHE:
         rs = build_root_system(ct)
-        _ALG_CACHE[ct] = ChevalleyAlgebra(rs, _build_constants(rs), killing_cartan(rs))
+        _ALG_CACHE[ct] = ChevalleyAlgebra(rs, killing_cartan(rs))
     return _ALG_CACHE[ct]
 
 

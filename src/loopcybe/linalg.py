@@ -150,7 +150,7 @@ def identity(n: int) -> Matrix:
 def mat_inverse(m: Sequence[Sequence]) -> Matrix:
     """Inverse of a square rational matrix; raises on singular input."""
     n = len(m)
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

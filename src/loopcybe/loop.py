@@ -355,9 +355,11 @@ class TwistedLoopAlgebra:
         f._check(g)
         if f.algebra is not self:
             raise ValueError("element of a different algebra")
+        return self.bracket_parts(f.chev_parts(), g.chev_parts())
+
+    def bracket_parts(self, fparts: dict, gparts: dict) -> LoopElement:
+        """[f, g] from the Chevalley parts (`LoopElement.chev_parts`) of f and g."""
         acc: dict = {}
-        fparts = f.chev_parts()
-        gparts = g.chev_parts()
         for kf, vf in fparts.items():
             for kg, vg in gparts.items():
                 br = self.alg.bracket(vf, vg)

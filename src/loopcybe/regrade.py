@@ -208,7 +208,8 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
     closed up to degree degree + max s + m, span every such element, and
     the span closure tracks images through the elimination.  Each closure
     element has one weight and one degree, so a pair is bracketed only when
-    some slot has the weight and degree its bracket would have.
+    some slot has the weight and degree its bracket would have.  An element
+    and its image are kept as their Chevalley parts, worked out once.
     """
     if tuple(perm) not in loop_diagram_automorphisms(L):
         raise ValueError("permutation is not a diagram automorphism")
@@ -222,7 +223,8 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
             src, dst = g[key_name], gens[perm[i]][key_name]
             if span.insert(src, dst):
                 sid, k = next(iter(src.terms))
-                frontier.append((src, dst, tuple(map(int, L.slots[sid].weight)), k))
+                frontier.append((src.chev_parts(), dst.chev_parts(),
+                                 tuple(map(int, L.slots[sid].weight)), k))
     known = list(frontier)
     while frontier:
         new = []
@@ -231,12 +233,12 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
                 w, k = tuple(x + y for x, y in zip(wa, wb)), ka + kb
                 if abs(k) > margin or (w, k % L.m) not in grades:
                     continue
-                br = L.bracket(a, b)
+                br = L.bracket_parts(a, b)
                 if br.is_zero():
                     continue
-                img = L.bracket(ia, ib)
+                img = L.bracket_parts(ia, ib)
                 if span.insert(br, img):
-                    new.append((br, img, w, k))
+                    new.append((br.chev_parts(), img.chev_parts(), w, k))
         known.extend(new)
         frontier = new
     return span.express

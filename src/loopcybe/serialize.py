@@ -17,23 +17,46 @@ from .scalars import frac_str, parse_frac
 from .tensors import Laurent2, TwoPointTensor
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class Encoded(str):
+    """JSON text already in `dumps`'s form, which `dumps` writes as it stands."""
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """One line of JSON, keys sorted and no spaces, then a newline.
+
+    A top-level dict is written key by key, so a value of it may be `Encoded`.
+    """
+    if not isinstance(obj, dict):
+        return _encode(obj) + "\n"
+    items = (_encode(k) + ":" + (v if isinstance(v, Encoded) else _encode(v))
+             for k, v in sorted(obj.items()))
+    return "{%s}\n" % ",".join(items)
 
 
 # ------------------------------------------------------------ structure table
 
 
 def structure_table_json(alg: ChevalleyAlgebra) -> dict:
-    coeffs: dict = {}       # terms -> one JSON object, shared by equal brackets
-    constants = [{"i": i, "j": j, "coeffs": coeffs.get(terms) or coeffs.setdefault(
-                      terms, {str(k): str(c) for k, c in terms})}
-                 for i, row in enumerate(alg.table) for j, terms in row.items()]
+    """The structure export; its constants are `Encoded`.
+
+    Equal brackets share one terms tuple in `alg.table`, so each distinct
+    coeffs object is encoded once.
+    """
+    coeffs: dict = {}       # terms -> its coeffs object, encoded
+    for row in alg.table:
+        for terms in row.values():
+            if terms not in coeffs:
+                coeffs[terms] = _encode({str(k): str(c) for k, c in terms})
+    constants = ",".join('{"coeffs":%s,"i":%d,"j":%d}' % (coeffs[terms], i, j)
+                         for i, row in enumerate(alg.table) for j, terms in row.items())
     return {
         "type": str(alg.rs.cartan_type),
         "roots": [list(r) for r in alg.rs.all_roots],
         "labels": [alg.basis_label(i) for i in range(alg.dim)],
-        "constants": constants,
+        "constants": Encoded("[%s]" % constants),
         "killing_gram": [[frac_str(x) if x else "0" for x in row] for row in alg.killing_gram],
     }
 

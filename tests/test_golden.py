@@ -51,10 +51,17 @@ printing it.  `catalog-A7` (s = e_0, 16 diagram automorphisms),
 `catalog-D4` (untwisted, s = e_0, 24 diagram automorphisms),
 `census-AEFG-16` and the digest of `export --what catalog --type A9`
 (s = e_0) were written by the code that still derived the affine diagram
-in Fractions and built every valid triple before folding orbits.  A change
-that alters any of them alters the CLI's output.  After an intended output change, rewrite them with
+in Fractions and built every valid triple before folding orbits.  The
+digests of `export --what structure --type E6` and of `r0` on E6 graded by
+s = e_1 and s = e_6 and on E7 graded by s = e_7 (the mark-1 gradings besides
+e_0) were written by the code that still built the structure constants on
+root tuples with every algebra.  A change that alters any of them alters
+the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which also prints the SHA-256, exit code and argv of each `DIGESTS` run;
+copy a new digest from that output, run on the code that should pin it.
 """
 
 import glob
@@ -137,6 +144,14 @@ DIGESTS = [
      "117e7f0fc61e8593a5e1e98b6ce35b37d9871bdb7f73161e4e3f3c87b146a948"),
     (["export", "--what", "catalog", "--type", "A9", "--s", "1,0,0,0,0,0,0,0,0,0"],
      "ba7af83953c97355065abc95dc1f8a632c8f4add2ce1d4ec357db9faadcd4c56"),
+    (["export", "--what", "structure", "--type", "E6"],
+     "540f502c9253724484701d6b045b19764019c81c4cbf21eda929166284ac11ce"),
+    (["r0", "--type", "E6", "--s", "0,1,0,0,0,0,0"],
+     "b14c41821c677e7edfe5508494b4e2e09ebadacb3bd8733c0f85d728206406b0"),
+    (["r0", "--type", "E6", "--s", "0,0,0,0,0,0,1"],
+     "8eac398c51144ee05c2e998158bf835157bd891a84c1759a165fe5043f874b51"),
+    (["r0", "--type", "E7", "--s", "0,0,0,0,0,0,0,1"],
+     "47fdc39076453ac4add12005f6f4dfe38db52fc6083de8e61905d5313ca62a16"),
 ]
 
 
@@ -159,7 +174,8 @@ def test_cli_golden(name, argv):
 
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7",
-                                                     "structure-E8", "catalog-A9"])
+                                                     "structure-E8", "catalog-A9", "structure-E6",
+                                                     "r0-E6-s1", "r0-E6-s6", "r0-E7-s7"])
 def test_cli_digest(argv, digest):
     out = run_case(argv)
     assert out.returncode == 0
@@ -182,3 +198,6 @@ if __name__ == "__main__":
             fh.write(out.stdout)
     with open(os.path.join(GOLDEN, "cases.json"), "w") as fh:
         fh.write(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    for argv, _ in DIGESTS:
+        out = run_case(argv)
+        print(hashlib.sha256(out.stdout.encode()).hexdigest(), out.returncode, *argv)

@@ -60,6 +60,11 @@ implementations, kept here unchanged in substance:
 - `oracle_bracket_basis` works out [b_i, b_j] on every call, through a
   branch ladder over `n_table`, `coroot_combo` and `RootSystem.pairing`,
   where the library reads the rows of the cached `alg.table`;
+- `tuple_constants` runs the extraspecial recursion on root tuples and
+  `tuple_table` builds the rows from its tuple-keyed table, where the
+  library adds int root codes (`RootSystem.codes`);
+- `gram_casimir` takes the Casimir element's dual basis from the dense
+  `killing_gram`, where `casimir` reads `root_kappa` and `cartan_gram`;
 - `pair_twist_defect` applies the cobracket once per slot-pair term of t,
   where `twist_defect` applies it once per first leg.
 
@@ -79,7 +84,9 @@ from types import SimpleNamespace
 import pytest
 
 import loopcybe.bd as bd
+import loopcybe.chevalley as chev
 import loopcybe.classify as cl
+import loopcybe.loop as lp
 from loopcybe import cli
 from loopcybe.cartan import CartanType, add, is_positive, neg, sub
 from loopcybe.chevalley import add_term, chevalley_algebra, vec_scale
@@ -708,6 +715,102 @@ def test_table_matches_bracket_oracle(label):
              if (br := oracle_bracket_basis(alg, i, j))] for i in range(alg.dim)]
     assert [list(row.items()) for row in alg.table] == want
     assert all(type(c) is int for row in alg.table for terms in row.values() for _, c in terms)
+
+
+def tuple_constants(rs):
+    """N_{a,b} keyed by root tuples, by the extraspecial recursion on tuple
+    root arithmetic: each constant fills its triple a + b + c = 0 and the
+    negated triple, and the Jacobi step reads only constants already set."""
+    table = {}
+
+    def put(a, b, n):
+        c = neg(add(a, b))
+        for x, y, v in ((a, b, n), (b, c, n * rs.sq_len[a] // rs.sq_len[c]),
+                        (c, a, n * rs.sq_len[b] // rs.sq_len[c])):
+            table[x, y] = v
+            table[y, x] = -v
+            table[neg(x), neg(y)] = -v
+            table[neg(y), neg(x)] = v
+
+    order = {r: k for k, r in enumerate(rs.positive_roots)}
+    for gamma in rs.positive_roots:
+        if sum(gamma) < 2:
+            continue
+        decomps = [(alpha, sub(gamma, alpha)) for alpha in rs.positive_roots
+                   if order.get(sub(gamma, alpha), -1) > order[alpha]]
+        eps, eta = decomps[0]
+        put(eps, eta, rs.p_value(eps, eta) + 1)
+        for alpha, beta in decomps[1:]:
+            acc = 0
+            if rs.is_root(sub(alpha, eps)):
+                acc += table[neg(eps), alpha] * table[sub(alpha, eps), beta]
+            if rs.is_root(sub(beta, eps)):
+                acc += table[beta, neg(eps)] * table[sub(beta, eps), alpha]
+            put(alpha, beta, -acc // table[gamma, neg(eps)])
+    return table
+
+
+def tuple_table(alg, n_table):
+    """The rows of the structure table, from a tuple-keyed N table."""
+    npos, pos = alg.num_pos, alg.rs.root_position
+    rows = [dict() for _ in range(alg.dim)]
+    for (x, y), c in n_table.items():
+        rows[pos[x]][pos[y]] = ((pos[add(x, y)], c),)
+    for b, beta in enumerate(alg.rs.positive_roots):
+        h = tuple(alg.coroot_combo(beta).items())
+        rows[b][b + npos] = h
+        rows[b + npos][b] = tuple((k, -c) for k, c in h)
+        for k in range(alg.rank):
+            c = alg.rs.pairing(beta, k)
+            if c:
+                for j, cj in ((b, c), (b + npos, -c)):
+                    rows[alg.h_index(k)][j] = ((j, cj),)
+                    rows[j][alg.h_index(k)] = ((j, -cj),)
+    return tuple({j: row[j] for j in sorted(row)} for row in rows)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_table_matches_tuple_oracle(label):
+    """The int-code constants and table equal the tuple-arithmetic ones: the
+    same rows, the same N table in the same key order, the same reprs."""
+    alg = chevalley_algebra(label)
+    n_table = tuple_constants(alg.rs)
+    assert list(alg.n_table.items()) == list(n_table.items())
+    want = tuple_table(alg, n_table)
+    assert alg.table == want
+    assert [repr(row) for row in alg.table] == [repr(row) for row in want]
+
+
+def gram_casimir(alg):
+    """sum b_a (x) b^a with the dual basis read off the dense `killing_gram`."""
+    gram = alg.killing_gram
+    out = {}
+    for beta in alg.rs.positive_roots:
+        ei, fi = alg.e_index(beta), alg.f_index(beta)
+        out[(ei, fi)] = out[(fi, ei)] = 1 / gram[ei][fi]
+    hs = [alg.h_index(i) for i in range(alg.rank)]
+    ginv = mat_inverse([[gram[i][j] for j in hs] for i in hs])
+    for i, hi in enumerate(hs):
+        for j, hj in enumerate(hs):
+            if ginv[i][j]:
+                out[(hi, hj)] = ginv[i][j]
+    return out
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_casimir_matches_killing_gram_oracle(label):
+    alg = chevalley_algebra(label)
+    assert repr(alg.casimir()) == repr(gram_casimir(alg))
+
+
+def test_r0_builds_no_structure_constants(monkeypatch):
+    """r0 reads the Killing form off the root system; it builds neither the
+    structure constants, the table nor the dense Gram."""
+    for mod, name in ((chev, "_ALG_CACHE"), (lp, "_LOOP_CACHE"), (lp, "_DIAGRAM_CACHE")):
+        monkeypatch.setattr(mod, name, {})
+    L = loop_algebra(SigmaType.make("E7", (1,) + (0,) * 7, None))
+    r0(L)
+    assert not {"n_codes", "n_table", "table", "killing_gram"} & set(vars(L.alg))
 
 
 def test_table_rows_are_shared_and_left_unchanged(monkeypatch, capsys):
