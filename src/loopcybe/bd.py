@@ -13,8 +13,9 @@ functionals take the value s_i on the scaling direction d; this is the
 reading under which the solution-space dimension is l(l-1)/2 with
 l = |Pi \\ Gamma_1|; validation, the count and the solve read one integer
 system.  Twists only ever use the d-free part of t_h (the loop algebra has
-no d), and the canonical representative is the d-free minimum-support
-particular solution.  On the Cartan, theta is `cartan_transport`.
+no d), and the canonical representative is the particular solution of that
+one system's reduction, which is d-free whenever some solution is.  On the
+Cartan, theta is `cartan_transport`.
 
 The residue operator of a quadruple is R_{t_h} plus the two theta series,
 and `tensors.contraction` is the one Psi(a (x) b) = B(b, -) a behind it,
@@ -229,8 +230,9 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
     Returns {"pairs": index pairs, "particular": dict, "basis": [dicts],
     "dimension": int}.  Tensors are over the extended Cartan; index nh
     (reported as D_INDEX) is the scaling direction.  The particular
-    solution is d-free whenever the d-free subsystem is consistent.  The
-    kernel is Lambda^2(W), as `th_dimension` argues, which counts it alone.
+    solution, zero on every free column, is d-free exactly when some
+    solution is (proof in CHANGES.md, "No d-free fallback").  The kernel is
+    Lambda^2(W), as `th_dimension` argues, which counts it alone.
     """
     L = affine_diagram_data(sigma)
     gmap = {int(a): int(b) for a, b in gamma.items()}
@@ -245,23 +247,17 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
                 out[key] = c
         return out
 
-    # One fraction-free reduction of [rows | rhs] gives the kernel and a
-    # particular solution x, zero off the pivot columns.  If x is d-free it
-    # is the d-free subsystem's own reduced solution: a pivot column of the
-    # whole system is one of the d-free subsystem too, and a solution
-    # supported on that subsystem's pivot columns is unique.  Only if x has
-    # a d entry is the d-free subsystem reduced on its own.
+    # One fraction-free reduction of [rows | rhs] gives the kernel and the
+    # particular solution, zero on the free columns: the last nonzero pairs of
+    # Lambda^2(W).  d ends each a-block of `_pairs`, so it is d-free if any is.
     ncols = len(pairs)
     red, pivots = rref_int([row + [c] for row, c in zip(rows, rhs)])
     if ncols in pivots:
         raise ValueError("condition-3 system is inconsistent")
-    particular = _read_solution(red, pivots, range(ncols), ncols)
-    if any(c for (a, b), c in zip(pairs, particular) if b == nh):
-        dfree_cols = [k for k, (a, b) in enumerate(pairs) if b < nh]
-        sub, sub_pivots = rref_int([[row[k] for k in dfree_cols] + [c]
-                                    for row, c in zip(rows, rhs)])
-        if len(dfree_cols) not in sub_pivots:
-            particular = _read_solution(sub, sub_pivots, dfree_cols, ncols)
+    particular = [Q(0)] * ncols
+    for r, pc in enumerate(pivots):
+        if red[r][-1]:
+            particular[pc] = Q(red[r][-1], red[r][pc])
     kern = []
     for fc in range(ncols):
         if fc in pivots:
@@ -276,19 +272,9 @@ def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[
             "basis": [to_dict(b) for b in kern], "dimension": len(kern)}
 
 
-def _read_solution(red: list, pivots: list, cols, ncols: int) -> list:
-    """The solution of a reduced augmented system with its free unknowns 0;
-    `cols` maps the reduced system's columns to the ncols unknowns."""
-    x = [Q(0)] * ncols
-    cols = list(cols)
-    for r, pc in enumerate(pivots):
-        if red[r][-1]:
-            x[cols[pc]] = Q(red[r][-1], red[r][pc])
-    return x
-
-
 def canonical_t_h(sigma: SigmaType, gamma1, gamma2, gamma: dict) -> dict:
-    """The d-free particular solution used for enumerated quadruples."""
+    """The d-free particular solution used for enumerated quadruples; it
+    raises exactly when no d-free solution exists."""
     space = th_solution_space(sigma, gamma1, gamma2, gamma)
     th = space["particular"]
     if any(D_INDEX in key for key in th):

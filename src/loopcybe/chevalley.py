@@ -25,9 +25,9 @@ the one derivation of it in the package, and kappa(e_b, f_b) =
 kappa(h_b, h_b)/2 (`root_kappa`) follows by invariance.  So all
 downstream normalization (coroots, Casimir, twists) is genuinely the
 Killing normalization rather than a rescaled invariant form; the tests
-check it against exact ad-traces of the table.  The Casimir element reads
-only those two parts, so `r0` builds neither the constants, the table nor
-the dense `killing_gram`.
+check it against exact ad-traces of the table.  `killing`, the Casimir
+element and the structure export read only those two parts, so `r0`
+builds neither the constants nor the table, and no dense Gram is built.
 """
 
 from __future__ import annotations
@@ -178,21 +178,6 @@ class ChevalleyAlgebra:
     # ---- Killing form and friends ------------------------------------------
 
     @cached_property
-    def killing_gram(self) -> tuple:
-        """The Killing form on the whole basis, dense, with Fraction entries.
-
-        The Cartan block is `cartan_gram`.  Off it only kappa(e_b, f_b) is
-        nonzero: `root_kappa`.
-        """
-        h0, npos = self.h_index(0), self.num_pos
-        gram = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.cartan_gram):
-            gram[h0 + i][h0:] = map(Q, row)
-        for b, c in enumerate(self.root_kappa):
-            gram[b][b + npos] = gram[b + npos][b] = c
-        return tuple(tuple(row) for row in gram)
-
-    @cached_property
     def root_kappa(self) -> tuple:
         """kappa(e_b, f_b) for each positive root b, as Fractions.
 
@@ -207,12 +192,19 @@ class ChevalleyAlgebra:
         return tuple(out)
 
     def killing(self, x: Vec, y: Vec) -> Q:
+        """kappa(x, y): `cartan_gram` on the Cartan, `root_kappa` on (e_b, f_b)."""
+        npos, h0 = self.num_pos, self.h_index(0)
         acc = Q(0)
         for i, ci in x.items():
-            row = self.killing_gram[i]
-            for j, cj in y.items():
-                if row[j]:
-                    acc += ci * cj * row[j]
+            if i >= h0:
+                row = self.cartan_gram[i - h0]
+                for j, cj in y.items():
+                    if j >= h0 and row[j - h0]:
+                        acc += ci * cj * row[j - h0]
+            else:
+                j = i + npos if i < npos else i - npos
+                if j in y:
+                    acc += ci * y[j] * self.root_kappa[i % npos]
         return acc
 
     def coroot(self, alpha_on_h) -> Vec:
@@ -237,7 +229,7 @@ class ChevalleyAlgebra:
         """Casimir element sum b_a (x) b^a over kappa-dual bases.
 
         Returned as a sparse g (x) g tensor {(i, j): coeff}.  It reads
-        `root_kappa` and `cartan_gram`, not the dense `killing_gram`.
+        `root_kappa` and `cartan_gram` alone.
         """
         from .linalg import mat_inverse
 

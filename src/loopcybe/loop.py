@@ -88,7 +88,7 @@ class Slot:
                  positive: Optional[bool], cartan: bool, nu_base_degree: int, m: int):
         self.index = index
         self.nu_class = nu_class  # j with slot subset of g^nu_j
-        self.weight = weight      # functional values on the fixed Cartan basis
+        self.weight = weight      # int functional values on the fixed Cartan basis
         self.vec = vec            # g-vector in Chevalley coordinates
         self.positive = positive  # sign of the root (weight, nu_class); None if weight = 0
         self.cartan = cartan      # weight 0 at nu-class 0
@@ -170,22 +170,10 @@ class TwistedLoopAlgebra:
 
     def __init__(self, sigma: SigmaType):
         vars(self).update(vars(affine_diagram_data(sigma)))   # adopt the diagram's fields
-        self.sigma = sigma
         self.alg: ChevalleyAlgebra = chevalley_algebra(sigma.cartan_type)
-        self.nu_perm = _nu_perm(self.alg.rank, sigma.nu)
-        self.orbits = _perm_orbits(self.nu_perm)
-        self.nu_order = lcm(*map(len, self.orbits))
         self.nu_cols = (lift_diagram_automorphism(self.alg, self.nu_perm)
                         if self.nu_order > 1 else None)
         self._decomp_cache: dict = {}
-        # columns: the simple roots of the fixed subalgebra on the fixed Cartan;
-        # its inverse is kept as an int matrix over the one Bareiss pivot
-        nh = self.nh
-        red, pivots = rref_int([[w[t] for w in self.node_weights[1:]]
-                                + [int(t == c) for c in range(nh)] for t in range(nh)])
-        if pivots != list(range(nh)):
-            raise AssertionError("the simple roots of the fixed subalgebra are dependent")
-        self._pi_inverse = ([row[nh:] for row in red], red[0][0])
         # the orbit sums of the simple coroots span the fixed Cartan
         self.h_basis = [{self.alg.h_index(i): Q(1) for i in orbit} for orbit in self.orbits]
         self._build_slots()
@@ -194,7 +182,7 @@ class TwistedLoopAlgebra:
     # ------------------------------------------------------------------ setup
 
     def _weight_of_root(self, r: Root) -> Weight:
-        return tuple(map(Q, _restrict(self.alg.rs, self.orbits, r)))
+        return _restrict(self.alg.rs, self.orbits, r)
 
     def _build_slots(self) -> None:
         alg = self.alg
@@ -210,7 +198,7 @@ class TwistedLoopAlgebra:
                 new_slot(0, self._weight_of_root(beta), {alg.e_index(beta): Q(1)}, True)
                 new_slot(0, self._weight_of_root(neg(beta)), {alg.f_index(beta): Q(1)}, False)
             for i in range(alg.rank):
-                new_slot(0, tuple([Q(0)] * self.nh), {alg.h_index(i): Q(1)}, None, cartan=True)
+                new_slot(0, (0,) * self.nh, {alg.h_index(i): Q(1)}, None, cartan=True)
         else:
             # root-space orbits under nu
             seen: set = set()
@@ -242,7 +230,7 @@ class TwistedLoopAlgebra:
                                 chev[idx] = v[c]
                         new_slot(j, wt, chev, pos)
             # Cartan orbits
-            zero_w = tuple([Q(0)] * self.nh)
+            zero_w = (0,) * self.nh
             for orbit in self.orbits:
                 idxs = [alg.h_index(i) for i in orbit]
                 mat = [[Q(0)] * len(idxs) for _ in idxs]
@@ -291,8 +279,7 @@ class TwistedLoopAlgebra:
         if key in self._decomp_cache:
             return self._decomp_cache[key]
         # alpha_0 carries nu-degree 1, all other nodes degree 0
-        rest = [_int_ratio(w.numerator, w.denominator) - k * a0
-                for w, a0 in zip(weight, self.node_weights[0])]
+        rest = [w - k * a0 for w, a0 in zip(weight, self.node_weights[0])]
         rows, den = self._pi_inverse
         out = [k] + [_int_ratio(sum(map(mul, row, rest)), den) for row in rows]
         self._decomp_cache[key] = out
@@ -652,12 +639,18 @@ class AffineDiagramData:
     is an int row over p, and so is the coroot Gram (t_x, t_y) = y(t_x).
     They are the only Fraction fields, since only they carry a denominator.
     `affine_cartan` is 2 (t_i, t_j) / (t_j, t_j), an exact int quotient,
-    stored transposed against Kac's a_ij, there as here.  The marks solve
-    sum a_i alpha_i = 0 on the fixed Cartan with a_0 = 1.
+    stored transposed against Kac's a_ij, there as here.  One reduction of
+    [w_1 .. w_n | I] gives `_pi_inverse`, the int inverse of the fixed simple
+    roots over one pivot, and the marks are read off it as the coefficients
+    of delta = (0, 1): sum a_i alpha_i = 0 on the fixed Cartan, a_0 = 1.
     """
 
-    def __init__(self, sigma: SigmaType, h_gram: list, node_weights: list, nu_order: int):
+    def __init__(self, sigma: SigmaType, h_gram: list, node_weights: list, nu_perm: tuple,
+                 orbits: list):
         self.sigma = sigma
+        self.nu_perm = nu_perm
+        self.orbits = orbits
+        self.nu_order = lcm(*map(len, orbits))
         self.nh = nh = len(h_gram)
         self.h_gram = h_gram
         self.node_weights = node_weights
@@ -673,15 +666,16 @@ class AffineDiagramData:
         self.coroot_gram = [[Q(c, p) for c in row] for row in gram]
         self.affine_cartan = [[_int_ratio(2 * gram[i][j], gram[j][j]) for j in range(nodes)]
                               for i in range(nodes)]
-        # marks: (0, r) = r * sum a_i (alpha_i, deg_i); degree part forces a_0 = 1
-        red, pivots = rref_int([[w[t] for w in node_weights[1:]] + [-node_weights[0][t]]
-                                for t in range(nh)])
-        if pivots != list(range(nodes - 1)):
-            raise AssertionError("marks system inconsistent")
-        self.marks = [1] + [_int_ratio(row[-1], row[r]) for r, row in enumerate(red)]
+        red, pivots = rref_int([[w[t] for w in node_weights[1:]]
+                                + [int(t == c) for c in range(nh)] for t in range(nh)])
+        if pivots != list(range(nh)):
+            raise AssertionError("the simple roots of the fixed subalgebra are dependent")
+        self._pi_inverse = rows, den = [row[nh:] for row in red], red[0][0]
+        self.marks = [1] + [_int_ratio(-sum(map(mul, row, node_weights[0])), den)
+                            for row in rows]
         if any(a <= 0 for a in self.marks):
             raise AssertionError("marks must be positive")
-        self.m = nu_order * sum(map(mul, self.marks, sigma.s))
+        self.m = self.nu_order * sum(map(mul, self.marks, sigma.s))
         # (node functionals on (h^nu, d) with alpha_i(d) = s_i, node coroots,
         # scale d): both lists times d, the least common denominator of the
         # coroots, so ints, for `bd._condition3_system`
@@ -735,5 +729,5 @@ def affine_diagram_data(sigma: SigmaType) -> AffineDiagramData:
         if r > 1:
             simple.sort()
         node_weights = [_restrict(rs, orbits, min(g1, key=sum))] + simple
-        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, h_gram, node_weights, r)
+        _DIAGRAM_CACHE[key] = AffineDiagramData(sigma, h_gram, node_weights, perm, orbits)
     return _DIAGRAM_CACHE[key]

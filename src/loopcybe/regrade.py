@@ -214,7 +214,7 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
     if tuple(perm) not in loop_diagram_automorphisms(L):
         raise ValueError("permutation is not a diagram automorphism")
     margin = degree + max(L.sigma.s) + L.m
-    grades = {(tuple(map(int, s.weight)), s.sigma_class) for s in L.slots}
+    grades = {(s.weight, s.sigma_class) for s in L.slots}
     span = _TrackedSpan(L)
     gens = L.generators()
     frontier = []
@@ -223,8 +223,7 @@ def diagram_map(L: TwistedLoopAlgebra, perm: tuple, degree: int):
             src, dst = g[key_name], gens[perm[i]][key_name]
             if span.insert(src, dst):
                 sid, k = next(iter(src.terms))
-                frontier.append((src.chev_parts(), dst.chev_parts(),
-                                 tuple(map(int, L.slots[sid].weight)), k))
+                frontier.append((src.chev_parts(), dst.chev_parts(), L.slots[sid].weight, k))
     known = list(frontier)
     while frontier:
         new = []

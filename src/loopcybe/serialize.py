@@ -52,12 +52,19 @@ def structure_table_json(alg: ChevalleyAlgebra) -> dict:
                 coeffs[terms] = _encode({str(k): str(c) for k, c in terms})
     constants = ",".join('{"coeffs":%s,"i":%d,"j":%d}' % (coeffs[terms], i, j)
                          for i, row in enumerate(alg.table) for j, terms in row.items())
+    # the Killing Gram, from the two parts `alg.killing` reads
+    npos, h0 = alg.num_pos, alg.h_index(0)
+    gram = [["0"] * alg.dim for _ in range(alg.dim)]
+    for b, c in enumerate(alg.root_kappa):
+        gram[b][b + npos] = gram[b + npos][b] = frac_str(c)
+    for i, row in enumerate(alg.cartan_gram):
+        gram[h0 + i][h0:] = map(frac_str, row)
     return {
         "type": str(alg.rs.cartan_type),
         "roots": [list(r) for r in alg.rs.all_roots],
         "labels": [alg.basis_label(i) for i in range(alg.dim)],
         "constants": Encoded("[%s]" % constants),
-        "killing_gram": [[frac_str(x) if x else "0" for x in row] for row in alg.killing_gram],
+        "killing_gram": gram,
     }
 
 

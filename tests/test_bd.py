@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
@@ -80,6 +81,40 @@ def test_th_canonical_is_d_free_and_solves():
     th = canonical_t_h(A2, {1}, {2}, {1: 2})
     assert th == {(0, 1): Q(1, 36)}
     assert all(D_INDEX not in k for k in th)
+
+
+def test_th_particular_is_d_free_on_random_condition3_systems(monkeypatch):
+    """The particular solution of the one reduction is d-free whenever some
+    solution is (the proof is in CHANGES.md).  Random int systems
+    2 iota_{h_i} t + c_i = 0, with d entries in the h_i and c_i =
+    -2 iota_{h_i} t0 for a random d-free t0, stand in for the diagram:
+    Gamma_1 = {0..k-1}, gamma(i) = k + i, and Gamma_1's own rows are zero."""
+    rng = random.Random(20240)
+    with_d = 0
+    for _ in range(300):
+        nh = rng.randint(2, 5)
+        k = rng.randint(1, nh)
+        t0 = {(a, b): Q(rng.randint(-3, 3)) for a in range(nh) for b in range(a + 1, nh)}
+        hs = [[rng.randint(-2, 2) for _ in range(nh + 1)] for _ in range(k)]
+        cs = []
+        for h in hs:
+            c = [0] * nh
+            for (a, b), x in t0.items():
+                c[b] -= 2 * x * h[a]
+                c[a] += 2 * x * h[b]
+            cs.append(c)
+        stub = SimpleNamespace(nh=nh, integer_nodes=([[0] * (nh + 1)] * k + hs,
+                                                     [[0] * nh] * k + cs, 1))
+        monkeypatch.setattr(bd, "affine_diagram_data", lambda sigma: stub)
+        gamma = {i: k + i for i in range(k)}
+        gamma1 = frozenset(gamma)
+        assert not any(any(v) for v in bd._condition3_residual(stub, gamma, gamma1, t0).values())
+        space = th_solution_space(None, gamma1, gamma.values(), gamma)
+        with_d += any(D_INDEX in key for b in space["basis"] for key in b)
+        th = space["particular"]
+        assert all(D_INDEX not in key for key in th)
+        assert not any(any(v) for v in bd._condition3_residual(stub, gamma, gamma1, th).values())
+    assert with_d >= 50, with_d
 
 
 def test_th_empty_gamma_full_space():

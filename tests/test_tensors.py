@@ -344,6 +344,12 @@ def test_cobracket_rejects_malformed(sl2_coxeter):
     # public constructors; from_chev raises already
     with pytest.raises(ValueError):
         sl2_coxeter.from_chev(0, {0: Q(1)})   # e sits in class 1, not 0
+    # built by hand one degree off its class, a root vector's pole does not cancel
+    L = loop_algebra(SigmaType.make("A2", [1, 1, 1]))
+    slot = next(s for s in L.slots if s.positive is not None)
+    f = LoopElement(L, {(slot.index, slot.sigma_class + 1): 1})
+    with pytest.raises(ValueError):
+        cobracket(f, r0(L))
 
 
 # ------------------------------------------------------------- twist residual
