@@ -55,8 +55,17 @@ in Fractions and built every valid triple before folding orbits.  The
 digests of `export --what structure --type E6` and of `r0` on E6 graded by
 s = e_1 and s = e_6 and on E7 graded by s = e_7 (the mark-1 gradings besides
 e_0) were written by the code that still built the structure constants on
-root tuples with every algebra.  A change that alters any of them alters
-the CLI's output.  After an intended output change, rewrite them with
+root tuples with every algebra.  The last seven pin the slots of outer
+twists: `r0` on D4 with nu = (0, 1, 3, 2) graded by s = e_0 and by
+s = (0, 1, 1, 0), on D5 with nu = (0, 1, 2, 4, 3) and on E6 with
+nu = (5, 1, 4, 3, 2, 0), both graded by s = e_0, and on A6 with
+nu = (5, 4, 3, 2, 1, 0) graded by s = (0, 0, 0, 1); and `verify-cybe` and
+`twist` on the E6^(2) quadruple `quad_e6_order2.json` (s = e_0,
+Gamma_1 = {1, 3}, gamma: 1 -> 0, 3 -> 2, with its canonical t_h).  They
+were written by the code that still built the slots of an outer nu on
+separate root-orbit and Cartan-orbit branches and inverted them once per
+restricted weight.  A change that alters any of them alters the CLI's
+output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -130,6 +139,13 @@ CASES = [
     ("catalog-A7", ["export", "--what", "catalog", "--type", "A7", "--s", "1,0,0,0,0,0,0,0"]),
     ("catalog-D4", ["export", "--what", "catalog", "--type", "D4", "--s", "1,0,0,0,0"]),
     ("census-AEFG-16", ["census", "--types", "A,E,F,G", "--max-rank", "16"]),
+    ("r0-D4-order2", ["r0", "--type", "D4", "--nu", "0,1,3,2", "--s", "1,0,0,0"]),
+    ("r0-D4-order2-s0", ["r0", "--type", "D4", "--nu", "0,1,3,2", "--s", "0,1,1,0"]),
+    ("r0-D5-order2", ["r0", "--type", "D5", "--nu", "0,1,2,4,3", "--s", "1,0,0,0,0"]),
+    ("r0-E6-order2", ["r0", "--type", "E6", "--nu", "5,1,4,3,2,0", "--s", "1,0,0,0,0"]),
+    ("r0-A6-order2", ["r0", "--type", "A6", "--nu", "5,4,3,2,1,0", "--s", "0,0,0,1"]),
+    ("verify-E6-order2", ["verify-cybe", "-i", "quad_e6_order2.json"]),
+    ("twist-E6-order2", ["twist", "-i", "quad_e6_order2.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
