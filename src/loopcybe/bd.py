@@ -61,7 +61,11 @@ class BDQuadruple(Value):
         g1 = frozenset(int(i) for i in gamma1)
         g2 = frozenset(int(i) for i in gamma2)
         gmap = tuple(sorted((int(a), int(b)) for a, b in gamma.items()))
-        th = tuple(sorted((k, v) for k, v in (t_h or {}).items() if v != 0))
+        th: dict = {}   # each pair once, a before b in `_pairs` order: D_INDEX counts last
+        for (a, b), v in (t_h or {}).items():
+            key = tuple(sorted((a, b), key=lambda x: (x == D_INDEX, x)))
+            th[key] = th.get(key, 0) + (v if key == (a, b) else -v)
+        th = tuple(sorted((k, v) for k, v in th.items() if v != 0))
         return BDQuadruple(sigma, g1, g2, gmap, th)
 
     @property

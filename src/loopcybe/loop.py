@@ -16,10 +16,11 @@ Tests compare against the tabulated matrices and against the diagram read
 off the slots of the full loop algebra.
 
 Elements are held in slot coordinates; tensors and the JSON output stay in
-Chevalley coordinates.  The one change of basis between the two is the
-cached table `TwistedLoopAlgebra.chev_slots` (Chevalley index -> slot
-coordinates), built with one matrix inverse per restricted weight and
-read by `slot_coords`; the other direction is `Slot.vec`.
+Chevalley coordinates.  The change of basis between the two is the table
+`TwistedLoopAlgebra.chev_slots` (Chevalley index -> slot coordinates),
+read by `slot_coords`, and `Slot.vec` in the other direction.  Both are
+built in one pass over the nu-orbits of the Chevalley basis, with one
+small matrix inverse per orbit.
 """
 
 from __future__ import annotations
@@ -185,64 +186,40 @@ class TwistedLoopAlgebra:
         return _restrict(self.alg.rs, self.orbits, r)
 
     def _build_slots(self) -> None:
-        alg = self.alg
-        r = self.nu_order
+        """The slots and `chev_slots`, in one pass over the nu-orbits of the
+        Chevalley basis, visited from e_beta and f_beta for each positive
+        root in turn, then from h_1 .. h_n.
+
+        The lift of nu sends each basis vector to a multiple of one basis
+        vector (every vector to itself when nu = id), so each orbit spans a
+        nu-stable space: its zeta^j-eigenvectors are slots of nu-class j, and
+        the inverse of their matrix gives the slot coordinates of its vectors.
+        """
+        alg, r = self.alg, self.nu_order
+        cols = self.nu_cols or [{i: Q(1)} for i in range(alg.dim)]   # nu = id fixes each vector
         slots: list[Slot] = []
-
-        def new_slot(j: int, weight: Weight, vec: Vec, positive, cartan=False) -> None:
-            base = self.s_height(weight, j % r)
-            slots.append(Slot(len(slots), j % r, weight, vec, positive, cartan, base, self.m))
-
-        if r == 1:
-            for k, beta in enumerate(alg.rs.positive_roots):
-                new_slot(0, self._weight_of_root(beta), {alg.e_index(beta): Q(1)}, True)
-                new_slot(0, self._weight_of_root(neg(beta)), {alg.f_index(beta): Q(1)}, False)
-            for i in range(alg.rank):
-                new_slot(0, (0,) * self.nh, {alg.h_index(i): Q(1)}, None, cartan=True)
-        else:
-            # root-space orbits under nu
-            seen: set = set()
-            for rho in alg.rs.all_roots:
-                if rho in seen:
-                    continue
-                orbit = [rho]
-                cur = _perm_root(self.nu_perm, rho)
-                while cur != rho:
-                    orbit.append(cur)
-                    cur = _perm_root(self.nu_perm, cur)
-                seen.update(orbit)
-                idxs = [alg.root_index(x) for x in orbit]
-                # matrix of nu on the orbit span
-                mat = [[Q(0)] * len(idxs) for _ in idxs]
-                for c, idx in enumerate(idxs):
-                    img = self.nu_cols[idx]
-                    for rr, iidx in enumerate(idxs):
-                        if iidx in img:
-                            mat[rr][c] = img[iidx]
-                wt = self._weight_of_root(rho)
-                pos = is_positive(rho)
-                for j in range(r):
-                    vecs = _eigen_kernel(mat, j, r)
-                    for v in vecs:
-                        chev = {}
-                        for c, idx in enumerate(idxs):
-                            if v[c] != 0:
-                                chev[idx] = v[c]
-                        new_slot(j, wt, chev, pos)
-            # Cartan orbits
-            zero_w = (0,) * self.nh
-            for orbit in self.orbits:
-                idxs = [alg.h_index(i) for i in orbit]
-                mat = [[Q(0)] * len(idxs) for _ in idxs]
-                for c, i in enumerate(orbit):
-                    tgt = alg.h_index(self.nu_perm[i])
-                    rr = idxs.index(tgt)
-                    mat[rr][c] = Q(1)
-                for j in range(r):
-                    vecs = _eigen_kernel(mat, j, r)
-                    for v in vecs:
-                        chev = {idxs[c]: v[c] for c in range(len(idxs)) if v[c] != 0}
-                        new_slot(j, zero_w, chev, None, cartan=(j == 0))
+        self.chev_slots: dict = {}   # Chevalley index i -> [(slot, coeff)], the slots of e_i
+        starts = [i for b in alg.rs.positive_roots for i in (alg.e_index(b), alg.f_index(b))]
+        for start in starts + [alg.h_index(i) for i in range(alg.rank)]:
+            if start in self.chev_slots:
+                continue
+            idxs = [start]
+            for idx in idxs:   # nu sends each basis vector to a multiple of one
+                img, = cols[idx]
+                if img != start:
+                    idxs.append(img)
+            mat = [[cols[i].get(k, Q(0)) for i in idxs] for k in idxs]   # nu on the orbit span
+            rho = alg.basis_root(start)
+            wt = (0,) * self.nh if rho is None else self._weight_of_root(rho)
+            first = len(slots)
+            for j in range(r):
+                for v in _eigen_kernel(mat, j, r):
+                    slots.append(Slot(len(slots), j, wt, {i: x for i, x in zip(idxs, v) if x},
+                                      None if rho is None else is_positive(rho),
+                                      rho is None and j == 0, self.s_height(wt, j), self.m))
+            inv = mat_inverse([[s.vec.get(i, Q(0)) for s in slots[first:]] for i in idxs])
+            for i, col in zip(idxs, zip(*inv)):
+                self.chev_slots[i] = [(first + k, c) for k, c in enumerate(col) if c]
 
         self.slots = slots
         # lookup: restricted weight -> slot indices, across nu-classes
@@ -310,22 +287,6 @@ class TwistedLoopAlgebra:
                 raise ValueError("vector has a component outside g^sigma_%d" % k)
             out[(sid, k)] = c
         return LoopElement(self, out)
-
-    @cached_property
-    def chev_slots(self) -> dict:
-        """Chevalley index i -> [(slot, coeff)], the slot coordinates of e_i.
-
-        The slots of one restricted weight are a basis of the Chevalley
-        vectors of that weight, so one matrix inverse per weight gives them.
-        """
-        out: dict = {}
-        for ids in self._by_weight.values():
-            support = sorted({i for sid in ids for i in self.slots[sid].vec})
-            inv = mat_inverse([[self.slots[sid].vec.get(i, Q(0)) for sid in ids]
-                               for i in support])
-            for col, i in enumerate(support):
-                out[i] = [(sid, row[col]) for sid, row in zip(ids, inv) if row[col] != 0]
-        return out
 
     def slot_coords(self, gvec: Vec) -> dict:
         """Write a g-vector as a combination of slots; returns slot -> coeff."""
@@ -598,10 +559,12 @@ def _restrict(rs: RootSystem, orbits: list, r: Root) -> Weight:
 
 def _eigen_kernel(mat: list, j: int, r: int) -> list:
     """Basis of the zeta_r^j eigenspace of a small rational matrix, over Q
-    for r <= 2 and over Q(zeta_3) for r = 3."""
+    for r <= 2 and over Q(zeta_3) for r = 3; a 1 x 1 matrix takes no solve."""
     one = Q(1) if r <= 2 else CycNumber(1)
     lam = zeta(r, j)
     n = len(mat)
+    if n == 1:
+        return [[one]] if mat[0][0] == lam else []
     a = [[one * mat[i][k] - (lam if i == k else 0) for k in range(n)] for i in range(n)]
     return kernel_basis(a, one * 0, one)
 

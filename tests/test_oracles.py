@@ -44,12 +44,19 @@ implementations, kept here unchanged in substance:
   of node 0 for an unpruned map, where the census searches O alone; the
   lemma that licenses this (a map restricts to a map on every subset of
   Gamma_1) is tested on its own, on the unpruned maps;
+- `branch_slots` builds the slots of a loop algebra on two branches: the
+  basis vectors themselves when nu = id, and otherwise one kernel solve
+  per eigenvalue on each root orbit, in `all_roots` order, and on each
+  Cartan orbit, whose matrix it rebuilds from `nu_perm`; the library makes
+  one pass over the nu-orbits of the Chevalley basis, solves no kernel on
+  a one-vector orbit, and fills `chev_slots` in the same pass;
 - `chevalley_form` pairs two loop elements through their Chevalley
   coordinates (`chev_parts` and `alg.killing`), where the library reads
   the cached `slot_pairing` of the loop algebra;
 - `solve_slot_coords` writes a g-vector over the slots with one `solve`
   per restricted weight on every call, where the library reads the
-  cached `chev_slots` table (one matrix inverse per weight);
+  `chev_slots` table, built with the slots (one matrix inverse per
+  nu-orbit of the Chevalley basis);
 - `evaluate_cybe_at` evaluates CYB(r) exactly at rational points, one
   bracket per pair of terms (`_bracket_into`), against the symbolic
   `cybe`; `residue_oracle` reads R_t off a truncated series of r0 + t,
@@ -95,7 +102,7 @@ from loopcybe.linalg import kernel_basis, mat_inverse, mat_mul, rref, rref_int, 
 from loopcybe.loop import (LoopElement, SigmaType, affine_diagram_data, affine_node_count,
                            loop_algebra)
 from loopcybe.regrade import apply_equivalence
-from loopcybe.scalars import CycNumber
+from loopcybe.scalars import CycNumber, zeta
 from loopcybe.serialize import quadruple_from_json, two_point_json
 from loopcybe.tensors import (_delta0, alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
                               t2_scale, tensor_to_slots, twist_defect, twist_residual, wedge)
@@ -806,13 +813,18 @@ def test_casimir_matches_killing_gram_oracle(label):
 
 
 def test_r0_builds_no_structure_constants(monkeypatch):
-    """r0 reads the Killing form off the root system; it builds neither the
-    structure constants, the table nor the dense Gram."""
+    """The untwisted loop algebra and r0 read the Killing form off the root
+    system; they build neither the structure constants nor the table."""
     for mod, name in ((chev, "_ALG_CACHE"), (lp, "_LOOP_CACHE"), (lp, "_DIAGRAM_CACHE")):
         monkeypatch.setattr(mod, name, {})
+
+    def refuse(rs):
+        raise AssertionError("structure constants built")
+
+    monkeypatch.setattr(chev, "_build_constants", refuse)
     L = loop_algebra(SigmaType.make("E7", (1,) + (0,) * 7, None))
     r0(L)
-    assert not {"n_codes", "n_table", "table", "killing_gram"} & set(vars(L.alg))
+    assert not {"n_codes", "n_table", "table"} & set(vars(L.alg))
 
 
 def test_table_rows_are_shared_and_left_unchanged(monkeypatch, capsys):
@@ -917,6 +929,102 @@ def test_affine_diagram_data_matches_slot_oracle(label, nu):
         oracle = vars(slot_diagram(L, sigma))
         diagram = vars(affine_diagram_data(sigma))
         assert {k: diagram.get(k) for k in oracle} == oracle, s
+
+
+def eigen_kernel_solve(mat, j, r):
+    """Basis of the zeta_r^j eigenspace of mat, by one kernel solve."""
+    one = Q(1) if r <= 2 else CycNumber(1)
+    lam = zeta(r, j)
+    n = len(mat)
+    a = [[one * mat[i][k] - (lam if i == k else 0) for k in range(n)] for i in range(n)]
+    return kernel_basis(a, one * 0, one)
+
+
+def branch_slots(L):
+    """The slots of L, built on an untwisted and a twisted branch."""
+    alg = L.alg
+    r = L.nu_order
+    slots = []
+
+    def new_slot(j, weight, vec, positive, cartan=False):
+        base = L.s_height(weight, j % r)
+        slots.append(lp.Slot(len(slots), j % r, weight, vec, positive, cartan, base, L.m))
+
+    if r == 1:
+        for beta in alg.rs.positive_roots:
+            new_slot(0, L._weight_of_root(beta), {alg.e_index(beta): Q(1)}, True)
+            new_slot(0, L._weight_of_root(neg(beta)), {alg.f_index(beta): Q(1)}, False)
+        for i in range(alg.rank):
+            new_slot(0, (0,) * L.nh, {alg.h_index(i): Q(1)}, None, cartan=True)
+        return slots
+    seen = set()
+    for rho in alg.rs.all_roots:
+        if rho in seen:
+            continue
+        orbit = [rho]
+        cur = lp._perm_root(L.nu_perm, rho)
+        while cur != rho:
+            orbit.append(cur)
+            cur = lp._perm_root(L.nu_perm, cur)
+        seen.update(orbit)
+        idxs = [alg.root_index(x) for x in orbit]
+        mat = [[Q(0)] * len(idxs) for _ in idxs]
+        for c, idx in enumerate(idxs):
+            img = L.nu_cols[idx]
+            for rr, iidx in enumerate(idxs):
+                if iidx in img:
+                    mat[rr][c] = img[iidx]
+        for j in range(r):
+            for v in eigen_kernel_solve(mat, j, r):
+                new_slot(j, L._weight_of_root(rho),
+                         {idx: v[c] for c, idx in enumerate(idxs) if v[c] != 0}, is_positive(rho))
+    for orbit in L.orbits:
+        idxs = [alg.h_index(i) for i in orbit]
+        mat = [[Q(0)] * len(idxs) for _ in idxs]
+        for c, i in enumerate(orbit):
+            mat[idxs.index(alg.h_index(L.nu_perm[i]))][c] = Q(1)
+        for j in range(r):
+            for v in eigen_kernel_solve(mat, j, r):
+                new_slot(j, (0,) * L.nh, {idxs[c]: v[c] for c in range(len(idxs)) if v[c] != 0},
+                         None, cartan=(j == 0))
+    return slots
+
+
+def slot_fields(slot):
+    return (slot.nu_class, slot.weight, repr(slot.vec), slot.positive, slot.cartan,
+            slot.nu_base_degree)
+
+
+def slots_by_key(slots):
+    """(weight, nu-class) -> the fields of its slots, in index order."""
+    out = {}
+    for slot in slots:
+        out.setdefault((slot.weight, slot.nu_class), []).append(slot_fields(slot))
+    return out
+
+
+# (label, nu): every untwisted type the tests build, and outer twists of order 2 and 3
+SLOT_ALGEBRAS = ([(label, None) for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2",
+                                               "C3", "C4", "D4", "D5", "G2", "F4", "E6", "E7")]
+                 + [("A%d" % n, tuple(range(n))[::-1]) for n in range(2, 6)]
+                 + [("D4", (0, 1, 3, 2)), ("D5", (0, 1, 2, 4, 3)), ("E6", (5, 1, 4, 3, 2, 0)),
+                    ("D4", (2, 1, 3, 0))])
+
+
+@pytest.mark.parametrize("label,nu", SLOT_ALGEBRAS,
+                         ids=[diagram_id((label, nu, None)) for label, nu in SLOT_ALGEBRAS])
+def test_slots_match_branch_oracle(label, nu):
+    """Every slot against `branch_slots`, keyed by (weight, nu-class), at
+    s = e_0 and at s = e_n (s_0 = 0); by index as well when nu = id.  The
+    vectors are compared by repr, so their coefficient types must agree."""
+    nodes = affine_node_count(CartanType.parse(label), nu)
+    for s in ([1] + [0] * (nodes - 1), [0] * (nodes - 1) + [1]):
+        L = loop_algebra(SigmaType.make(label, s, nu))
+        want = branch_slots(L)
+        assert slots_by_key(L.slots) == slots_by_key(want), s
+        assert [slot.index for slot in L.slots] == list(range(len(want)))
+        if L.nu_order == 1:
+            assert list(map(slot_fields, L.slots)) == list(map(slot_fields, want)), s
 
 
 def chevalley_form(L, f, g):

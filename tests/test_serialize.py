@@ -31,6 +31,17 @@ def test_quadruple_d_component_key():
     assert sz.quadruple_from_json(data) == q
 
 
+def test_quadruple_t_h_pair_is_read_in_order():
+    """A t_h entry with i > j is the entry (j, i) with the opposite sign."""
+    q = BDQuadruple.make(A2, {1}, {2}, {1: 2}, {(0, 1): Q(1, 36)})
+    data = sz.quadruple_json(q)
+    data["t_h"] = [{"i": 2, "j": 1, "val": "-1/36"}]
+    assert sz.quadruple_from_json(data) == q
+    data["t_h"] = [{"i": "d", "j": 1, "val": "1/2"}]
+    assert sz.quadruple_json(sz.quadruple_from_json(data))["t_h"] == \
+        [{"i": 1, "j": "d", "val": "-1/2"}]
+
+
 def test_tensor_roundtrip():
     L = loop_algebra(A2)
     r = r0(L)

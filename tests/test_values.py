@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from loopcybe.bd import BDQuadruple
+from loopcybe.bd import BDQuadruple, D_INDEX
 from loopcybe.cartan import CartanType
 from loopcybe.loop import SigmaType
 from loopcybe.scalars import CycNumber, Q, zeta
@@ -26,7 +26,14 @@ def test_equal_values_hash_and_look_up_alike():
     pairs = [(CartanType("A", 2), CartanType.parse("a2")),
              (A2, SigmaType(CartanType("A", 2), (1, 0, 0))),
              (QUAD, BDQuadruple.make(A2, {1}, (2,), {1: 2}, {(0, 1): Q(2, 72), (1, 0): 0})),
-             (CycNumber(Q(1, 2)), CycNumber(Q(1, 2), 0))]
+             (CycNumber(Q(1, 2)), CycNumber(Q(1, 2), 0)),
+             # a skew t_h: a swapped pair flips its sign, repeated pairs add up
+             (BDQuadruple.make(A2, (), (), {}, {(1, 0): 1}),
+              BDQuadruple.make(A2, (), (), {}, {(0, 1): -1})),
+             (BDQuadruple.make(A2, (), (), {}, {(0, 1): 1, (1, 0): 1}),
+              BDQuadruple.make(A2, (), (), {}, {})),
+             (BDQuadruple.make(A2, (), (), {}, {(D_INDEX, 1): Q(1, 2), (0, 1): 1}),
+              BDQuadruple.make(A2, (), (), {}, {(1, D_INDEX): Q(-1, 2), (0, 1): 1}))]
     for a, b in pairs:
         assert a == b and not a != b and hash(a) == hash(b)
         assert a is not b and {a: 1}[b] == 1 and b in {a} and len({a, b}) == 1
