@@ -217,7 +217,8 @@ class TwistedLoopAlgebra:
                     slots.append(Slot(len(slots), j, wt, {i: x for i, x in zip(idxs, v) if x},
                                       None if rho is None else is_positive(rho),
                                       rho is None and j == 0, self.s_height(wt, j), self.m))
-            inv = mat_inverse([[s.vec.get(i, Q(0)) for s in slots[first:]] for i in idxs])
+            vecs = [[s.vec.get(i, Q(0)) for s in slots[first:]] for i in idxs]
+            inv = [[Q(1) / vecs[0][0]]] if len(idxs) == 1 else mat_inverse(vecs)
             for i, col in zip(idxs, zip(*inv)):
                 self.chev_slots[i] = [(first + k, c) for k, c in enumerate(col) if c]
 
