@@ -133,7 +133,7 @@ def validate(q: BDQuadruple) -> dict:
 
     # condition 3: the given t_h satisfies the Cartan constraints
     if report["condition1"]["ok"] and report["condition2"]["ok"]:
-        resid = _condition3_residual(L, gmap, q.gamma1, q.t_h_dict)
+        resid = condition3_residual(L, gmap, q.gamma1, q.t_h_dict)
         report["condition3"] = {"ok": all(not any(v) for v in resid.values()),
                                 "residuals": {str(k): [str(x) for x in v]
                                               for k, v in resid.items() if any(v)}}
@@ -184,7 +184,7 @@ def _condition3_matrix(L, gmap: dict, gamma1: frozenset):
     return pairs, rows, rhs
 
 
-def _condition3_residual(L, gmap: dict, gamma1: frozenset, t_h: dict) -> dict:
+def condition3_residual(L, gmap: dict, gamma1: frozenset, t_h: dict) -> dict:
     """Value of (alpha_{gamma(i)} (x) 1 + 1 (x) alpha_i)(t_h + C_h/2) per i:
     (2 iota_{h_i} t_h + c_i) / 2d on the rows of `_condition3_system`."""
     nh = L.nh

@@ -207,18 +207,20 @@ class ChevalleyAlgebra:
                     acc += ci * y[j] * self.root_kappa[i % npos]
         return acc
 
+    @cached_property
+    def cartan_gram_inverse(self) -> list:
+        """`cartan_gram` inverted, in Fractions; singular only on a broken root system."""
+        from .linalg import mat_inverse
+
+        return mat_inverse([list(map(Q, row)) for row in self.cartan_gram])
+
     def coroot(self, alpha_on_h) -> Vec:
         """The element t in the Cartan with kappa(t, h_i) = alpha(h_i).
 
         `alpha_on_h` is the tuple of values of the functional on h_1..h_n.
-        Raises if the Cartan Gram matrix is singular (it never is for a
-        simple algebra; a failure signals a broken root system).
         """
-        from .linalg import solve
-
-        sol = solve([list(map(Q, row)) for row in self.cartan_gram], [Q(v) for v in alpha_on_h])
-        if sol is None:
-            raise ValueError("singular Cartan Gram matrix")
+        vals = [Q(v) for v in alpha_on_h]
+        sol = (sum(a * b for a, b in zip(row, vals)) for row in self.cartan_gram_inverse)
         return {self.h_index(i): c for i, c in enumerate(sol) if c}
 
     def root_functional(self, r: Root) -> tuple:
@@ -229,16 +231,14 @@ class ChevalleyAlgebra:
         """Casimir element sum b_a (x) b^a over kappa-dual bases.
 
         Returned as a sparse g (x) g tensor {(i, j): coeff}.  It reads
-        `root_kappa` and `cartan_gram` alone.
+        `root_kappa` and `cartan_gram_inverse` alone.
         """
-        from .linalg import mat_inverse
-
         out: dict = {}
         npos = self.num_pos
         for b, c in enumerate(self.root_kappa):
             out[(b, b + npos)] = out[(b + npos, b)] = 1 / c
         n = self.rank
-        ginv = mat_inverse([list(map(Q, row)) for row in self.cartan_gram])
+        ginv = self.cartan_gram_inverse
         for i in range(n):
             for j in range(n):
                 if ginv[i][j]:

@@ -5,9 +5,11 @@ a diagram automorphism matches their Gamma-data, conjugates gamma, and
 maps the t_h family onto the other; this module implements that decision
 procedure, orbit enumeration, and the reachability census that decides
 which twists can be moved off the affine node (the quasi-trigonometric
-question).  Every triple enumeration runs one orbit loop over Gamma_1
-(`_representatives`); the census searches one Gamma_1, the orbit of the
-affine node.
+question).  Condition 3 is affine in t_h, so the family test compares two
+condition-3 residuals: for two valid quadruples both are zero, and every
+automorphism that aligns the Gamma-data is a witness.  Every triple
+enumeration runs one orbit loop over Gamma_1 (`_representatives`); the
+census searches one Gamma_1, the orbit of the affine node.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .bd import (BDQuadruple, D_INDEX, canonical_t_h, cartan_transport, th_dimension,
-                 th_solution_space)
+from .bd import (BDQuadruple, D_INDEX, canonical_t_h, cartan_transport, condition3_residual,
+                 th_dimension)
 from .cartan import SERIES_RANKS, CartanType
-from .linalg import in_span, mat_mul, mat_vec
+from .linalg import mat_mul, mat_vec
 from .loop import SigmaType, affine_diagram_data
 
 Q = Fraction
@@ -95,50 +97,41 @@ def act(perm: tuple, q: BDQuadruple) -> BDQuadruple:
     return BDQuadruple.make(q.sigma, g1, g2, gmap, th)
 
 
-def _t_h_vector(t_h: dict, pairs: list, nh: int) -> list:
-    vec = [Q(0)] * len(pairs)
-    for (a, b), c in t_h.items():
-        a = nh if a == D_INDEX else a
-        b = nh if b == D_INDEX else b
-        key = (a, b) if a < b else (b, a)
-        sgn = 1 if a < b else -1
-        vec[pairs.index(key)] += sgn * c
-    return vec
-
-
 def equivalence_witness(qa: BDQuadruple, qb: BDQuadruple) -> Optional[tuple]:
-    """A diagram automorphism theta with theta(qa) = qb, or None.
-
-    The t_h comparison is modulo the homogeneous condition-3 family of
-    qb (the affine families, not single points, are the invariant data).
-    """
+    """The first of `all_equivalence_witnesses(qa, qb)`, or None."""
     wits = all_equivalence_witnesses(qa, qb)
     return wits[0] if wits else None
 
 
 def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
+    """Every diagram automorphism theta with theta(qa) = qb, in group order.
+
+    theta must align the Gamma-data and gamma, and move qa's t_h into qb's
+    condition-3 family.  That test compares residuals: on qb's rows the
+    residual of t is A t + c, equal for theta(t_h) and qb's t_h exactly when
+    their difference lies in ker A, the homogeneous family.  For two valid
+    quadruples both residuals are zero, so every aligning theta is a
+    witness.  Raises ValueError when qb's condition-3 system has no solution.
+    """
     if qa.sigma != qb.sigma:
         raise ValueError("quadruples live on different diagrams")
     L = affine_diagram_data(qa.sigma)
-    group = loop_diagram_automorphisms(L)
-    space_b = th_solution_space(qb.sigma, qb.gamma1, qb.gamma2, qb.gamma_map)
-    pairs = space_b["pairs"]
-    nh = L.nh
-    homog = [_t_h_vector(b, pairs, nh) for b in space_b["basis"]]
+    gmap = qb.gamma_map
+    try:
+        th_dimension(qb.sigma, qb.gamma1, qb.gamma2, gmap)
+    except ValueError:      # a trapped gamma as well: no t_h solves condition 3
+        raise ValueError("condition-3 system is inconsistent") from None
+    target = condition3_residual(L, gmap, qb.gamma1, qb.t_h_dict)
     out = []
-    for perm in group:
+    for perm in loop_diagram_automorphisms(L):
         if frozenset(perm[i] for i in qa.gamma1) != qb.gamma1:
             continue
         if frozenset(perm[i] for i in qa.gamma2) != qb.gamma2:
             continue
-        if {perm[a]: perm[b] for a, b in qa.gamma} != qb.gamma_map:
+        if {perm[a]: perm[b] for a, b in qa.gamma} != gmap:
             continue
         moved = act_on_t_h(L, perm, qa.t_h_dict)
-        diff = dict(moved)
-        for k, c in qb.t_h_dict.items():
-            diff[k] = diff.get(k, 0) - c
-        dv = _t_h_vector({k: v for k, v in diff.items() if v}, pairs, nh)
-        if in_span(homog, dv):
+        if condition3_residual(L, gmap, qb.gamma1, moved) == target:
             out.append(perm)
     return out
 
@@ -294,7 +287,7 @@ def type_census(types: Iterable[str], max_rank: int) -> list:
     good = every Gamma_1 admitting a valid quadruple is movable off the
     affine node; otherwise a concrete unreachable witness is reported.
     A label is a series ("B", every admissible rank up to max_rank) or one
-    type ("B4").  Diagrams of more than 17 nodes are refused.
+    type ("B4").
     """
     out = []
     for label in types:
@@ -307,10 +300,7 @@ def type_census(types: Iterable[str], max_rank: int) -> list:
         for rank in ranks:
             ct = CartanType(series, rank)
             sigma = SigmaType(ct, tuple([1] + [0] * rank))
-            L = affine_diagram_data(sigma)
-            if len(L.node_weights) > 17:
-                raise ValueError("rank too large for exhaustive enumeration")
-            wit = unreachable_admissible_gamma1(L)
+            wit = unreachable_admissible_gamma1(affine_diagram_data(sigma))
             out.append({"type": series, "rank": rank, "good": wit is None,
                         "witness_gamma1": wit["gamma1"] if wit else None,
                         "witness": wit})

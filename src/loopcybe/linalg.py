@@ -155,16 +155,3 @@ def mat_inverse(m: Sequence[Sequence]) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
-    """Whether v lies in the row span of `basis`."""
-    if not basis:
-        return all(x == 0 for x in v)
-    red, pivots = rref(basis)
-    w = list(v)
-    for r, pc in enumerate(pivots):
-        if w[pc] != 0:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, red[r])]
-    return all(x == 0 for x in w)

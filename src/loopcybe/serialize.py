@@ -188,7 +188,7 @@ def quadruple_from_json(data: dict) -> BDQuadruple:
         key = (_th_key_parse(it["i"], nodes - 1), _th_key_parse(it["j"], nodes - 1))
         _expect(key[0] != key[1], "t_h entry i = %r, j = %r pairs an index with itself"
                 % (it["i"], it["j"]))
-        t_h[key] = parse_frac(it["val"])
+        t_h[key] = t_h.get(key, 0) + parse_frac(it["val"])
     return BDQuadruple.make(sigma, g1, g2, gamma, t_h)
 
 

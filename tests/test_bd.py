@@ -108,12 +108,12 @@ def test_th_particular_is_d_free_on_random_condition3_systems(monkeypatch):
         monkeypatch.setattr(bd, "affine_diagram_data", lambda sigma: stub)
         gamma = {i: k + i for i in range(k)}
         gamma1 = frozenset(gamma)
-        assert not any(any(v) for v in bd._condition3_residual(stub, gamma, gamma1, t0).values())
+        assert not any(any(v) for v in bd.condition3_residual(stub, gamma, gamma1, t0).values())
         space = th_solution_space(None, gamma1, gamma.values(), gamma)
         with_d += any(D_INDEX in key for b in space["basis"] for key in b)
         th = space["particular"]
         assert all(D_INDEX not in key for key in th)
-        assert not any(any(v) for v in bd._condition3_residual(stub, gamma, gamma1, th).values())
+        assert not any(any(v) for v in bd.condition3_residual(stub, gamma, gamma1, th).values())
     assert with_d >= 50, with_d
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 
@@ -192,6 +193,22 @@ def test_census_ranks_12_to_16():
         assert not cl.quasi_trig_reachable(L, wit["gamma1"])[0]
 
 
+def test_census_ranks_17_to_32():
+    """Past 17 affine nodes the four series are the families in n that
+    README.md states: A_n and C_n good, B_n bad with witness Gamma_1 = {0, 1},
+    D_n bad with {0, 1, n-1, n}, whose t_h family has dimension
+    C(n + 1 - |Gamma_1|, 2) (criterion 3)."""
+    labels = ["%s%d" % (t, n) for t in "ABCD" for n in range(17, 33)]
+    rows = cl.type_census(labels, 32)
+    assert ["%s%d" % (r["type"], r["rank"]) for r in rows] == labels
+    for row in rows:
+        n = row["rank"]
+        want = {"A": None, "C": None, "B": [0, 1], "D": [0, 1, n - 1, n]}[row["type"]]
+        assert row["good"] == (want is None) and row["witness_gamma1"] == want, row
+        if want:
+            assert row["witness"]["t_h_dimension"] == comb(n + 1 - len(want), 2), row
+
+
 def test_a3_orbit_partition_and_stabilizers():
     """Orbit sizes divide the dihedral group order 8 and partition A3^(1)."""
     sigma = SigmaType.make("A3", [1, 0, 0, 0])
@@ -207,6 +224,7 @@ def test_a3_orbit_partition_and_stabilizers():
 def test_t_h_family_equivariance():
     """The condition-3 family of theta(triple) is the theta-image family."""
     from loopcybe.bd import th_solution_space
+    from test_oracles import in_span, t_h_vector
     q = quad(A2, {1}, {2}, {1: 2})
     space = th_solution_space(A2, q.gamma1, q.gamma2, q.gamma_map)
     L = affine_diagram_data(A2)
@@ -221,9 +239,8 @@ def test_t_h_family_equivariance():
             diff[k] = diff.get(k, 0) - c
         diff = {k: v for k, v in diff.items() if v}
         pairs = space2["pairs"]
-        homog = [cl._t_h_vector(b, pairs, L.nh) for b in space2["basis"]]
-        from loopcybe.linalg import in_span
-        assert in_span(homog, cl._t_h_vector(diff, pairs, L.nh))
+        homog = [t_h_vector(b, pairs, L.nh) for b in space2["basis"]]
+        assert in_span(homog, t_h_vector(diff, pairs, L.nh))
 
 
 def test_parabolic_restriction_identity_case():

@@ -64,8 +64,18 @@ nu = (5, 4, 3, 2, 1, 0) graded by s = (0, 0, 0, 1); and `verify-cybe` and
 Gamma_1 = {1, 3}, gamma: 1 -> 0, 3 -> 2, with its canonical t_h).  They
 were written by the code that still built the slots of an outer nu on
 separate root-orbit and Cartan-orbit branches and inverted them once per
-restricted weight.  A change that alters any of them alters the CLI's
-output.  After an intended output change, rewrite them with
+restricted weight.  The four `equiv` cases after them run on the A2
+quadruple `quad.json` against its rotation with t_h moved along its
+condition-3 family, `"d"` entries included (`equiv-A2-along`, exit 0), and
+off it (`equiv-A2-off`, exit 1), and on two quadruples whose condition-3
+system has no solution, each against itself (exit 2): A3 with gamma the
+swap of nodes 1 and 2 (`error-equiv-trapped`) and B3 with gamma: 0 -> 3
+(`error-equiv-non-isometric`).  They were written by the code that still
+solved that system and tested the moved t_h against the span of its
+kernel.  `validate-A2-split` (exit 0) gives the t_h of `quad.json` as two
+equal entries on one pair; it was written by the first code that adds
+them, where earlier code kept only the later entry.  A change that alters
+any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -146,6 +156,13 @@ CASES = [
     ("r0-A6-order2", ["r0", "--type", "A6", "--nu", "5,4,3,2,1,0", "--s", "0,0,0,1"]),
     ("verify-E6-order2", ["verify-cybe", "-i", "quad_e6_order2.json"]),
     ("twist-E6-order2", ["twist", "-i", "quad_e6_order2.json"]),
+    ("equiv-A2-along", ["equiv", "-a", "quad.json", "-b", "quad_rotated_along.json"]),
+    ("equiv-A2-off", ["equiv", "-a", "quad.json", "-b", "quad_rotated_off.json"]),
+    ("error-equiv-trapped", ["equiv", "-a", "quad_a3_trapped.json",
+                             "-b", "quad_a3_trapped.json"]),
+    ("error-equiv-non-isometric", ["equiv", "-a", "quad_b3_non_isometric.json",
+                                   "-b", "quad_b3_non_isometric.json"]),
+    ("validate-A2-split", ["validate", "-i", "quad_split.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.

@@ -27,6 +27,10 @@ implementations, kept here unchanged in substance:
 - `th_solution_space` itself, the one Bareiss solve of the condition-3
   system, is the oracle of `th_dimension`, which counts the family from
   Cartan's lemma: both give the same dimension, or both raise;
+- `span_equivalence_witnesses` decides `equiv` by solving qb's condition-3
+  system, writing t_h as a vector over the pairs (`t_h_vector`) and testing
+  the moved difference for membership in the kernel's span (`in_span`),
+  where `all_equivalence_witnesses` compares two condition-3 residuals;
 - `unpruned_isometric_maps` enumerates every injective isometry of the
   Fraction coroot Gram on Gamma_1 and tests orbit escape only on completed
   maps;
@@ -85,7 +89,7 @@ import json
 import os
 import random
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 from types import SimpleNamespace
 
@@ -287,6 +291,58 @@ def unpruned_isometric_maps(L, g1):
     yield from backtrack(0, [])
 
 
+def t_h_vector(t_h, pairs, nh):
+    """t_h as a vector over `pairs`, the extended skew square; d is index nh."""
+    vec = [Q(0)] * len(pairs)
+    for (a, b), c in t_h.items():
+        a = nh if a == bd.D_INDEX else a
+        b = nh if b == bd.D_INDEX else b
+        key = (a, b) if a < b else (b, a)
+        sgn = 1 if a < b else -1
+        vec[pairs.index(key)] += sgn * c
+    return vec
+
+
+def in_span(basis, v):
+    """Whether v lies in the row span of `basis`."""
+    if not basis:
+        return all(x == 0 for x in v)
+    red, pivots = rref(basis)
+    w = list(v)
+    for r, pc in enumerate(pivots):
+        if w[pc] != 0:
+            f = w[pc]
+            w = [x - f * y for x, y in zip(w, red[r])]
+    return all(x == 0 for x in w)
+
+
+def span_equivalence_witnesses(qa, qb):
+    if qa.sigma != qb.sigma:
+        raise ValueError("quadruples live on different diagrams")
+    L = affine_diagram_data(qa.sigma)
+    group = cl.loop_diagram_automorphisms(L)
+    space_b = bd.th_solution_space(qb.sigma, qb.gamma1, qb.gamma2, qb.gamma_map)
+    pairs = space_b["pairs"]
+    nh = L.nh
+    homog = [t_h_vector(b, pairs, nh) for b in space_b["basis"]]
+    out = []
+    for perm in group:
+        if frozenset(perm[i] for i in qa.gamma1) != qb.gamma1:
+            continue
+        if frozenset(perm[i] for i in qa.gamma2) != qb.gamma2:
+            continue
+        if {perm[a]: perm[b] for a, b in qa.gamma} != qb.gamma_map:
+            continue
+        moved = cl.act_on_t_h(L, perm, qa.t_h_dict)
+        diff = dict(moved)
+        for k, c in qb.t_h_dict.items():
+            diff[k] = diff.get(k, 0) - c
+        dv = t_h_vector({k: v for k, v in diff.items() if v}, pairs, nh)
+        if in_span(homog, dv):
+            out.append(perm)
+    return out
+
+
 # (label, nu, affine nodes): the catalog diagrams below E6, twisted ones too
 CATALOGS = [("A1", None, 2), ("A2", None, 3), ("A3", None, 4), ("B3", None, 4),
             ("C3", None, 4), ("D4", None, 5), ("G2", None, 3), ("F4", None, 5),
@@ -432,7 +488,7 @@ def test_condition3_residual_matches_fraction_terms(label, nu, nodes):
             key = rng.choice(keys)
             bumped[key] = bumped.get(key, 0) + Q(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
             for th in (t_h, bumped):
-                got = bd._condition3_residual(L, gamma, g1, th)
+                got = bd.condition3_residual(L, gamma, g1, th)
                 want = fraction_condition3_residual(L, gamma, g1, th)
                 assert list(got) == list(want) and typed(got.values()) == typed(want.values())
                 report = bd.validate(bd.BDQuadruple.make(sigma, g1, g2, gamma, th))
@@ -579,16 +635,85 @@ def test_th_dimension_rejects_trapped_gamma(gamma):
         bd.th_dimension(sigma, set(gamma), set(gamma.values()), gamma)
 
 
-@pytest.mark.parametrize("name", ["catalog-E6", "catalog-D4-order3", "census-BCD-6"])
+@pytest.mark.parametrize("name", ["catalog-E6", "catalog-D4-order3", "census-BCD-6",
+                                  "equiv-A2", "equiv-A2-along", "equiv-A2-off",
+                                  "error-equiv-trapped", "error-equiv-non-isometric"])
 def test_catalog_and_census_never_solve(name, monkeypatch, capsys):
-    """Catalogs and the census count the condition-3 family: their golden
-    output comes out with the solve refused."""
+    """Catalogs and the census count the condition-3 family, and `equiv`
+    compares residuals: their golden output comes out with the solve
+    refused."""
     def refuse(*args):
         raise AssertionError("th_solution_space called")
 
     monkeypatch.setattr(bd, "th_solution_space", refuse)
-    monkeypatch.setattr(cl, "th_solution_space", refuse)
+    monkeypatch.chdir(GOLDEN)
     assert (cli.main(dict(CASES)[name]), capsys.readouterr().out) == expected(name)
+
+
+@pytest.mark.parametrize("label,nu,nodes", [("A2", None, 3), ("A3", None, 4), ("C2", None, 3),
+                                            ("G2", None, 3), ("A3", (2, 1, 0), 3)],
+                         ids=["A2", "A3", "C2", "G2", "A3-nu210"])
+def test_th_dimension_raises_with_solution_space_on_every_map(label, nu, nodes):
+    """Every map from a nonempty proper Gamma_1 to the nodes, injective or
+    not: `equiv` reads solvability off the count, where it once solved."""
+    sigma = SigmaType.make(label, [1] + [0] * (nodes - 1), nu)
+    for mask in range(1, 2 ** nodes - 1):
+        g1 = [i for i in range(nodes) if mask >> i & 1]
+        for image in product(range(nodes), repeat=len(g1)):
+            assert_same_count(sigma, frozenset(g1), frozenset(image), dict(zip(g1, image)))
+
+
+# (label, s, nu): untwisted, twisted, principal and s_0 = 0 gradings
+EQUIV_DIAGRAMS = [("A1", (1, 0), None), ("A2", (1, 0, 0), None), ("A3", (1, 0, 0, 0), None),
+                  ("C2", (1, 0, 0), None), ("G2", (1, 0, 0), None),
+                  ("A3", (1, 0, 0), (2, 1, 0)), ("A2", (1, 1, 1), None),
+                  ("A3", (0, 1, 0, 1), None)]
+
+
+def equivalence_pairs(sigma, rng):
+    """(qa, qb) pairs.  qa is each valid triple with its canonical t_h plus
+    a seeded d-free element of its family; qb is theta(qa) for up to three
+    theta, then the same with 1/5 added to one entry of t_h (d included),
+    and with twice a vector of qb's homogeneous family added."""
+    L = affine_diagram_data(sigma)
+    group = cl.loop_diagram_automorphisms(L)
+    keys = [(a, b if b < L.nh else bd.D_INDEX) for a, b in bd._pairs(L.nh + 1)]
+
+    def plus(t_h, v, c):
+        out = dict(t_h)
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+        return out
+
+    for g1, g2, gm in cl.enumerate_triples(L):
+        th = bd.canonical_t_h(sigma, g1, g2, dict(gm))
+        for v in bd.th_solution_space(sigma, g1, g2, dict(gm))["basis"]:
+            if not any(bd.D_INDEX in k for k in v):
+                th = plus(th, v, Q(rng.randint(-3, 3), rng.randint(1, 4)))
+        qa = bd.BDQuadruple.make(sigma, g1, g2, dict(gm), th)
+        for perm in rng.sample(group, min(3, len(group))):
+            qb = cl.act(perm, qa)
+            triple = (sigma, qb.gamma1, qb.gamma2, qb.gamma_map)
+            yield qa, qb
+            shifted = plus(qb.t_h_dict, {rng.choice(keys): 1}, Q(1, 5))
+            yield qa, bd.BDQuadruple.make(*triple, shifted)
+            basis = bd.th_solution_space(*triple)["basis"]
+            if basis:
+                yield qa, bd.BDQuadruple.make(*triple, plus(qb.t_h_dict, rng.choice(basis), 2))
+
+
+def test_equivalence_witnesses_match_span_oracle():
+    """The same witness lists, in the same order, on moved, shifted and
+    family-moved quadruples; both verdicts occur."""
+    rng = random.Random(26)
+    pairs = with_witness = 0
+    for label, s, nu in EQUIV_DIAGRAMS:
+        for qa, qb in equivalence_pairs(SigmaType.make(label, s, nu), rng):
+            got = cl.all_equivalence_witnesses(qa, qb)
+            assert got == span_equivalence_witnesses(qa, qb), (qa, qb)
+            pairs += 1
+            with_witness += bool(got)
+    assert pairs >= 900 and 0 < with_witness < pairs, (pairs, with_witness)
 
 
 ISOMETRY_DIAGRAMS = [("A3", None, 4), ("A5", None, 6), ("B3", None, 4), ("B5", None, 6),

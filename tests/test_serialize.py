@@ -42,6 +42,18 @@ def test_quadruple_t_h_pair_is_read_in_order():
         [{"i": 1, "j": "d", "val": "-1/2"}]
 
 
+def test_quadruple_t_h_repeated_pair_is_added():
+    """Every entry adds, a repeated pair in the same order as in both."""
+    q = BDQuadruple.make(A2, {1}, {2}, {1: 2}, {(0, 1): Q(1, 36)})
+    data = sz.quadruple_json(q)
+    data["t_h"] = [{"i": 1, "j": 2, "val": "1/72"}, {"i": 1, "j": 2, "val": "1/72"}]
+    assert sz.quadruple_from_json(data) == q
+    data["t_h"] = [{"i": 1, "j": 2, "val": "1/72"}, {"i": 2, "j": 1, "val": "-1/72"}]
+    assert sz.quadruple_from_json(data) == q
+    data["t_h"] = [{"i": 1, "j": 2, "val": "1/36"}, {"i": 1, "j": 2, "val": "-1/36"}]
+    assert sz.quadruple_from_json(data).t_h == ()
+
+
 def test_tensor_roundtrip():
     L = loop_algebra(A2)
     r = r0(L)
