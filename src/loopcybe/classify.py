@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .bd import (BDQuadruple, D_INDEX, canonical_t_h, cartan_transport, condition3_residual,
-                 th_dimension)
+                 th_dimension, validate)
 from .cartan import SERIES_RANKS, CartanType
 from .linalg import mat_mul, mat_vec
 from .loop import SigmaType, affine_diagram_data
@@ -111,16 +111,21 @@ def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
     residual of t is A t + c, equal for theta(t_h) and qb's t_h exactly when
     their difference lies in ker A, the homogeneous family.  For two valid
     quadruples both residuals are zero, so every aligning theta is a
-    witness.  Raises ValueError when qb's condition-3 system has no solution.
+    witness.  Raises ValueError on a quadruple, in either position, that fails
+    `validate`'s structure check or whose condition-3 system has no solution.
     """
     if qa.sigma != qb.sigma:
         raise ValueError("quadruples live on different diagrams")
+    for q in (qa, qb):
+        rep = validate(q)
+        if not rep["structure"]["ok"]:
+            raise ValueError("invalid quadruple: %r" % (rep,))
+        try:
+            th_dimension(q.sigma, q.gamma1, q.gamma2, q.gamma_map)
+        except ValueError:      # a trapped gamma as well: no t_h solves condition 3
+            raise ValueError("condition-3 system is inconsistent") from None
     L = affine_diagram_data(qa.sigma)
     gmap = qb.gamma_map
-    try:
-        th_dimension(qb.sigma, qb.gamma1, qb.gamma2, gmap)
-    except ValueError:      # a trapped gamma as well: no t_h solves condition 3
-        raise ValueError("condition-3 system is inconsistent") from None
     target = condition3_residual(L, gmap, qb.gamma1, qb.t_h_dict)
     out = []
     for perm in loop_diagram_automorphisms(L):

@@ -194,8 +194,10 @@ class TwistedLoopAlgebra:
         vector (every vector to itself when nu = id), so each orbit spans a
         nu-stable space: its zeta^j-eigenvectors are slots of nu-class j, and
         the inverse of their matrix gives the slot coordinates of its vectors.
+        A one-vector orbit takes neither: e_start is its own slot.
         """
         alg, r = self.alg, self.nu_order
+        one = Q(1) if r <= 2 else CycNumber(1)
         cols = self.nu_cols or [{i: Q(1)} for i in range(alg.dim)]   # nu = id fixes each vector
         slots: list[Slot] = []
         self.chev_slots: dict = {}   # Chevalley index i -> [(slot, coeff)], the slots of e_i
@@ -208,17 +210,20 @@ class TwistedLoopAlgebra:
                 img, = cols[idx]
                 if img != start:
                     idxs.append(img)
-            mat = [[cols[i].get(k, Q(0)) for i in idxs] for k in idxs]   # nu on the orbit span
+            if len(idxs) == 1:   # nu scales e_start by +-1 = zeta_r^j, j = 0 or 1
+                kernel = [(0 if cols[start][start] == 1 else 1, [one])]
+            else:
+                mat = [[cols[i].get(k, Q(0)) for i in idxs] for k in idxs]   # nu on the orbit span
+                kernel = [(j, v) for j in range(r) for v in _eigen_kernel(mat, j, r, one)]
             rho = alg.basis_root(start)
             wt = (0,) * self.nh if rho is None else self._weight_of_root(rho)
             first = len(slots)
-            for j in range(r):
-                for v in _eigen_kernel(mat, j, r):
-                    slots.append(Slot(len(slots), j, wt, {i: x for i, x in zip(idxs, v) if x},
-                                      None if rho is None else is_positive(rho),
-                                      rho is None and j == 0, self.s_height(wt, j), self.m))
-            vecs = [[s.vec.get(i, Q(0)) for s in slots[first:]] for i in idxs]
-            inv = [[Q(1) / vecs[0][0]]] if len(idxs) == 1 else mat_inverse(vecs)
+            for j, v in kernel:
+                slots.append(Slot(len(slots), j, wt, {i: x for i, x in zip(idxs, v) if x},
+                                  None if rho is None else is_positive(rho),
+                                  rho is None and j == 0, self.s_height(wt, j), self.m))
+            inv = [[one]] if len(idxs) == 1 else \
+                mat_inverse([[s.vec.get(i, Q(0)) for s in slots[first:]] for i in idxs])
             for i, col in zip(idxs, zip(*inv)):
                 self.chev_slots[i] = [(first + k, c) for k, c in enumerate(col) if c]
 
@@ -558,14 +563,11 @@ def _restrict(rs: RootSystem, orbits: list, r: Root) -> Weight:
     return tuple(sum(row[i] for i in orbit) for orbit in orbits)
 
 
-def _eigen_kernel(mat: list, j: int, r: int) -> list:
+def _eigen_kernel(mat: list, j: int, r: int, one) -> list:
     """Basis of the zeta_r^j eigenspace of a small rational matrix, over Q
-    for r <= 2 and over Q(zeta_3) for r = 3; a 1 x 1 matrix takes no solve."""
-    one = Q(1) if r <= 2 else CycNumber(1)
+    (one = Q(1)) for r <= 2 and over Q(zeta_3) (one = CycNumber(1)) for r = 3."""
     lam = zeta(r, j)
     n = len(mat)
-    if n == 1:
-        return [[one]] if mat[0][0] == lam else []
     a = [[one * mat[i][k] - (lam if i == k else 0) for k in range(n)] for i in range(n)]
     return kernel_basis(a, one * 0, one)
 

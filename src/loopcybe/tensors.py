@@ -12,13 +12,12 @@ Conventions:
   wedge(a, b) = a (x) b - b (x) a
 
 The Yang-Baxter verifier clears denominators and works on exact Laurent
-tensors; `cybe` output is CYB(r) multiplied by
-((x1/x2)^m - 1)((x1/x3)^m - 1)((x2/x3)^m - 1).  `cybe` calls
-`cyb_of_laurent`, which runs `_cyb_terms` on int coefficients only: once
-for a rational tensor, three times for one over Q(zeta_3).  `_cyb_terms`
-sums the three partial brackets of CYB one at a time and drains each
-straight into one output dict, times its factor (x_p/x_q)^m - 1 for
-`cybe`, and zeros are dropped once, at the end.
+tensors; `cybe` output is CYB(r) times D = D12 D13 D23, D_pq = (x_p/x_q)^m - 1.
+For a skew r, CYB(r) = (1 + pi + pi^2)[r12, r13], pi the cyclic move of legs
+and variables, so `_cyb_terms` computes that one partial bracket of the
+cleared tensor and sums it onto cyclic orbits, on int coefficients: once for
+a rational tensor, three times for one over Q(zeta_3).  A non-skew input
+raises, and `verify_cybe` reports it as "cybe": "unchecked".
 
 `contraction` is the one Psi(a (x) b) = B(b, -) a in the package: the
 residue operator R_t = pi_h/2 + pi_- + Psi(t), the residue operator R_Q of
@@ -42,10 +41,6 @@ Q = Fraction
 GTensor2 = dict       # (i, j) -> coeff
 Laurent2 = dict       # (dx, dy, i, j) -> coeff
 Laurent3 = dict       # (d1, d2, d3, i, j, k) -> coeff
-
-
-def gtensor_tau(t: GTensor2) -> GTensor2:
-    return {(j, i): c for (i, j), c in t.items()}
 
 
 def wedge(alg, a: LoopElement, b: LoopElement) -> Laurent2:
@@ -142,7 +137,7 @@ class TwoPointTensor:
             add_term(poly, (dy, dx, j, i), c)
         pole = [dict() for _ in range(m)]
         for k, pk in enumerate(self.pole_num):
-            tpk = gtensor_tau(pk)
+            tpk = {(j, i): c for (i, j), c in pk.items()}
             if k == 0:
                 # (y/x)^0/((y/x)^m - 1) = -1 - 1/((x/y)^m - 1)
                 poly = t2_add(poly, {(0, 0, i, j): -c for (i, j), c in tpk.items()})
@@ -206,19 +201,50 @@ def r0(L: TwistedLoopAlgebra) -> TwoPointTensor:
 # ------------------------------------------------------------------- brackets
 
 
-def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
-    """[t12, t13] D23 + [t12, t23] D13 + [t13, t23] D12 in one pass.
+def _orbit(key: tuple, m: int) -> tuple:
+    """key and its images under pi~ and pi~^2, for the order-3 key map
+    pi~: (d1, d2, d3, i, j, k) -> (d3 + 2m, d1 - m, d2 - m, k, i, j)."""
+    d1, d2, d3, i, j, k = key
+    return key, (d3 + 2 * m, d1 - m, d2 - m, k, i, j), (d2 + m, d3 + m, d1 - 2 * m, j, k, i)
 
-    D_pq = (x_p/x_q)^m - 1, or 1 when m = 0, which gives CYB(t) itself.
-    Each term x^a y^b (u (x) v) of t is bucketed by its first leg u and by
-    its second leg v.  A partial sum takes the left terms one bucket at a
-    time, by the leg that stays outside the bracket, and brackets each
-    against the right buckets, by their bracket leg: it walks the nonzero
-    partners v of u in `alg.table`, so it visits a pair of terms only when
-    the bracket of their legs is nonzero.  Entries from two left
-    buckets never meet, so a bucket's accumulator is drained as soon as it
-    is full: each entry goes to the tensor position of its bracket leg,
-    times D_pq, straight into the one output dict.  Zero entries are kept.
+
+def _orbit_rep(key: tuple, m: int) -> tuple:
+    """The rotation of key with the strictly least first leg, ties to the least whole key."""
+    return min(_orbit(key, m), key=lambda r: (r[3], r))
+
+
+def _unfold(sums: dict, m: int) -> Laurent3:
+    """Orbit sums {representative: s} expanded: s on each key of the orbit, 3 s on a fixed key."""
+    out: Laurent3 = {}
+    for key, c in sums.items():
+        if c:
+            orbit = _orbit(key, m)
+            out.update({key: 3 * c} if orbit[1] == key else dict.fromkeys(orbit, c))
+    return out
+
+
+def _is_skew(t: Laurent2, m: int) -> bool:
+    """Whether t is skew (m = 0), or for m > 0 the cleared form N = r ((x/y)^m - 1)
+    of a skew r: tau N(y, x) = (y/x)^m N(x, y).  (x/y)^m - 1 is no zero divisor,
+    so on N = r.cleared() this is skew(r).is_zero(), in one linear pass."""
+    sign = 1 if m else -1
+    return ({(b, a, j, i): c for (a, b, i, j), c in t.items() if c}
+            == {(a - m, b + m, i, j): sign * c for (a, b, i, j), c in t.items() if c})
+
+
+def _cyb_terms(alg, t: Laurent2, m: int = 0) -> dict:
+    """[t12, t13] D23 for a skew int tensor t, as sums over the orbits of pi~.
+
+    D_pq = (x_p/x_q)^m - 1, or 1 when m = 0.  pi, moving leg and variable p
+    to p + 1, sends D = D12 D13 D23 to D (x2 x3 / x1^2)^m, so for a skew t
+    CYB(t) D = (1 + pi~ + pi~^2)([t12, t13] D23), pi~ as in `_orbit`: each
+    entry is the sum of [t12, t13] D23 over its key's orbit, times 3 on a
+    key that pi~ fixes.  The sums are keyed by `_orbit_rep`, zeros kept.
+
+    Terms of t are bucketed by first and by second leg.  The left terms go
+    one bucket at a time, by the second leg p, which stays outside the
+    bracket; walking the nonzero partners v of a left first leg u in
+    `alg.table` visits a pair of terms only when their bracket is nonzero.
     """
     first: dict = {}        # u -> [(degree of u, degree of v, v, c)]
     second: dict = {}       # v -> [(degree of v, degree of u, u, c)]
@@ -226,53 +252,40 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> Laurent3:
         first.setdefault(i, []).append((a, b, j, c))
         second.setdefault(j, []).append((b, a, i, c))
     table = alg.table
-    out: Laurent3 = {}
-    # (left terms by their outer leg, right terms by their bracket leg)
-    for part, (left, right) in enumerate(((second, first), (first, first), (first, second))):
-        for p, lterms in left.items():
-            # keyed (bracket degree, left outer degree, right outer degree,
-            #        bracket leg, right outer leg)
-            acc: dict = {}
-            for e1, d1, u, c1 in lterms:
-                for v, br in table[u].items():
-                    for d2, e2, q, c2 in right.get(v, ()):
-                        c = c1 * c2
-                        for w, cw in br:
-                            key = (d1 + d2, e1, e2, w, q)
-                            acc[key] = acc.get(key, 0) + c * cw
-            # The bracket sits on leg 1, 2, 3 in parts 0, 1, 2.  In each
-            # part D_pq raises the earlier of the two outer legs by x^m and
-            # lowers the later one by x^-m.
-            for (d, e1, e2, w, q), c in acc.items():
-                if not c:
-                    continue
-                for s, sc in ((m, c), (0, -c)) if m else ((0, c),):
-                    a, b = e1 + s, e2 - s
-                    key = ((d, a, b, w, p, q) if part == 0 else
-                           (a, d, b, p, w, q) if part == 1 else (a, b, d, p, q, w))
-                    out[key] = out.get(key, 0) + sc
-    return out
+    sums: dict = {}
+    for p, lterms in second.items():
+        acc: dict = {}      # (bracket degree, degree of p, outer degree, bracket leg, outer leg)
+        for e1, d1, u, c1 in lterms:
+            for v, br in table[u].items():
+                for d2, e2, q, c2 in first.get(v, ()):
+                    c = c1 * c2
+                    for w, cw in br:
+                        key = (d1 + d2, e1, e2, w, q)
+                        acc[key] = acc.get(key, 0) + c * cw
+        # D23 raises leg 2 by x^m and lowers leg 3 by x^-m
+        for (d, e1, e2, w, q), c in acc.items():
+            if not c:
+                continue
+            for s, sc in ((m, c), (0, -c)) if m else ((0, c),):
+                key = (d, e1 + s, e2 - s, w, p, q)
+                if not (w < p and w < q):
+                    key = _orbit_rep(key, m)
+                sums[key] = sums.get(key, 0) + sc
+    return sums
 
 
-def cyb_of_laurent(alg, t: Laurent2, m: int = 0) -> Laurent3:
-    """CYB(t) for a finite two-leg Laurent tensor (no poles), or with m > 0
-    the sum of its partial brackets times D_pq as `_cyb_terms` gives it.
+def _cyb_sums(alg, t: Laurent2, m: int) -> dict:
+    """The orbit sums of `_cyb_terms` for a skew t over Q or Q(zeta_3), zeros dropped.
 
     The bracket loop sees int coefficients only: den * t = A + B zeta_3
-    with int tensors A and B.  A rational t has B empty and takes one run,
-    on A.  Otherwise CYB is quadratic and zeta_3^2 = -1 - zeta_3, so with
-    C = CYB(A), D = CYB(B) and S = CYB(A + B),
-    CYB(A + B zeta_3) = (C - D) + (S - C - 2D) zeta_3.  Zeros are dropped
-    and the result is divided by den^2.
+    with int tensors A and B, each skew.  A rational t has B empty and
+    takes one run, on A.  Otherwise CYB is quadratic and
+    zeta_3^2 = -1 - zeta_3, so with C = CYB(A), D = CYB(B) and
+    S = CYB(A + B), CYB(A + B zeta_3) = (C - D) + (S - C - 2D) zeta_3, on
+    orbit sums as well.  The result is divided by den^2.
     """
-    a: Laurent2 = {}
-    b: Laurent2 = {}
-    for k, c in t.items():
-        x, y = parts(c)
-        if x:
-            a[k] = x
-        if y:
-            b[k] = y
+    a: Laurent2 = {k: x for k, c in t.items() if (x := parts(c)[0])}
+    b: Laurent2 = {k: y for k, c in t.items() if (y := parts(c)[1])}
     den = math.lcm(*(c.denominator for c in a.values()), *(c.denominator for c in b.values()))
     a = {k: int(c * den) for k, c in a.items()}
     sq = den * den
@@ -282,7 +295,7 @@ def cyb_of_laurent(alg, t: Laurent2, m: int = 0) -> Laurent3:
     b = {k: int(c * den) for k, c in b.items()}
     D = _cyb_terms(alg, b, m)
     S = _cyb_terms(alg, t2_add(a, b), m)
-    out: Laurent3 = {}
+    out: dict = {}
     for k in {**C, **D, **S}:
         c, d = C.get(k, 0), D.get(k, 0)
         x, y = c - d, S.get(k, 0) - c - 2 * d
@@ -291,13 +304,13 @@ def cyb_of_laurent(alg, t: Laurent2, m: int = 0) -> Laurent3:
     return out
 
 
-def alt_cyclic(t: Laurent3) -> Laurent3:
-    """Alt: u1(x)u2(x)u3 + u2(x)u3(x)u1 + u3(x)u1(x)u2 on tensor functions."""
-    out: Laurent3 = {}
-    for (d1, d2, d3, i, j, k), c in t.items():
-        for key in ((d1, d2, d3, i, j, k), (d2, d3, d1, j, k, i), (d3, d1, d2, k, i, j)):
-            add_term(out, key, c)
-    return out
+def cyb_of_laurent(alg, t: Laurent2, m: int = 0) -> Laurent3:
+    """CYB(t) for a finite skew two-leg Laurent tensor (no poles), or with
+    m > 0 CYB(r) D for t = N, the cleared form of a skew r; raises
+    ValueError when t is not skew in that sense (`_is_skew`)."""
+    if not _is_skew(t, m):
+        raise ValueError("CYB from one partial bracket needs a skew tensor")
+    return _unfold(_cyb_sums(alg, t, m), m)
 
 
 def laurent3_mul_clear(t: Laurent3, m: int, pairs: Iterable[tuple]) -> Laurent3:
@@ -319,7 +332,7 @@ def cybe(r: TwoPointTensor) -> Laurent3:
     """CYB(r) times ((x1/x2)^m-1)((x1/x3)^m-1)((x2/x3)^m-1); zero iff r solves CYBE.
 
     With N = r(x, y) ((x/y)^m - 1) this is [N12, N13] D23 + [N12, N23] D13
-    + [N13, N23] D12, where D_pq = (x_p/x_q)^m - 1.
+    + [N13, N23] D12, where D_pq = (x_p/x_q)^m - 1.  A non-skew r raises.
     """
     return cyb_of_laurent(r.L.alg, r.cleared(), r.m)
 
@@ -334,13 +347,16 @@ SYMBOLIC_DIM_LIMIT = 24
 
 
 def verify_cybe(r: TwoPointTensor) -> dict:
-    """CYBE and skew verdicts, both symbolic and exact at every dim g.
+    """Skew and CYBE verdicts, both symbolic and exact at every dim g.
 
-    The point oracle `evaluate_cybe_at` of `tests/test_oracles.py` checks
-    `cybe` from outside this module.
+    Skewness is read first, from the cleared form; a non-skew r gets
+    "cybe": "unchecked".  The point oracle `evaluate_cybe_at` of
+    `tests/test_oracles.py` checks `cybe` from outside this module.
     """
-    return {"cybe": "zero" if not cybe(r) else "nonzero",
-            "skew": "zero" if skew(r).is_zero() else "nonzero", "mode": "symbolic"}
+    n = r.cleared()
+    ok = _is_skew(n, r.m)
+    cyb = ("nonzero" if _cyb_sums(r.L.alg, n, r.m) else "zero") if ok else "unchecked"
+    return {"cybe": cyb, "skew": "zero" if ok else "nonzero", "mode": "symbolic"}
 
 
 # ------------------------------------------------------------------ cobracket
@@ -398,9 +414,6 @@ def twist_residual(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
 
     Zero iff t is a classical twist of the standard cobracket.
     """
-    skw = t2_add(t, {(dy, dx, j, i): c for (dx, dy, i, j), c in t.items()})
-    if skw:
-        raise ValueError("twist candidate must be skew-symmetric")
     return laurent3_mul_clear(twist_defect(L, t), L.m, [(0, 1), (0, 2), (1, 2)])
 
 
@@ -414,18 +427,21 @@ def _delta0(L: TwistedLoopAlgebra, first: tuple) -> Laurent2:
 
 
 def twist_defect(L: TwistedLoopAlgebra, t: Laurent2) -> Laurent3:
-    """CYB(t) - Alt((delta_0 (x) 1) t) for a finite Laurent tensor t, uncleared."""
+    """CYB(t) - Alt((delta_0 (x) 1) t) for a finite skew Laurent tensor t, uncleared:
+    CYB(t) = Alt([t12, t13]), so both sides are summed onto one set of orbits."""
+    if not _is_skew(t, 0):
+        raise ValueError("twist candidate must be skew-symmetric")
     # (delta (x) 1) t: one cached cobracket per first leg (slot, degree) of t
     by_first: dict = {}
     for (first, (s2, dy)), c in tensor_to_slots(L, t).items():
         by_first.setdefault(first, []).append((s2, dy, c))
-    d1: Laurent3 = {}
+    sums = _cyb_sums(L.alg, t, 0)
     for first, seconds in by_first.items():
         for (a, b, p, q_), cf in _delta0(L, first).items():
             for s2, dy, c in seconds:
                 for j, cj in L.slots[s2].vec.items():
-                    add_term(d1, (a, b, dy, p, q_, j), c * cf * cj)
-    return t2_add(cyb_of_laurent(L.alg, t), alt_cyclic(d1), scale=-1)
+                    add_term(sums, _orbit_rep((a, b, dy, p, q_, j), 0), -c * cf * cj)
+    return _unfold(sums, 0)
 
 
 # ------------------------------------------------------------- residue action

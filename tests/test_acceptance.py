@@ -253,7 +253,7 @@ def test_criterion_07_cobracket_ground_truth():
                 want = t2_scale(wedge(L, g["h"], g[key]), Q(bii) / 4)
                 ok = ok and cobracket(g[key], r) == want
     # residual identities on 20 random degree <= 2 inputs
-    from loopcybe.tensors import alt_cyclic
+    from test_oracles import alt_cyclic
     L = loop_algebra(A2)
     r = r0(L)
     basis = L.basis_up_to(2)

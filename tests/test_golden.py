@@ -74,7 +74,13 @@ swap of nodes 1 and 2 (`error-equiv-trapped`) and B3 with gamma: 0 -> 3
 solved that system and tested the moved t_h against the span of its
 kernel.  `validate-A2-split` (exit 0) gives the t_h of `quad.json` as two
 equal entries on one pair; it was written by the first code that adds
-them, where earlier code kept only the later entry.  A change that alters
+them, where earlier code kept only the later entry.  The last two run `equiv`
+with the A2 quadruple `quad_not_bijective.json` (Gamma_1 empty,
+Gamma_2 = {2}, gamma: 1 -> 2, not a bijection Gamma_1 -> Gamma_2) as the
+first and as the second quadruple against `quad.json` (exit 2, with the
+structure report as `twist` gives it); they were written by the first code
+that checks both quadruples, where earlier code answered "not equivalent"
+(exit 1).  A change that alters
 any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -163,6 +169,10 @@ CASES = [
     ("error-equiv-non-isometric", ["equiv", "-a", "quad_b3_non_isometric.json",
                                    "-b", "quad_b3_non_isometric.json"]),
     ("validate-A2-split", ["validate", "-i", "quad_split.json"]),
+    ("error-equiv-invalid-first", ["equiv", "-a", "quad_not_bijective.json",
+                                   "-b", "quad.json"]),
+    ("error-equiv-invalid-second", ["equiv", "-a", "quad.json",
+                                    "-b", "quad_not_bijective.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.

@@ -78,7 +78,9 @@ implementations, kept here unchanged in substance:
   Gram of `alg.killing` on basis pairs, where `casimir` reads `root_kappa`
   and `cartan_gram`;
 - `pair_twist_defect` applies the cobracket once per slot-pair term of t,
-  where `twist_defect` applies it once per first leg.
+  where `twist_defect` applies it once per first leg, and takes Alt with
+  `alt_cyclic`, three writes per term, where `twist_defect` sums onto the
+  orbits of `_cyb_terms` and expands once.
 
 They must agree with the library exactly: the same Gram matrices, the same
 dicts (values, types and key order) and the same sequence of maps.  The
@@ -108,8 +110,8 @@ from loopcybe.loop import (LoopElement, SigmaType, affine_diagram_data, affine_n
 from loopcybe.regrade import apply_equivalence
 from loopcybe.scalars import CycNumber, zeta
 from loopcybe.serialize import quadruple_from_json, two_point_json
-from loopcybe.tensors import (_delta0, alt_cyclic, cobracket, cyb_of_laurent, r0, t2_add,
-                              t2_scale, tensor_to_slots, twist_defect, twist_residual, wedge)
+from loopcybe.tensors import (_delta0, cobracket, cyb_of_laurent, r0, t2_add, t2_scale,
+                              tensor_to_slots, twist_defect, twist_residual, wedge)
 from test_chevalley import dense_killing_gram
 from test_golden import CASES, GOLDEN, expected
 
@@ -1443,6 +1445,15 @@ def test_r0_is_shared_and_never_mutated(quad, monkeypatch, capsys):
 
 
 # ------------------------------------------------------------ twist defect
+
+
+def alt_cyclic(t):
+    """Alt: u1(x)u2(x)u3 + u2(x)u3(x)u1 + u3(x)u1(x)u2 on tensor functions."""
+    out = {}
+    for (d1, d2, d3, i, j, k), c in t.items():
+        for key in ((d1, d2, d3, i, j, k), (d2, d3, d1, j, k, i), (d3, d1, d2, k, i, j)):
+            add_term(out, key, c)
+    return out
 
 
 def pair_twist_defect(L, t):

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopcybe.chevalley import add_term
 from loopcybe.loop import LoopElement, SigmaType, loop_algebra
-from loopcybe.tensors import (TwoPointTensor, alt_cyclic, casimir_components, cobracket,
-                              cybe, cyb_of_laurent, from_loop_tensor, r0,
-                              residue_operator, skew, t2_add, t2_scale, taylor,
-                              tensor_of_elements, twist_residual, verify_cybe, wedge)
-from test_oracles import evaluate_cybe_at, residue_oracle
+from loopcybe.scalars import CycNumber
+from loopcybe.tensors import (TwoPointTensor, _is_skew, _orbit, casimir_components, cobracket,
+                              cybe, cyb_of_laurent, from_loop_tensor, r0, residue_operator,
+                              skew, t2_add, t2_scale, taylor, tensor_of_elements,
+                              twist_residual, verify_cybe, wedge)
+from test_oracles import alt_cyclic, evaluate_cybe_at, residue_oracle
 
 
 def zero_tensor(L):
@@ -207,6 +210,95 @@ def test_cybe_kernel_matches_reference_on_order_3():
     assert got and got == _reference_cybe(r)
     assert verify_cybe(r0(L) + r) == {"cybe": "zero", "skew": "zero", "mode": "symbolic"}
     assert cybe(r0(L) + from_loop_tensor(L, t2_scale(t, 2)))
+
+
+# ------------------------------------ one partial bracket, folded onto orbits
+
+
+COEFF = st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+# (dx, dy, i, j, a, b): the term x^dx y^dy (e_i (x) e_j) times a, or a + b zeta_3
+# over Q(zeta_3); i and j are reduced mod dim g
+POLY_TERM = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 99),
+                      st.integers(0, 99), COEFF, COEFF)
+# (k, i, j, a, b): a term of the pole numerator P_k, k reduced mod m
+POLE_TERM = st.tuples(st.integers(0, 5), st.integers(0, 99), st.integers(0, 99), COEFF, COEFF)
+# m = 1, 2, 3 and 3 over Q(zeta_3)
+SKEW_CASES = [("A1", [1, 0], None), ("A3", [1, 0, 0], [2, 1, 0]), ("A2", [1, 1, 1], None),
+              ("D4", [1, 0, 0], [2, 1, 3, 0])]
+
+
+def _random_two_point(L, poly_terms, pole_terms):
+    dim = L.alg.dim
+
+    def coeff(a, b):
+        return CycNumber(a, b) if L.nu_order == 3 else a
+
+    poly, pole = {}, [dict() for _ in range(L.m)]
+    for dx, dy, i, j, a, b in poly_terms:
+        add_term(poly, (dx, dy, i % dim, j % dim), coeff(a, b))
+    for k, i, j, a, b in pole_terms:
+        add_term(pole[k % L.m], (i % dim, j % dim), coeff(a, b))
+    return TwoPointTensor(L, poly, pole)
+
+
+@pytest.mark.parametrize("label,s,nu", SKEW_CASES, ids=["A1-m1", "A3^(2)-m2", "A2-principal-m3",
+                                                        "D4^(3)-m3"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(POLY_TERM, min_size=1, max_size=4), st.lists(POLE_TERM, max_size=3))
+def test_one_bracket_kernel_matches_reference_on_random_tensors(label, s, nu, poly_terms,
+                                                                 pole_terms):
+    """On random skew r = a - tau a(y, x), `cybe` equals the n^2 loop over all
+    three partial brackets, and `cyb_of_laurent` does on the finite skew
+    tensor a.poly - tau a.poly; on a itself the skew test agrees with
+    `skew(a).is_zero()`, and a non-skew a is refused."""
+    L = loop_algebra(SigmaType.make(label, s, nu))
+    a = _random_two_point(L, poly_terms, pole_terms)
+    r = a - a.tau_swapped()
+    assert skew(r).is_zero() and _is_skew(r.cleared(), L.m)
+    assert cybe(r) == _reference_cybe(r)
+    t = t2_add(a.poly, {(dy, dx, j, i): c for (dx, dy, i, j), c in a.poly.items()}, -1)
+    assert cyb_of_laurent(L.alg, t) == _reference_cyb_of_laurent(L.alg, t)
+    assert _is_skew(a.cleared(), L.m) == skew(a).is_zero()
+    if not skew(a).is_zero():
+        with pytest.raises(ValueError):
+            cybe(a)
+        assert verify_cybe(a) == {"cybe": "unchecked", "skew": "nonzero", "mode": "symbolic"}
+
+
+def test_cybe_entry_on_a_rotation_fixed_key(sl2_loop):
+    """An entry whose key the rotation fixes (all legs h, degrees d, d - m,
+    d - 2m) is three times its part-0 entry; it matches the n^2 loop."""
+    L = sl2_loop
+    a = TwoPointTensor(L, {(1, 0, 2, 1): Q(1), (-1, 0, 0, 2): Q(1)}, [dict()])
+    r = a - a.tau_swapped()
+    got = cybe(r)
+    fixed = {k: c for k, c in got.items() if _orbit(k, L.m)[1] == k}
+    assert fixed and all(k[3:] == (2, 2, 2) for k in fixed)
+    assert got == _reference_cybe(r)
+
+
+def test_one_bracket_kernel_refuses_non_skew(sl2_loop):
+    """CYB from one partial bracket needs a skew tensor: a non-skew input
+    raises, in `cyb_of_laurent` (m = 0), `cybe` and `twist_residual`."""
+    L = sl2_loop
+    t = tensor_of_elements(L.from_chev(0, {0: Q(1)}), L.from_chev(0, {1: Q(1)}))
+    with pytest.raises(ValueError):
+        cyb_of_laurent(L.alg, t)
+    with pytest.raises(ValueError):
+        cybe(r0(L) + from_loop_tensor(L, t))
+    with pytest.raises(ValueError):
+        twist_residual(L, t)
+
+
+def test_verify_cybe_unchecked_on_symmetric_casimir(sl2_loop, sl3_principal):
+    """The symmetric Casimir is not skew: the linear skew test says so, as
+    skew(r).is_zero() does, and `verify_cybe` leaves CYB unchecked."""
+    for L in (sl2_loop, sl3_principal):
+        C = constant_tensor(L, L.alg.casimir())
+        for r, is_skew in ((C, False), (r0(L), True), (r0(L) + C, False)):
+            assert _is_skew(r.cleared(), L.m) == skew(r).is_zero() == is_skew
+        assert verify_cybe(C) == {"cybe": "unchecked", "skew": "nonzero", "mode": "symbolic"}
+        assert verify_cybe(r0(L)) == {"cybe": "zero", "skew": "zero", "mode": "symbolic"}
 
 
 def test_kernel_b4_witness_twist_residual_and_point_oracle():
