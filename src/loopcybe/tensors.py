@@ -266,10 +266,11 @@ def _cyb_terms(alg, t: Laurent2, m: int = 0) -> dict:
         for (d, e1, e2, w, q), c in acc.items():
             if not c:
                 continue
-            for s, sc in ((m, c), (0, -c)) if m else ((0, c),):
-                key = (d, e1 + s, e2 - s, w, p, q)
-                if not (w < p and w < q):
-                    key = _orbit_rep(key, m)
+            for a, b, sc in ((e1 + m, e2 - m, c), (e1, e2, -c)) if m else ((e1, e2, c),):
+                key = ((d, a, b, w, p, q) if w < p and w < q else      # `_orbit_rep`, unrolled
+                       (b + 2 * m, d - m, a - m, q, w, p) if q < w and q < p else
+                       (a + m, b + m, d - 2 * m, p, q, w) if p < w and p < q else
+                       _orbit_rep((d, a, b, w, p, q), m))
                 sums[key] = sums.get(key, 0) + sc
     return sums
 
