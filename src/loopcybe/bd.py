@@ -11,11 +11,13 @@ three defining conditions are:
 Condition 3 is solved over the extended Cartan h + C d, where the node
 functionals take the value s_i on the scaling direction d; this is the
 reading under which the solution-space dimension is l(l-1)/2 with
-l = |Pi \\ Gamma_1|; validation, the count and the solve read one integer
-system.  Twists only ever use the d-free part of t_h (the loop algebra has
-no d), and the canonical representative is the particular solution of that
-one system's reduction, which is d-free whenever some solution is.  On the
-Cartan, theta is `cartan_transport`.
+l = |Pi \\ Gamma_1|.  Validation and the count check conditions 1 and 2,
+the hypotheses of Cartan's lemma on condition 3, in one place; validation
+and the solve read condition 3 as one integer system.  Twists only ever use
+the d-free part of t_h (the loop algebra has no d), and the canonical
+representative is the particular solution of that system's reduction,
+which is d-free whenever some solution is.  On the Cartan, theta is
+`cartan_transport`.
 
 The residue operator of a quadruple is R_{t_h} plus the two theta series,
 and `tensors.contraction` is the one Psi(a (x) b) = B(b, -) a behind it,
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import mul
 from typing import Iterable, Optional
 
 from .chevalley import add_term
@@ -84,62 +85,57 @@ class BDQuadruple(Value):
 
 
 def _orbit_escapes(gamma: dict, gamma1: frozenset, i: int) -> Optional[int]:
-    """Least k >= 1 with gamma^k(i) outside Gamma_1, or None if trapped."""
-    seen = set()
+    """Least k >= 1 with gamma^k(i) outside Gamma_1, or None if trapped: a
+    walk that escapes meets distinct nodes of Gamma_1 first, so k <= |Gamma_1|."""
     cur = i
-    for k in range(1, len(gamma1) + 2):
+    for k in range(1, len(gamma1) + 1):
         cur = gamma[cur]
         if cur not in gamma1:
             return k
-        if cur in seen:
-            return None
-        seen.add(cur)
     return None
+
+
+def _structure_problems(q: BDQuadruple, nodes: int) -> list:
+    """Why Gamma_1, Gamma_2 are no proper node sets or gamma no bijection."""
+    problems = []
+    if not q.gamma1 <= set(range(nodes)) or len(q.gamma1) >= nodes:
+        problems.append("gamma1 is not a proper subset of the nodes")
+    if not q.gamma2 <= set(range(nodes)) or len(q.gamma2) >= nodes:
+        problems.append("gamma2 is not a proper subset of the nodes")
+    gmap = q.gamma_map
+    if set(gmap) != set(q.gamma1) or set(gmap.values()) != set(q.gamma2) \
+            or len(set(gmap.values())) != len(gmap):
+        problems.append("gamma is not a bijection Gamma_1 -> Gamma_2")
+    return problems
+
+
+def _conditions_1_2(L, gmap: dict, gamma1: frozenset) -> tuple:
+    """(coroot Gram entries gamma moves: condition 1, nodes whose orbit is
+    trapped: condition 2), in the order of gamma1; `L` as in `_condition3_system`."""
+    G = L.coroot_gram
+    bad_pairs = [{"i": i, "j": j, "got": G[gmap[i]][gmap[j]], "want": G[i][j]}
+                 for i in gamma1 for j in gamma1 if G[gmap[i]][gmap[j]] != G[i][j]]
+    trapped = [i for i in gamma1 if _orbit_escapes(gmap, gamma1, i) is None]
+    return bad_pairs, trapped
 
 
 def validate(q: BDQuadruple) -> dict:
     """Per-condition report with witnesses; never raises on math failures."""
     L = affine_diagram_data(q.sigma)
-    nodes = len(L.node_weights)
-    report: dict = {"valid": True}
-
-    structural = []
-    if not q.gamma1 <= set(range(nodes)) or len(q.gamma1) >= nodes:
-        structural.append("gamma1 is not a proper subset of the nodes")
-    if not q.gamma2 <= set(range(nodes)) or len(q.gamma2) >= nodes:
-        structural.append("gamma2 is not a proper subset of the nodes")
-    gmap = q.gamma_map
-    if set(gmap) != set(q.gamma1) or set(gmap.values()) != set(q.gamma2) \
-            or len(set(gmap.values())) != len(gmap):
-        structural.append("gamma is not a bijection Gamma_1 -> Gamma_2")
-    report["structure"] = {"ok": not structural, "problems": structural}
+    structural = _structure_problems(q, len(L.node_weights))
+    report = {"valid": not structural, "structure": {"ok": not structural, "problems": structural}}
     if structural:
-        report["valid"] = False
         return report
-
-    # condition 1: isometry on coroot grams
-    bad_pairs = []
-    for i in q.gamma1:
-        for j in q.gamma1:
-            lhs = L.coroot_gram[gmap[i]][gmap[j]]
-            rhs = L.coroot_gram[i][j]
-            if lhs != rhs:
-                bad_pairs.append({"i": i, "j": j, "got": lhs, "want": rhs})
+    gmap = q.gamma_map
+    bad_pairs, trapped = _conditions_1_2(L, gmap, q.gamma1)
     report["condition1"] = {"ok": not bad_pairs, "violations": bad_pairs}
-
-    # condition 2: nilpotent escape
-    trapped = [i for i in q.gamma1 if _orbit_escapes(gmap, q.gamma1, i) is None]
     report["condition2"] = {"ok": not trapped, "trapped": trapped}
-
-    # condition 3: the given t_h satisfies the Cartan constraints
-    if report["condition1"]["ok"] and report["condition2"]["ok"]:
-        resid = condition3_residual(L, gmap, q.gamma1, q.t_h_dict)
-        report["condition3"] = {"ok": all(not any(v) for v in resid.values()),
-                                "residuals": {str(k): [str(x) for x in v]
-                                              for k, v in resid.items() if any(v)}}
-    else:
-        report["condition3"] = {"ok": False, "residuals": {"skipped": []}}
-    report["valid"] = all(report[k]["ok"] for k in ("condition1", "condition2", "condition3"))
+    report["condition3"] = {"ok": False, "residuals": {"skipped": []}}
+    if not (bad_pairs or trapped):      # condition 3: t_h meets the Cartan constraints
+        resid = {str(k): [str(x) for x in v] for k, v in
+                 condition3_residual(L, gmap, q.gamma1, q.t_h_dict).items() if any(v)}
+        report["condition3"] = {"ok": not resid, "residuals": resid}
+    report["valid"] = report["condition3"]["ok"]
     return report
 
 
@@ -187,14 +183,11 @@ def _condition3_matrix(L, gmap: dict, gamma1: frozenset):
 def condition3_residual(L, gmap: dict, gamma1: frozenset, t_h: dict) -> dict:
     """Value of (alpha_{gamma(i)} (x) 1 + 1 (x) alpha_i)(t_h + C_h/2) per i:
     (2 iota_{h_i} t_h + c_i) / 2d on the rows of `_condition3_system`."""
-    nh = L.nh
     scale = 2 * L.integer_nodes[2]
     out = {}
     for i, h, c in _condition3_system(L, gmap, gamma1):
         val = list(c)
-        for (a, b), x in t_h.items():
-            a = nh if a == D_INDEX else a
-            b = nh if b == D_INDEX else b
+        for (a, b), x in t_h.items():       # D_INDEX = -1 is the last entry, d
             val[b] += 2 * x * h[a]
             val[a] -= 2 * x * h[b]
         out[i] = [Q(v, scale) for v in val]
@@ -203,28 +196,23 @@ def condition3_residual(L, gmap: dict, gamma1: frozenset, t_h: dict) -> dict:
 
 def th_dimension(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],
                  gamma: dict) -> int:
-    """Dimension of the condition-3 family of t_h, counted without a solve.
+    """Dimension C(l, 2), l = nodes - |Gamma_1|, of the condition-3 family.
 
-    Condition 3 reads 2 iota_{h_i} t = -c_i on the rows of
-    `_condition3_system`.  The alpha_i are independent on V = h^nu + C d
-    (sum a_i alpha_i = 0 on h^nu fails at d: sum a_i s_i = m > 0), so under
-    condition 2 so are the h_i.  Cartan's lemma then makes the system
-    solvable iff <h_j, c_i> + <h_i, c_j> = 0 for all i <= j, an identity
-    that expands to condition 1 but is checked here on h and c; the
-    homogeneous family is Lambda^2(W), W the common kernel of the h_i, of
-    dimension C(l, 2), l = nodes - |Gamma_1|.  Raises ValueError if the
-    family is empty or the h_i are dependent (gamma breaks condition 2).
+    By Cartan's lemma, 2 iota_{h_i} t = -c_i (`_condition3_system`) has the
+    family Lambda^2 of the common kernel of the h_i when the h_i are free and
+    <h_j, c_i> + <h_i, c_j> = 0.  For any map gamma these are conditions 2
+    and 1 (`_conditions_1_2`), which raise ValueError in that order: the h_i
+    are the edge vectors of i -> gamma(i) over the basis alpha_i of
+    (h^nu + C d)*, and the sum is 2 d^2 (B(t_gamma(i), t_gamma(j)) - B(t_i, t_j)).
     """
     L = affine_diagram_data(sigma)
-    system = _condition3_system(L, gamma, gamma1)
-    hs, cs = [row[1] for row in system], [row[2] for row in system]
-    if len(rref_int(hs)[1]) < len(hs):
+    gamma1 = frozenset(gamma1)
+    bad_pairs, trapped = _conditions_1_2(L, gamma, gamma1)
+    if trapped:
         raise ValueError("the h_i are dependent: gamma breaks condition 2")
-    for j in range(len(hs)):
-        for i in range(j + 1):
-            if sum(map(mul, hs[j], cs[i])) + sum(map(mul, hs[i], cs[j])):
-                raise ValueError("condition-3 system is inconsistent")
-    return comb(L.nh + 1 - len(hs), 2)
+    if bad_pairs:
+        raise ValueError("condition-3 system is inconsistent")
+    return comb(len(L.node_weights) - len(gamma1), 2)
 
 
 def th_solution_space(sigma: SigmaType, gamma1: Iterable[int], gamma2: Iterable[int],

@@ -7,18 +7,19 @@ procedure, orbit enumeration, and the reachability census that decides
 which twists can be moved off the affine node (the quasi-trigonometric
 question).  Condition 3 is affine in t_h, so the family test compares two
 condition-3 residuals: for two valid quadruples both are zero, and every
-automorphism that aligns the Gamma-data is a witness.  Every triple
-enumeration runs one orbit loop over Gamma_1 (`_representatives`); the
-census searches one Gamma_1, the orbit of the affine node.
+automorphism that aligns the Gamma-data is a witness; t_h moves on all of
+h + C d.  Orbit enumeration runs one loop over Gamma_1 (`_representatives`);
+the census searches one Gamma_1, the orbit of the affine node.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
-from .bd import (BDQuadruple, D_INDEX, canonical_t_h, cartan_transport, condition3_residual,
-                 th_dimension, validate)
+from .bd import (BDQuadruple, D_INDEX, _conditions_1_2, _structure_problems, canonical_t_h,
+                 cartan_transport, condition3_residual, th_dimension)
 from .cartan import SERIES_RANKS, CartanType
 from .linalg import mat_mul, mat_vec
 from .loop import SigmaType, affine_diagram_data
@@ -72,19 +73,26 @@ def _theta_on_cartan(L, perm: tuple) -> list:
 
 
 def act_on_t_h(L, perm: tuple, t_h: dict) -> dict:
-    """(theta (x) theta) t_h = theta T theta^T for a d-free skew tensor over
-    the h-basis, T its skew matrix."""
-    theta = _theta_on_cartan(L, perm)
-    nh = L.nh
-    skew = [[Q(0)] * nh for _ in range(nh)]
-    for (a, b), c in t_h.items():
-        if a == D_INDEX or b == D_INDEX:
-            raise ValueError("t_h action implemented for d-free tensors only")
+    """(Theta (x) Theta) t_h on h + C d: Theta is `_theta_on_cartan` on h and
+    d -> d + mu, alpha_perm(i)(mu) = s_i - s_perm(i) (`_pi_inverse` at i >= 1;
+    node 0 follows), so alpha_perm(i) Theta = alpha_i.  For t_h = (T, d column
+    x): theta T theta^T + y mu^T - mu y^T on h, and y = theta x on d."""
+    nh, (rows, den), s = L.nh, L._pi_inverse, L.sigma.s
+    on_mu = [s[perm.index(j)] - s[j] for j in range(1, nh + 1)]
+    mu = [Q(sum(map(mul, col, on_mu)), den) for col in zip(*rows)]
+    skew = [[Q(0)] * (nh + 1) for _ in range(nh + 1)]
+    for (a, b), c in t_h.items():       # D_INDEX = -1 is the last index, d
         skew[a][b] += c
         skew[b][a] -= c
-    moved = mat_mul(mat_mul(theta, skew), list(zip(*theta)))
-    return {(p, q_): moved[p][q_] for p in range(nh) for q_ in range(p + 1, nh)
-            if moved[p][q_]}
+    theta = _theta_on_cartan(L, perm)
+    y = mat_vec(theta, [row[nh] for row in skew[:nh]])
+    moved = mat_mul(mat_mul(theta, [row[:nh] for row in skew[:nh]]), list(zip(*theta)))
+    out = {}
+    for p in range(nh):
+        for q_ in range(p + 1, nh):
+            out[p, q_] = moved[p][q_] + y[p] * mu[q_] - mu[p] * y[q_]
+        out[p, D_INDEX] = y[p]
+    return {k: v for k, v in out.items() if v}
 
 
 def act(perm: tuple, q: BDQuadruple) -> BDQuadruple:
@@ -112,19 +120,18 @@ def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
     their difference lies in ker A, the homogeneous family.  For two valid
     quadruples both residuals are zero, so every aligning theta is a
     witness.  Raises ValueError on a quadruple, in either position, that fails
-    `validate`'s structure check or whose condition-3 system has no solution.
+    `validate`'s structure check or conditions 1-2 (no t_h solves condition 3).
     """
     if qa.sigma != qb.sigma:
         raise ValueError("quadruples live on different diagrams")
-    for q in (qa, qb):
-        rep = validate(q)
-        if not rep["structure"]["ok"]:
-            raise ValueError("invalid quadruple: %r" % (rep,))
-        try:
-            th_dimension(q.sigma, q.gamma1, q.gamma2, q.gamma_map)
-        except ValueError:      # a trapped gamma as well: no t_h solves condition 3
-            raise ValueError("condition-3 system is inconsistent") from None
     L = affine_diagram_data(qa.sigma)
+    for q in (qa, qb):
+        problems = _structure_problems(q, len(L.node_weights))
+        if problems:
+            raise ValueError("invalid quadruple: %r" % (
+                {"valid": False, "structure": {"ok": False, "problems": problems}},))
+        if any(_conditions_1_2(L, q.gamma_map, q.gamma1)):
+            raise ValueError("condition-3 system is inconsistent")
     gmap = qb.gamma_map
     target = condition3_residual(L, gmap, qb.gamma1, qb.t_h_dict)
     out = []
@@ -142,11 +149,13 @@ def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
 
 
 def enumerate_triples(L) -> list:
-    """All (Gamma1, Gamma2, gamma) with conditions 1-2 on the diagram, sorted:
-    the orbit representatives under the trivial group."""
-    identity = [tuple(range(len(L.node_weights)))]
-    return [(frozenset(g1), frozenset(g2), gm)
-            for g1, g2, gm in (r["triple"] for r in _representatives(L, identity))]
+    """All (Gamma1, Gamma2, gamma) with conditions 1-2 on the diagram, sorted."""
+    nodes = len(L.node_weights)
+    triples = sorted((g1, tuple(sorted(gamma.values())), tuple(gamma.items()))
+                     for g1 in (tuple(i for i in range(nodes) if mask >> i & 1)
+                                for mask in range(2 ** nodes - 1))
+                     for gamma in _isometric_maps(L, frozenset(g1)))
+    return [(frozenset(g1), frozenset(g2), gm) for g1, g2, gm in triples]
 
 
 def _isometric_maps(L, g1: frozenset):

@@ -80,7 +80,13 @@ Gamma_2 = {2}, gamma: 1 -> 2, not a bijection Gamma_1 -> Gamma_2) as the
 first and as the second quadruple against `quad.json` (exit 2, with the
 structure report as `twist` gives it); they were written by the first code
 that checks both quadruples, where earlier code answered "not equivalent"
-(exit 1).  A change that alters
+(exit 1).  `equiv-A2-along-reversed` runs `equiv-A2-along` the other way
+round (exit 0, witness [2, 0, 1]); it was written by the first code that
+moves the `"d"` entries of the first quadruple's t_h, where earlier code
+exited 2.  The digest of `export --what catalog --type E8 --s
+1,0,0,0,0,0,0,0,0` was written by the code that still counted the
+condition-3 family with a rank reduction and Cartan's lemma on the int
+rows.  A change that alters
 any of them alters the CLI's output.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -173,6 +179,7 @@ CASES = [
                                    "-b", "quad.json"]),
     ("error-equiv-invalid-second", ["equiv", "-a", "quad.json",
                                     "-b", "quad_not_bijective.json"]),
+    ("equiv-A2-along-reversed", ["equiv", "-a", "quad_rotated_along.json", "-b", "quad.json"]),
 ]
 
 # (argv, SHA-256 of stdout) for outputs too large to keep as files; exit 0.
@@ -195,6 +202,8 @@ DIGESTS = [
      "8eac398c51144ee05c2e998158bf835157bd891a84c1759a165fe5043f874b51"),
     (["r0", "--type", "E7", "--s", "0,0,0,0,0,0,0,1"],
      "47fdc39076453ac4add12005f6f4dfe38db52fc6083de8e61905d5313ca62a16"),
+    (["export", "--what", "catalog", "--type", "E8", "--s", "1,0,0,0,0,0,0,0,0"],
+     "2ba615f0231c2f11bad931fa0ef134b28b48d2c344b248e1aa4a7e6eda459ecc"),
 ]
 
 
@@ -218,7 +227,8 @@ def test_cli_golden(name, argv):
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=["structure-E7", "r0-E7", "catalog-E7",
                                                      "structure-E8", "catalog-A9", "structure-E6",
-                                                     "r0-E6-s1", "r0-E6-s6", "r0-E7-s7"])
+                                                     "r0-E6-s1", "r0-E6-s6", "r0-E7-s7",
+                                                     "catalog-E8"])
 def test_cli_digest(argv, digest):
     out = run_case(argv)
     assert out.returncode == 0

@@ -25,8 +25,9 @@ implementations, kept here unchanged in substance:
   `sum_act_on_t_h` moves t_h one coefficient at a time, where
   `act_on_t_h` multiplies theta T theta^T;
 - `th_solution_space` itself, the one Bareiss solve of the condition-3
-  system, is the oracle of `th_dimension`, which counts the family from
-  Cartan's lemma: both give the same dimension, or both raise;
+  system, is the oracle of `th_dimension`, which checks conditions 1 and 2,
+  the hypotheses of Cartan's lemma, and counts: both give the same
+  dimension, or both raise;
 - `span_equivalence_witnesses` decides `equiv` by solving qb's condition-3
   system, writing t_h as a vector over the pairs (`t_h_vector`) and testing
   the moved difference for membership in the kernel's span (`in_span`),
@@ -637,17 +638,19 @@ def test_th_dimension_rejects_trapped_gamma(gamma):
         bd.th_dimension(sigma, set(gamma), set(gamma.values()), gamma)
 
 
-@pytest.mark.parametrize("name", ["catalog-E6", "catalog-D4-order3", "census-BCD-6",
-                                  "equiv-A2", "equiv-A2-along", "equiv-A2-off",
-                                  "error-equiv-trapped", "error-equiv-non-isometric"])
+@pytest.mark.parametrize("name", [name for name, argv in CASES if argv[0] in ("census", "equiv")
+                                  or argv[:3] == ["export", "--what", "catalog"]])
 def test_catalog_and_census_never_solve(name, monkeypatch, capsys):
     """Catalogs and the census count the condition-3 family, and `equiv`
-    compares residuals: their golden output comes out with the solve
-    refused."""
+    compares residuals; both read conditions 1 and 2 off `_conditions_1_2`.
+    So every catalog, census and `equiv` golden comes out with the solve,
+    `rref_int` and `validate` refused where `bd` and `classify` look them up."""
     def refuse(*args):
-        raise AssertionError("th_solution_space called")
+        raise AssertionError("refused call")
 
-    monkeypatch.setattr(bd, "th_solution_space", refuse)
+    for name_ in ("th_solution_space", "rref_int", "validate"):
+        monkeypatch.setattr(bd, name_, refuse)
+    monkeypatch.setattr(cl, "validate", refuse, raising=False)
     monkeypatch.chdir(GOLDEN)
     assert (cli.main(dict(CASES)[name]), capsys.readouterr().out) == expected(name)
 
@@ -702,6 +705,42 @@ def equivalence_pairs(sigma, rng):
             basis = bd.th_solution_space(*triple)["basis"]
             if basis:
                 yield qa, bd.BDQuadruple.make(*triple, plus(qb.t_h_dict, rng.choice(basis), 2))
+
+
+@pytest.mark.parametrize("label,s,nu", EQUIV_DIAGRAMS,
+                         ids=["%s-%s%s" % (c[0], "".join(map(str, c[1])),
+                                           "-nu" + "".join(map(str, c[2])) if c[2] else "")
+                              for c in EQUIV_DIAGRAMS])
+def test_action_moves_d_entries(label, s, nu):
+    """On every valid triple, with t_h its canonical solution plus a seeded
+    element of the whole family (`"d"` entries included), and with 1/5 added
+    on one pair with d: act(perm^-1, act(perm, q)) == q for every diagram
+    automorphism, and act keeps validity."""
+    sigma = SigmaType.make(label, s, nu)
+    L = affine_diagram_data(sigma)
+    rng = random.Random(28)
+    d_keys = [(a, bd.D_INDEX) for a in range(L.nh)]
+    group = cl.loop_diagram_automorphisms(L)
+    verdicts = set()
+    for g1, g2, gm in cl.enumerate_triples(L):
+        space = bd.th_solution_space(sigma, g1, g2, dict(gm))
+        th = dict(space["particular"])
+        for v in space["basis"]:
+            c = Q(rng.randint(-3, 3), rng.randint(1, 4))
+            for k, x in v.items():
+                th[k] = th.get(k, 0) + c * x
+        off = dict(th)
+        key = rng.choice(d_keys)
+        off[key] = off.get(key, 0) + Q(1, 5)
+        for t_h in (th, off):
+            q = bd.BDQuadruple.make(sigma, g1, g2, dict(gm), t_h)
+            valid = bd.validate(q)["valid"]
+            verdicts.add((valid, any(bd.D_INDEX in k for k in q.t_h_dict)))
+            for perm in group:
+                moved = cl.act(perm, q)
+                assert cl.act(tuple(map(perm.index, range(len(perm)))), moved) == q
+                assert bd.validate(moved)["valid"] == valid, (q, perm)
+    assert {(True, True), (False, True)} <= verdicts, verdicts
 
 
 def test_equivalence_witnesses_match_span_oracle():
