@@ -151,11 +151,12 @@ def all_equivalence_witnesses(qa: BDQuadruple, qb: BDQuadruple) -> list:
 def enumerate_triples(L) -> list:
     """All (Gamma1, Gamma2, gamma) with conditions 1-2 on the diagram, sorted."""
     nodes = len(L.node_weights)
-    triples = sorted((g1, tuple(sorted(gamma.values())), tuple(gamma.items()))
-                     for g1 in (tuple(i for i in range(nodes) if mask >> i & 1)
-                                for mask in range(2 ** nodes - 1))
-                     for gamma in _isometric_maps(L, frozenset(g1)))
-    return [(frozenset(g1), frozenset(g2), gm) for g1, g2, gm in triples]
+    triples = []
+    for mask in range(2 ** nodes - 1):
+        g1 = tuple(i for i in range(nodes) if mask >> i & 1)
+        for gamma in _isometric_maps(L, frozenset(g1)):
+            triples.append((g1, tuple(sorted(gamma.values())), tuple(gamma.items())))
+    return [(frozenset(g1), frozenset(g2), gm) for g1, g2, gm in sorted(triples)]
 
 
 def _isometric_maps(L, g1: frozenset):
